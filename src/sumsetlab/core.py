@@ -18,8 +18,11 @@ exactly t.  Scanning element a updates
     dp'[t] = OR over c in 0..min(r, t) of  dp[t - c] << (c * a')
 
 where a' = a - min(A), so shifts stay non-negative; the final mask is
-read off at t = h and translated back by h * min(A).  Modulo a prime p
-the mask has p bits and shifting becomes rotation.
+read off at t = h, in one pass over its binary string, and translated
+back by h * min(A).  Modulo a prime p the same loop runs with a' = a
+and shifts c * a mod p on p-bit masks; each new dp'[t] is folded once,
+(mask & (2^p - 1)) | (mask >> p), which is exact because every shift is
+below p.  Folding commutes with OR, so this equals OR-ing rotations.
 
 Conventions: modular elements are residues in [0, p) and p must be
 prime; integer ground sets are kept sorted ascending; h = m*r + eps
@@ -30,6 +33,7 @@ bounds and the minimum/maximum formulas.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Tuple
@@ -69,6 +73,11 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _sorted_contains(values: Tuple[int, ...], x: int) -> bool:
+    i = bisect_left(values, x)
+    return i < len(values) and values[i] == x
 
 
 def split_h(h: int, r: int) -> Tuple[int, int]:
@@ -134,7 +143,7 @@ class GroundSet:
         return iter(self.elements)
 
     def __contains__(self, x: int) -> bool:
-        return x in set(self.elements)
+        return _sorted_contains(self.elements, x)
 
     def translate(self, t: int) -> "GroundSet":
         if self.modulus is not None:
@@ -194,7 +203,7 @@ class SumsetResult:
         return set(self.values)
 
     def __contains__(self, x: int) -> bool:
-        return x in set(self.values)
+        return _sorted_contains(self.values, x)
 
     def __iter__(self):
         return iter(self.values)
@@ -273,25 +282,21 @@ def generalized_sumset(ground: GroundSet, params: SumParams) -> SumsetResult:
 
     Bit-vector dynamic program over exact multiplicity: one pass per
     element, tracking for each total multiplicity t the bitmask of
-    achievable sums.  Integer case runs in the translated coordinates
-    a - min(A); modular case uses p-bit rotating masks.
+    achievable sums.  Integers run in the translated coordinates
+    a - min(A); modulo p the shifts are reduced mod p and each new mask
+    is folded back onto p bits.
     """
     _validate_params(ground, params)
-    if ground.modulus is None:
-        return _sumset_integers(ground, params)
-    return _sumset_mod_p(ground, params)
-
-
-def _sumset_integers(ground: GroundSet, params: SumParams) -> SumsetResult:
     A = ground.elements
     h, r = params.h, params.r
     k = len(A)
-    base = A[0]
-    shifts = [a - base for a in A]
+    p = ground.modulus
+    base = A[0] if p is None else 0
+    full = None if p is None else (1 << p) - 1
     dp = [0] * (h + 1)
     dp[0] = 1
-    for i, a in enumerate(shifts):
-        step = [c * a for c in range(r + 1)]
+    for i, a in enumerate(A):
+        step = [c * (a - base) if p is None else c * a % p for c in range(r + 1)]
         # dp[t] can only matter later if t is reachable from this prefix
         # and completable by the remaining elements.
         hi = min(h, (i + 1) * r)
@@ -303,49 +308,17 @@ def _sumset_integers(ground: GroundSet, params: SumParams) -> SumsetResult:
                 x = dp[t - c]
                 if x:
                     acc |= x << step[c]
+            if p is not None:
+                # Every mask has p bits and every shift is below p, so
+                # one fold turns the shifts into rotations.
+                acc = (acc & full) | (acc >> p)
             new[t] = acc
         dp = new
-    mask = dp[h]
     offset = h * base
-    return SumsetResult(tuple(v + offset for v in _mask_bits(mask)), None)
-
-
-def _sumset_mod_p(ground: GroundSet, params: SumParams) -> SumsetResult:
-    A = ground.elements
-    h, r = params.h, params.r
-    p = ground.modulus
-    k = len(A)
-    full = (1 << p) - 1
-    dp = [0] * (h + 1)
-    dp[0] = 1
-    for i, a in enumerate(A):
-        rots = [(c * a) % p for c in range(r + 1)]
-        hi = min(h, (i + 1) * r)
-        lo = max(0, h - (k - i - 1) * r)
-        new = [0] * (h + 1)
-        for t in range(lo, hi + 1):
-            acc = 0
-            for c in range(min(r, t) + 1):
-                x = dp[t - c]
-                if x:
-                    s = rots[c]
-                    if s:
-                        acc |= ((x << s) | (x >> (p - s))) & full
-                    else:
-                        acc |= x
-            new[t] = acc
-        dp = new
-    return SumsetResult(tuple(_mask_bits(dp[h])), p)
-
-
-def _mask_bits(mask: int) -> list:
-    """Positions of set bits, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+    bits = bin(dp[h])[:1:-1]  # lowest bit first
+    return SumsetResult(
+        tuple(i + offset for i, b in enumerate(bits) if b == "1"), p
+    )
 
 
 def classical_sumset(ground: GroundSet, h: int) -> SumsetResult:

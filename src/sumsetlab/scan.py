@@ -14,9 +14,11 @@ and slack are invariant under both):
   progression.  Other h are accepted for exploration but assert
   nothing.
 
-Both refuse up front if the candidate count exceeds the cap, and both
-can split the enumeration over worker processes by the smallest
-nonzero element; chunk results are merged in deterministic order.
+Both are thin wrappers over one driver: candidates are the k-sets
+0 = a_1 < ... < a_k <= largest (max_diameter, or p - 1 in Z/pZ), the
+driver refuses up front if their count exceeds the cap, and it splits
+the enumeration into chunks by the prefix (0,) or (0, a_2), optionally
+over worker processes; chunk results are merged in prefix order.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .core import (
     is_prime,
 )
 from .errors import DomainError, ResourceCapError
-from .verify import _is_ap_int, _is_ap_mod
+from .verify import is_arithmetic_progression
 
 DEFAULT_CAP = 10**8
 
@@ -100,31 +102,21 @@ class ScanReport:
         }
 
 
-def _guard_cap(count: int, cap: int) -> None:
-    if count > cap:
-        raise ResourceCapError(count, cap)
-
-
-def _extremal_chunk(args) -> Tuple[int, int, list, list]:
-    """Evaluate all normalized candidates whose smallest nonzero element
-    is ``first``.  Returns (evaluated, equality, violations, instances)."""
-    k, h, r, max_diameter, first, bound, collect = args
-    params = SumParams(h=h, r=r)
+def _chunk(args) -> Tuple[int, list, list, list]:
+    """Evaluate all normalized candidates that start with ``prefix``.
+    Returns (evaluated, equality, violations, instances)."""
+    k, params, p, largest, prefix, bound, collect = args
     evaluated = 0
     equality = []
     violations = []
     instances = []
-    for rest in combinations(range(first + 1, max_diameter + 1), k - 2):
-        cand = (0, first) + rest
-        g = first
-        prev = first
-        for v in rest:
-            g = math.gcd(g, v - prev)
-            prev = v
-        if g != 1:
+    for rest in combinations(range(prefix[-1] + 1, largest + 1), k - len(prefix)):
+        cand = prefix + rest
+        # Over Z a set with gcd g > 1 is a dilate of a smaller candidate.
+        if p is None and math.gcd(*cand) > 1:
             continue
         evaluated += 1
-        card = generalized_sumset(GroundSet(cand), params).cardinality
+        card = generalized_sumset(GroundSet(cand, p), params).cardinality
         slack = card - bound
         if slack == 0:
             equality.append(cand)
@@ -133,6 +125,77 @@ def _extremal_chunk(args) -> Tuple[int, int, list, list]:
         if collect:
             instances.append((cand, card, slack))
     return evaluated, equality, violations, instances
+
+
+def _scan(
+    kind: str,
+    k: int,
+    params: SumParams,
+    p: Optional[int],
+    largest: int,
+    bound: int,
+    in_hypothesis: bool,
+    hypothesis: str,
+    cap: int,
+    jobs: int,
+    on_instance: Optional[InstanceCallback],
+) -> ScanReport:
+    """Scan the k-sets 0 = a_1 < ... < a_k <= largest, in Z/pZ when
+    ``p`` is given, against ``bound``.  Work is split by the smallest
+    nonzero element; chunks merge in that order whatever ``jobs`` is."""
+    count = math.comb(largest, k - 1)
+    if count > cap:
+        raise ResourceCapError(count, cap)
+    collect = on_instance is not None
+    prefixes = [(0,)] if k == 1 else [(0, f) for f in range(1, largest - k + 3)]
+    chunk_args = [
+        (k, params, p, largest, prefix, bound, collect) for prefix in prefixes
+    ]
+    if jobs > 1 and len(chunk_args) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(_chunk, chunk_args))
+    else:
+        results = [_chunk(a) for a in chunk_args]
+
+    evaluated = 0
+    equality = []
+    violations = []
+    for ev, eq, vio, instances in results:
+        evaluated += ev
+        equality.extend(eq)
+        violations.extend(vio)
+        for cand, card, slack in instances:
+            on_instance(
+                {
+                    "op": "scan",
+                    "kind": kind,
+                    "set": list(cand),
+                    "p": p,
+                    "cardinality": card,
+                    "bound": bound,
+                    "slack": slack,
+                    "equality": slack == 0,
+                }
+            )
+    non_ap = tuple(
+        s for s in equality if not is_arithmetic_progression(GroundSet(s, p))
+    )
+    return ScanReport(
+        kind=kind,
+        k=k,
+        h=params.h,
+        r=params.r,
+        p=p,
+        max_diameter=largest if p is None else None,
+        bound=bound,
+        candidates=count,
+        evaluated=evaluated,
+        equality_sets=tuple(equality),
+        violations=tuple(violations),
+        non_ap_equality=non_ap,
+        in_hypothesis=in_hypothesis,
+        hypothesis=hypothesis,
+    )
 
 
 def scan_extremal_integers(
@@ -155,95 +218,19 @@ def scan_extremal_integers(
             f"max_diameter >= k - 1 required to fit k distinct values: "
             f"max_diameter={max_diameter}, k={k}"
         )
-    count = math.comb(max_diameter, k - 1)
-    _guard_cap(count, cap)
-    in_hyp = k >= 5 and 2 <= r <= h <= r * k - 2
-    hypothesis = "k >= 5 and 2 <= r <= h <= r*k - 2"
-    params = SumParams(h=h, r=r)
-
-    if k == 1:
-        card = generalized_sumset(GroundSet((0,)), params).cardinality
-        slack = card - bound
-        if on_instance:
-            on_instance(_instance_record("extremal", (0,), None, card, bound, slack))
-        return ScanReport(
-            kind="extremal",
-            k=k,
-            h=h,
-            r=r,
-            p=None,
-            max_diameter=max_diameter,
-            bound=bound,
-            candidates=1,
-            evaluated=1,
-            equality_sets=((0,),) if slack == 0 else (),
-            violations=((0,),) if slack < 0 else (),
-            non_ap_equality=(),
-            in_hypothesis=in_hyp,
-            hypothesis=hypothesis,
-        )
-
-    collect = on_instance is not None
-    chunk_args = [
-        (k, h, r, max_diameter, first, bound, collect)
-        for first in range(1, max_diameter - k + 3)
-    ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_extremal_chunk, chunk_args))
-    else:
-        results = [_extremal_chunk(a) for a in chunk_args]
-
-    evaluated = 0
-    equality = []
-    violations = []
-    for ev, eq, vio, instances in results:
-        evaluated += ev
-        equality.extend(eq)
-        violations.extend(vio)
-        if collect:
-            for cand, card, slack in instances:
-                on_instance(
-                    _instance_record("extremal", cand, None, card, bound, slack)
-                )
-    non_ap = tuple(s for s in equality if not _is_ap_int(s))
-    return ScanReport(
+    return _scan(
         kind="extremal",
         k=k,
-        h=h,
-        r=r,
+        params=SumParams(h=h, r=r),
         p=None,
-        max_diameter=max_diameter,
+        largest=max_diameter,
         bound=bound,
-        candidates=count,
-        evaluated=evaluated,
-        equality_sets=tuple(equality),
-        violations=tuple(violations),
-        non_ap_equality=non_ap,
-        in_hypothesis=in_hyp,
-        hypothesis=hypothesis,
+        in_hypothesis=k >= 5 and 2 <= r <= h <= r * k - 2,
+        hypothesis="k >= 5 and 2 <= r <= h <= r*k - 2",
+        cap=cap,
+        jobs=jobs,
+        on_instance=on_instance,
     )
-
-
-def _inverse_chunk(args) -> Tuple[int, int, list, list]:
-    k, h, p, first, target, collect = args
-    params = SumParams(h=h, r=1)
-    evaluated = 0
-    equality = []
-    violations = []
-    instances = []
-    for rest in combinations(range(first + 1, p), k - 2):
-        cand = (0, first) + rest
-        evaluated += 1
-        card = generalized_sumset(GroundSet(cand, p), params).cardinality
-        slack = card - target
-        if slack == 0:
-            equality.append(cand)
-        elif slack < 0:
-            violations.append(cand)
-        if collect:
-            instances.append((cand, card, slack))
-    return evaluated, equality, violations, instances
 
 
 def scan_inverse_eh_mod_p(
@@ -266,87 +253,19 @@ def scan_inverse_eh_mod_p(
         raise DomainError(f"1 <= k <= p required: k={k}, p={p}")
     if not 1 <= h <= k:
         raise DomainError(f"1 <= h <= k required for distinct sums: h={h}, k={k}")
-    target = bound_erdos_heilbronn(k, h, p)
-    count = math.comb(p - 1, k - 1)
-    _guard_cap(count, cap)
-    in_hyp = h == 2 and k >= 5 and p > 2 * k - 3
-    hypothesis = "h == 2 and k >= 5 and p > 2*k - 3"
-    params = SumParams(h=h, r=1)
-
-    if k == 1:
-        card = generalized_sumset(GroundSet((0,), p), params).cardinality
-        slack = card - target
-        if on_instance:
-            on_instance(_instance_record("inverse-eh", (0,), p, card, target, slack))
-        return ScanReport(
-            kind="inverse-eh",
-            k=k,
-            h=h,
-            r=1,
-            p=p,
-            max_diameter=None,
-            bound=target,
-            candidates=1,
-            evaluated=1,
-            equality_sets=((0,),) if slack == 0 else (),
-            violations=((0,),) if slack < 0 else (),
-            non_ap_equality=(),
-            in_hypothesis=in_hyp,
-            hypothesis=hypothesis,
-        )
-
-    collect = on_instance is not None
-    chunk_args = [
-        (k, h, p, first, target, collect) for first in range(1, p - k + 2)
-    ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_inverse_chunk, chunk_args))
-    else:
-        results = [_inverse_chunk(a) for a in chunk_args]
-
-    evaluated = 0
-    equality = []
-    violations = []
-    for ev, eq, vio, instances in results:
-        evaluated += ev
-        equality.extend(eq)
-        violations.extend(vio)
-        if collect:
-            for cand, card, slack in instances:
-                on_instance(
-                    _instance_record("inverse-eh", cand, p, card, target, slack)
-                )
-    non_ap = tuple(s for s in equality if not _is_ap_mod(s, p))
-    return ScanReport(
+    return _scan(
         kind="inverse-eh",
         k=k,
-        h=h,
-        r=1,
+        params=SumParams(h=h, r=1),
         p=p,
-        max_diameter=None,
-        bound=target,
-        candidates=count,
-        evaluated=evaluated,
-        equality_sets=tuple(equality),
-        violations=tuple(violations),
-        non_ap_equality=non_ap,
-        in_hypothesis=in_hyp,
-        hypothesis=hypothesis,
+        largest=p - 1,
+        bound=bound_erdos_heilbronn(k, h, p),
+        in_hypothesis=h == 2 and k >= 5 and p > 2 * k - 3,
+        hypothesis="h == 2 and k >= 5 and p > 2*k - 3",
+        cap=cap,
+        jobs=jobs,
+        on_instance=on_instance,
     )
-
-
-def _instance_record(kind, cand, p, card, bound, slack) -> dict:
-    return {
-        "op": "scan",
-        "kind": kind,
-        "set": list(cand),
-        "p": p,
-        "cardinality": card,
-        "bound": bound,
-        "slack": slack,
-        "equality": slack == 0,
-    }
 
 
 _MANIFEST_KEYS = ("k", "h", "r", "max_diameter", "p")

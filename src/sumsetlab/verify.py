@@ -540,7 +540,9 @@ def is_arithmetic_progression(ground: GroundSet) -> bool:
 
     Integers: consecutive gaps all equal (k <= 2 trivially qualifies).
     Mod p: some nonzero difference d and start c in A reproduce A as
-    {c, c+d, ..., c+(k-1)d}; every d is tried since units wrap around.
+    {c, c+d, ..., c+(k-1)d}.  Then A[1] - A[0] = i*d for some
+    0 < |i| < k, and d, -d give the same set, so only the k - 1
+    differences (A[1] - A[0]) / i are tried.
     """
     A = ground.elements
     if ground.modulus is None:
@@ -560,7 +562,8 @@ def _is_ap_mod(A: Tuple[int, ...], p: int) -> bool:
     if k <= 2:
         return True
     target = set(A)
-    for d in range(1, p):
+    for i in range(1, k):
+        d = (A[1] - A[0]) * pow(i, -1, p) % p
         for c in A:
             x = c
             for _ in range(k - 1):

@@ -1,5 +1,6 @@
 """CLI behaviour: output, exit codes, records mode, round trips."""
 
+import hashlib
 import json
 
 import pytest
@@ -192,6 +193,56 @@ def test_scan_records_stream(capsys):
     assert len(instances) == 11
     assert len(summaries) == 1 and summaries[0]["equality_sets"] == [[0, 1, 2]]
     assert len(final) == 1 and final[0]["instances"] == 11
+
+
+# sha256 of stdout and the exit code, recorded before the integer and
+# mod-p engines and the two scan drivers were each merged into one, so
+# that those merges are checked to leave every byte of output unchanged.
+SCAN_GOLDEN = {
+    "scan extremal --k 5 --h 3 --r 2 --max-diameter 10": (
+        0,
+        "5246817c1b1436bba75aecb3c52ea67b4590209fe2f77404cc568d2706e7ccb5",
+        "f2e223f29dd90936514d940d64edae330bedb39482fd00d9554fa730e32efcc4",
+    ),
+    "scan extremal --k 1 --h 2 --r 2 --max-diameter 3": (
+        0,
+        "9ec28a8d5cef15a09677e2d087c5b5d76c94500b16358c79960332932e8f5150",
+        "5225f3ae363b2459bb1f56daf5aaa71bdb42aae81d55a04a2ca15ff36bd422ee",
+    ),
+    "scan extremal --k 2 --h 2 --r 2 --max-diameter 5": (
+        0,
+        "5eb3a9868447f874a8055a5036a781ab2c98817bc678919bf47aee9e49cdebcc",
+        "3dd45235eb617212c9f1a30e3545096a5293c524157a8ee1c74341e157b314ed",
+    ),
+    "scan inverse-eh --p 11 --k 5": (
+        0,
+        "edb1bafd1b6c513ba6e1e46ab152f6e9159c196a3d49e228178a8d6f31abad9a",
+        "4e4942e9272f80c5bfc605c80cc5d101c5cef0b0d55b4177f1ad16f1485005aa",
+    ),
+    "scan inverse-eh --p 11 --k 1 --h 1": (
+        0,
+        "7c12b2edf6e70be1bcc2aa1c1713f6088c960dc98305074f98ec0054b8f19d8f",
+        "c3b5020ed3eb1abbaddacfcdd68871ae20763c26aad46e9b9c643e347cef5460",
+    ),
+    "scan inverse-eh --p 11 --k 2": (
+        0,
+        "03b49205c053b8d67a29068d644db01172413d4e17890dcdd39d651775e24414",
+        "58161e867373058ad06b74e86694353cf1e06a54ed19dff81b30ffc2624e7628",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SCAN_GOLDEN))
+def test_scan_output_golden(capsys, command):
+    """Plain output at --jobs 1 and records output at --jobs 1 and 2
+    match digests taken before the engine and scan merges."""
+    code, plain_digest, records_digest = SCAN_GOLDEN[command]
+    runs = [("plain", "1", plain_digest)]
+    runs += [("records", jobs, records_digest) for jobs in ("1", "2")]
+    for fmt, jobs, digest in runs:
+        got, out, _ = run_cli(capsys, *command.split(), "--format", fmt, "--jobs", jobs)
+        assert got == code, (fmt, jobs)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (fmt, jobs)
 
 
 def test_decompose_records(capsys):

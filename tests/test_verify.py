@@ -5,6 +5,8 @@ vectors done independently of the package (and for the witness chains,
 from stepping through the constructions by hand).
 """
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -77,6 +79,29 @@ class TestOracleAgreesWithEngine:
         h = data.draw(st.integers(1, min(9, r * g.size)), label="h")
         params = SumParams(h, r)
         assert brute_force_sumset(g, params).values == generalized_sumset(g, params).values
+
+
+def test_oracle_agrees_with_engine_mod_p_exhaustive():
+    """Every nonempty subset of Z/p for p <= 7 and every subset of Z/11
+    with k <= 4, at every r <= 3 and 1 <= h <= r*k."""
+    grounds = [
+        GroundSet(A, p)
+        for p in (2, 3, 5, 7)
+        for k in range(1, p + 1)
+        for A in combinations(range(p), k)
+    ]
+    grounds += [GroundSet(A, 11) for k in range(1, 5) for A in combinations(range(11), k)]
+    instances = 0
+    for g in grounds:
+        for r in range(1, 4):
+            for h in range(1, r * g.size + 1):
+                params = SumParams(h, r)
+                assert (
+                    generalized_sumset(g, params).values
+                    == brute_force_sumset(g, params).values
+                ), (g, params)
+                instances += 1
+    assert instances == 14_880
 
 
 # ===================== direct bound =====================
@@ -266,3 +291,30 @@ def test_ap_mod_p():
 
 def test_ap_mod_p_full_set():
     assert is_arithmetic_progression(GroundSet.of(range(5), 5))
+
+
+def _is_ap_mod_every_difference(A, p):
+    """Reference: the earlier definition, trying every nonzero d."""
+    k = len(A)
+    if k <= 2:
+        return True
+    target = set(A)
+    for d in range(1, p):
+        for c in A:
+            x = c
+            for _ in range(k - 1):
+                x = (x + d) % p
+                if x not in target:
+                    break
+            else:
+                return True
+    return False
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_ap_mod_p_matches_every_difference(p):
+    for k in range(1, p + 1):
+        for A in combinations(range(p), k):
+            assert is_arithmetic_progression(GroundSet(A, p)) == (
+                _is_ap_mod_every_difference(A, p)
+            ), A
