@@ -18,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .core import (
@@ -60,26 +59,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise _ParseError(message)
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Parsed invocation, independent of argparse internals."""
-
-    command: str
-    subcommand: Optional[str] = None
-    set_literal: Optional[str] = None
-    h: Optional[int] = None
-    r: Optional[int] = None
-    p: Optional[int] = None
-    k: Optional[int] = None
-    counts: Optional[str] = None
-    max_diameter: Optional[int] = None
-    cap: int = DEFAULT_CAP
-    jobs: int = 1
-    manifest: Optional[str] = None
-    format: str = "plain"
-    verbose: bool = False
 
 
 def _json_line(obj: dict) -> str:
@@ -175,78 +154,52 @@ def build_parser() -> _Parser:
     se.add_argument("--h", type=int)
     se.add_argument("--r", type=int)
     se.add_argument("--max-diameter", dest="max_diameter", type=int)
-    se.add_argument("--manifest", help="grid manifest file")
-    _add_scan_common(se)
 
     si = ssub.add_parser("inverse-eh", help="k-subsets of Z/pZ, distinct-sum equality sets")
     si.add_argument("--p", type=int)
     si.add_argument("--k", type=int)
     si.add_argument("--h", type=int, default=2)
-    si.add_argument("--manifest", help="grid manifest file")
-    _add_scan_common(si)
+
+    for sp in (se, si):
+        sp.add_argument("--manifest", help="grid manifest file")
+        sp.add_argument("--cap", type=int, default=DEFAULT_CAP)
+        sp.add_argument(
+            "--jobs",
+            type=int,
+            default=None,
+            help="worker processes (default: all available cores)",
+        )
+        # of the common arguments, scans take only --format and --verbose
+        add_common(sp, with_set=False, with_hr=False, with_p=False)
 
     return parser
 
 
-def _add_scan_common(p) -> None:
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes (default: all available cores)",
-    )
-    p.add_argument("--format", choices=("plain", "records"), default="plain")
-    p.add_argument(
-        "--verbose",
-        action="store_true",
-        help="plain mode: list every equality set and full check details",
-    )
+def _available_cores() -> int:
+    """Cores this process may run on (its CPU affinity, where the
+    platform reports one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-def _config_from(ns: argparse.Namespace) -> CliConfig:
-    get = lambda name, default=None: getattr(ns, name, default)
-    return CliConfig(
-        command=ns.command,
-        subcommand=get("subcommand"),
-        set_literal=get("set_literal"),
-        h=get("h"),
-        r=get("r"),
-        p=get("p"),
-        k=get("k"),
-        counts=get("counts"),
-        max_diameter=get("max_diameter"),
-        cap=get("cap", DEFAULT_CAP),
-        jobs=get("jobs") or os.cpu_count() or 1,
-        manifest=get("manifest"),
-        format=get("format", "plain"),
-        verbose=bool(get("verbose", False)),
-    )
-
-
-def _resolve_ground(config: CliConfig) -> GroundSet:
-    if not config.set_literal:
+def _resolve_ground(args: argparse.Namespace) -> GroundSet:
+    if not args.set_literal:
         raise DomainError("--set is required for this command")
-    literal = config.set_literal
-    if config.p is not None and "mod" not in literal:
-        literal = f"{literal} mod {config.p}"
+    literal = args.set_literal
+    if args.p is not None and "mod" not in literal:
+        literal = f"{literal} mod {args.p}"
     ground = parse_ground_set(literal)
-    if config.p is not None and ground.modulus != config.p:
+    if args.p is not None and ground.modulus != args.p:
         raise DomainError(
-            f"--p {config.p} conflicts with 'mod {ground.modulus}' in the set literal"
+            f"--p {args.p} conflicts with 'mod {ground.modulus}' in the set literal"
         )
     return ground
 
 
-def _params(config: CliConfig) -> SumParams:
-    if config.h is None or config.r is None:
-        raise DomainError("--h and --r are required for this command")
-    return SumParams(h=config.h, r=config.r)
-
-
-def _cmd_compute(config: CliConfig, out: _Output) -> int:
-    ground = _resolve_ground(config)
-    params = _params(config)
+def _cmd_compute(args: argparse.Namespace, out: _Output) -> int:
+    ground = _resolve_ground(args)
+    params = SumParams(h=args.h, r=args.r)
     result = generalized_sumset(ground, params)
     record = {
         "op": "compute",
@@ -268,17 +221,17 @@ def _cmd_compute(config: CliConfig, out: _Output) -> int:
     return EXIT_OK
 
 
-def _cmd_bound(config: CliConfig, out: _Output) -> int:
-    p = config.p
-    if config.set_literal:
-        ground = _resolve_ground(config)
+def _cmd_bound(args: argparse.Namespace, out: _Output) -> int:
+    p = args.p
+    if args.set_literal:
+        ground = _resolve_ground(args)
         k = ground.size
         p = ground.modulus
-    elif config.k is not None:
-        k = config.k
+    elif args.k is not None:
+        k = args.k
     else:
         raise DomainError("one of --set or --k is required for bound")
-    params = _params(config)
+    params = SumParams(h=args.h, r=args.r)
     if p is None:
         value = bound_direct_integers(k, params.h, params.r)
     else:
@@ -291,58 +244,57 @@ def _cmd_bound(config: CliConfig, out: _Output) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(config: CliConfig, out: _Output) -> int:
-    ground = _resolve_ground(config)
-    params = _params(config)
-    sub = config.subcommand
-    if sub == "direct":
+def _cmd_verify(args: argparse.Namespace, out: _Output) -> int:
+    ground = _resolve_ground(args)
+    params = SumParams(h=args.h, r=args.r)
+    if args.subcommand == "direct":
         report = check_direct_bound(ground, params)
-        out.instance(report.to_record(), failed=report.verdict == "fail")
-        out.text(f"cardinality {report.cardinality}")
-        out.text(f"bound {report.bound}")
-        out.text(f"slack {report.slack}")
-        out.text(f"equality {'yes' if report.equality else 'no'}")
-    elif sub == "factorization":
+        lines = [
+            f"cardinality {report.cardinality}",
+            f"bound {report.bound}",
+            f"slack {report.slack}",
+            f"equality {'yes' if report.equality else 'no'}",
+        ]
+    elif args.subcommand == "factorization":
         report = check_sumset_factorization(ground, params)
-        out.instance(report.to_record(), failed=report.verdict == "fail")
-        out.text(f"left cardinality {report.left.cardinality}")
-        out.text(f"right cardinality {report.right.cardinality}")
-        out.text(f"equal {'yes' if report.equal else 'no'}")
-    elif sub == "complement":
+        lines = [
+            f"left cardinality {report.left.cardinality}",
+            f"right cardinality {report.right.cardinality}",
+            f"equal {'yes' if report.equal else 'no'}",
+        ]
+    elif args.subcommand == "complement":
         report = check_complement_identity(ground, params)
-        out.instance(report.to_record(), failed=report.verdict == "fail")
-        out.text(f"cardinality {report.cardinality}")
-        out.text(
+        lines = [
+            f"cardinality {report.cardinality}",
             f"complement h'={report.h_complement} cardinality "
-            f"{report.complement_cardinality}"
-        )
-        out.text(f"equal {'yes' if report.equal else 'no'}")
-    elif sub == "inclusions":
+            f"{report.complement_cardinality}",
+            f"equal {'yes' if report.equal else 'no'}",
+        ]
+    else:  # inclusions
         report = check_inclusions_and_witnesses(ground, params)
-        out.instance(report.to_record(), failed=report.verdict == "fail")
+        lines = []
         for item in report.checks:
             line = f"{item.name}: {item.status}"
             if item.detail and (out.verbose or item.status == "fail"):
                 line += f" ({item.detail})"
-            out.text(line)
-    else:
-        raise DomainError(f"unknown verify subcommand {sub!r}")
+            lines.append(line)
+    out.instance(report.to_record(), failed=report.verdict == "fail")
+    for line in lines:
+        out.text(line)
     out.text(f"verdict {report.verdict}")
     out.summary(report.verdict)
     return EXIT_OK if report.verdict == "pass" else EXIT_VERIFICATION
 
 
-def _cmd_decompose(config: CliConfig, out: _Output) -> int:
-    ground = _resolve_ground(config)
-    if config.r is None:
-        raise DomainError("--r is required for decompose")
-    if not config.counts:
+def _cmd_decompose(args: argparse.Namespace, out: _Output) -> int:
+    ground = _resolve_ground(args)
+    if not args.counts:
         raise DomainError("--counts is required for decompose")
     try:
-        counts = tuple(int(t) for t in config.counts.split(",") if t.strip())
+        counts = tuple(int(t) for t in args.counts.split(",") if t.strip())
     except ValueError:
-        raise DomainError(f"bad --counts {config.counts!r}") from None
-    vector = MultiplicityVector(counts=counts, cap=config.r)
+        raise DomainError(f"bad --counts {args.counts!r}") from None
+    vector = MultiplicityVector(counts=counts, cap=args.r)
     result = greedy_decompose(ground, vector)
     out.instance(result.to_record())
     out.text(
@@ -358,57 +310,35 @@ def _cmd_decompose(config: CliConfig, out: _Output) -> int:
     return EXIT_OK
 
 
-def _scan_combos(config: CliConfig) -> list:
-    if config.manifest:
-        with open(config.manifest, "r", encoding="utf-8") as fh:
-            return parse_manifest(fh.read())
-    combo = {}
-    for key in ("k", "h", "r", "max_diameter", "p"):
-        value = getattr(config, key)
-        if value is not None:
-            combo[key] = value
-    return [combo]
-
-
-def _cmd_scan(config: CliConfig, out: _Output) -> int:
-    combos = _scan_combos(config)
+def _cmd_scan(args: argparse.Namespace, out: _Output) -> int:
+    # scan function (looked up when called), then the keys it requires
+    # and the keys it takes if given; a manifest's other keys are ignored
+    scan, required, optional = {
+        "extremal": (scan_extremal_integers, ("k", "h", "r", "max_diameter"), ()),
+        "inverse-eh": (scan_inverse_eh_mod_p, ("p", "k"), ("h",)),
+    }[args.subcommand]
+    if args.manifest:
+        with open(args.manifest, "r", encoding="utf-8") as fh:
+            combos = parse_manifest(fh.read())
+    else:
+        flags = {key: getattr(args, key) for key in required + optional}
+        combos = [{key: v for key, v in flags.items() if v is not None}]
+    on_instance = None
+    if out.records:
+        on_instance = lambda rec: out.instance(rec, failed=rec["slack"] < 0)
     code = EXIT_OK
     for combo in combos:
-        if config.subcommand == "extremal":
-            for key in ("k", "h", "r", "max_diameter"):
-                if key not in combo:
-                    raise DomainError(f"scan extremal needs {key} (flag or manifest)")
-            report = scan_extremal_integers(
-                k=combo["k"],
-                h=combo["h"],
-                r=combo["r"],
-                max_diameter=combo["max_diameter"],
-                cap=config.cap,
-                jobs=config.jobs,
-                on_instance=(
-                    (lambda rec: out.instance(rec, failed=rec["slack"] < 0))
-                    if out.records
-                    else None
-                ),
-            )
-        elif config.subcommand == "inverse-eh":
-            for key in ("p", "k"):
-                if key not in combo:
-                    raise DomainError(f"scan inverse-eh needs {key} (flag or manifest)")
-            report = scan_inverse_eh_mod_p(
-                p=combo["p"],
-                k=combo["k"],
-                h=combo.get("h", 2),
-                cap=config.cap,
-                jobs=config.jobs,
-                on_instance=(
-                    (lambda rec: out.instance(rec, failed=rec["slack"] < 0))
-                    if out.records
-                    else None
-                ),
-            )
-        else:
-            raise DomainError(f"unknown scan subcommand {config.subcommand!r}")
+        for key in required:
+            if key not in combo:
+                raise DomainError(
+                    f"scan {args.subcommand} needs {key} (flag or manifest)"
+                )
+        report = scan(
+            **{key: combo[key] for key in required + optional if key in combo},
+            cap=args.cap,
+            jobs=args.jobs or _available_cores(),
+            on_instance=on_instance,
+        )
         if out.records:
             print(_json_line(report.to_record()))
         else:
@@ -449,14 +379,13 @@ def _print_scan_plain(report, out: _Output) -> None:
 def run(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        args = parser.parse_args(argv)
     except _ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    config = _config_from(ns)
-    out = _Output(records=config.format == "records", verbose=config.verbose)
+    out = _Output(records=args.format == "records", verbose=args.verbose)
     handlers = {
         "compute": _cmd_compute,
         "bound": _cmd_bound,
@@ -465,7 +394,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         "scan": _cmd_scan,
     }
     try:
-        return handlers[config.command](config, out)
+        return handlers[args.command](args, out)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -23,6 +23,11 @@ of h^(r)A filling the gap between min h^(r)A and min B.  The chain
 element equal to min B is the designed endpoint, not a gap member, so
 it is excluded from the interval assertion; every other chain element
 must land in [min h^(r)A, min B - 1].
+
+The two regimes share one verdict: each supplies only its bundle, the
+closed-form min B, the condition under which its witness family is
+empty, its witness function, the (x, y) grid that function is checked
+on, the chain and the expected number of gap members.
 """
 
 from __future__ import annotations
@@ -287,22 +292,21 @@ def check_inclusions_and_witnesses(ground: GroundSet, params: SumParams) -> Witn
     if h > r * k:
         raise DomainError(f"h <= r*k required: h={h}, r*k={r * k}")
     m, eps = params.m, params.epsilon
-    checks = []
-
+    names = (
+        "split-inclusion",
+        "block-inclusion-wide",
+        "gap-witnesses-wide",
+        "block-inclusion-narrow",
+        "gap-witnesses-narrow",
+    )
     if eps == 0:
         na = "eps = 0: the exact factorization h^(r)A = r-fold m^A applies instead"
-        for name in (
-            "split-inclusion",
-            "block-inclusion-wide",
-            "gap-witnesses-wide",
-            "block-inclusion-narrow",
-            "gap-witnesses-narrow",
-        ):
-            checks.append(CheckItem(name, "not-applicable", na))
+        checks = [CheckItem(name, "not-applicable", na) for name in names]
         return WitnessReport(ground=ground, params=params, checks=checks)
 
     full = set(generalized_sumset(ground, params).values)
     min_full = min(full)
+    checks = []
 
     # Split inclusion: (m+1)^A + (h-m-1)^(r-1)A inside h^(r)A.  With
     # eps >= 1 we have m + 1 <= k and h - m - 1 <= (r-1)k, so both
@@ -331,7 +335,7 @@ def check_inclusions_and_witnesses(ground: GroundSet, params: SumParams) -> Witn
     narrow = r - 1 > m + eps > k
 
     if wide:
-        checks.extend(_check_wide(A, k, h, r, m, eps, full, min_full))
+        checks.extend(_check_wide(A, r, m, eps, full, min_full))
         na = "narrow case needs r - 1 > m + eps > k"
         checks.append(CheckItem("block-inclusion-narrow", "not-applicable", na))
         checks.append(CheckItem("gap-witnesses-narrow", "not-applicable", na))
@@ -339,61 +343,19 @@ def check_inclusions_and_witnesses(ground: GroundSet, params: SumParams) -> Witn
         na = "wide case needs m + eps <= k"
         checks.append(CheckItem("block-inclusion-wide", "not-applicable", na))
         checks.append(CheckItem("gap-witnesses-wide", "not-applicable", na))
-        checks.extend(_check_narrow(A, k, h, r, m, eps, full, min_full))
+        checks.extend(_check_narrow(A, r, m, eps, full, min_full))
     else:
         na = (
             f"neither case condition holds for m+eps={m + eps}, k={k}, r={r}; "
             f"the mirrored parameters cover this instance"
         )
-        for name in (
-            "block-inclusion-wide",
-            "gap-witnesses-wide",
-            "block-inclusion-narrow",
-            "gap-witnesses-narrow",
-        ):
-            checks.append(CheckItem(name, "not-applicable", na))
+        checks += [CheckItem(name, "not-applicable", na) for name in names[1:]]
 
     return WitnessReport(ground=ground, params=params, checks=checks)
 
 
-def _check_wide(A, k, h, r, m, eps, full, min_full):
+def _check_wide(A, r, m, eps, full, min_full):
     """Wide case (m + eps <= k): bundle and chain built below m^A blocks."""
-    checks = []
-    m_block = _restricted_values(A, m)
-    bundle = _minkowski(_fold(m_block, r - 1), _restricted_values(A, m + eps))
-    min_bundle = min(bundle)
-    closed_min = r * sum(A[:m]) + sum(A[m : m + eps])
-    if bundle <= full and min_bundle == closed_min:
-        checks.append(
-            CheckItem(
-                "block-inclusion-wide",
-                "pass",
-                f"bundle of {len(bundle)} sums inside; min {min_bundle} "
-                f"matches closed form",
-            )
-        )
-    elif not bundle <= full:
-        checks.append(
-            CheckItem("block-inclusion-wide", "fail", _missing_detail(bundle, full))
-        )
-    else:
-        checks.append(
-            CheckItem(
-                "block-inclusion-wide",
-                "fail",
-                f"min bundle {min_bundle} != closed form {closed_min}",
-            )
-        )
-
-    if eps == 1:
-        checks.append(
-            CheckItem(
-                "gap-witnesses-wide",
-                "pass",
-                "family empty for eps = 1: min bundle equals min h^(r)A",
-            )
-        )
-        return checks
 
     def witness(x: int, y: int) -> int:
         return (
@@ -403,136 +365,100 @@ def _check_wide(A, k, h, r, m, eps, full, min_full):
             + (eps - x - y) * A[m + x]
         )
 
-    problems = []
-    for x in range(1, eps):
-        for y in range(0, eps - x + 1):
-            if witness(x, y) not in full:
-                problems.append((x, y))
-    if problems:
-        checks.append(
-            CheckItem(
-                "gap-witnesses-wide",
-                "fail",
-                f"witnesses not in h^(r)A at (x, y) = {problems[:5]}",
-            )
-        )
-        return checks
-
-    chain = [witness(1, y) for y in range(eps - 1, -1, -1)]
-    for x in range(2, eps):
-        chain.extend(witness(x, y) for y in range(eps - x - 1, -1, -1))
-    ok_strict = all(a < b for a, b in zip(chain, chain[1:]))
-    ok_end = chain[-1] == min_bundle
-    gap = chain[:-1]
-    ok_interval = all(min_full <= v <= min_bundle - 1 for v in gap)
-    ok_count = len(gap) == (eps * eps - eps) // 2
-    if ok_strict and ok_end and ok_interval and ok_count:
-        checks.append(
-            CheckItem(
-                "gap-witnesses-wide",
-                "pass",
-                f"strict chain of {len(chain)} members; {len(gap)} strictly "
-                f"below min bundle {min_bundle}",
-            )
-        )
-    else:
-        checks.append(
-            CheckItem(
-                "gap-witnesses-wide",
-                "fail",
-                f"strict={ok_strict} endpoint={ok_end} interval={ok_interval} "
-                f"count={ok_count} chain={chain}",
-            )
-        )
-    return checks
-
-
-def _check_narrow(A, k, h, r, m, eps, full, min_full):
-    """Narrow case (r - 1 > m + eps > k): bundle built from (m+1)^A blocks."""
-    checks = []
-    head = _restricted_values(A, m + 1)
     m_block = _restricted_values(A, m)
-    bundle = _minkowski(_fold(head, m + eps), _fold(m_block, r - 1 - m - eps))
-    min_bundle = min(bundle)
-    closed_min = (r - 1) * sum(A[:m]) + (m + eps) * A[m]
-    if bundle <= full and min_bundle == closed_min:
-        checks.append(
-            CheckItem(
-                "block-inclusion-narrow",
-                "pass",
-                f"bundle of {len(bundle)} sums inside; min {min_bundle} "
-                f"matches closed form",
-            )
-        )
-    elif not bundle <= full:
-        checks.append(
-            CheckItem("block-inclusion-narrow", "fail", _missing_detail(bundle, full))
-        )
-    else:
-        checks.append(
-            CheckItem(
-                "block-inclusion-narrow",
-                "fail",
-                f"min bundle {min_bundle} != closed form {closed_min}",
-            )
-        )
+    return _check_case(
+        "wide",
+        full,
+        min_full,
+        bundle=_minkowski(_fold(m_block, r - 1), _restricted_values(A, m + eps)),
+        closed_min=r * sum(A[:m]) + sum(A[m : m + eps]),
+        empty="eps = 1",
+        witness=witness,
+        grid=[(x, y) for x in range(1, eps) for y in range(0, eps - x + 1)],
+        # witness(x, 0) == witness(x + 1, eps - x - 1), so after x = 1
+        # each run of y starts one lower
+        chain=[
+            witness(x, y)
+            for x in range(1, eps)
+            for y in range(eps - x - (x > 1), -1, -1)
+        ],
+        gaps=(eps * eps - eps) // 2,
+    )
 
-    if m == 0:
-        checks.append(
-            CheckItem(
-                "gap-witnesses-narrow",
-                "pass",
-                "family empty for m = 0: min bundle equals min h^(r)A",
-            )
-        )
-        return checks
+
+def _check_narrow(A, r, m, eps, full, min_full):
+    """Narrow case (r - 1 > m + eps > k): bundle built from (m+1)^A blocks."""
 
     def witness(x: int, y: int) -> int:
         body = sum(A[i] for i in range(x - 1, m) if i != y - 1)
         return (r - 1) * sum(A[:m]) + eps * A[m] + body + x * A[m]
 
-    problems = []
-    for x in range(1, m + 1):
-        for y in range(x, m + 1):
-            if witness(x, y) not in full:
-                problems.append((x, y))
-    if problems:
-        checks.append(
-            CheckItem(
-                "gap-witnesses-narrow",
-                "fail",
-                f"witnesses not in h^(r)A at (x, y) = {problems[:5]}",
-            )
-        )
-        return checks
+    head = _restricted_values(A, m + 1)
+    m_block = _restricted_values(A, m)
+    return _check_case(
+        "narrow",
+        full,
+        min_full,
+        bundle=_minkowski(_fold(head, m + eps), _fold(m_block, r - 1 - m - eps)),
+        closed_min=(r - 1) * sum(A[:m]) + (m + eps) * A[m],
+        empty="m = 0",
+        witness=witness,
+        grid=[(x, y) for x in range(1, m + 1) for y in range(x, m + 1)],
+        chain=[min_full]
+        + [witness(x, y) for x in range(1, m + 1) for y in range(m, x - 1, -1)],
+        gaps=m * (m + 1) // 2,
+    )
 
-    chain = [min_full]
-    for x in range(1, m + 1):
-        chain.extend(witness(x, y) for y in range(m, x - 1, -1))
+
+def _check_case(
+    case, full, min_full, *, bundle, closed_min, empty, witness, grid, chain, gaps
+):
+    """The block-inclusion and gap-witness verdicts of either case.
+
+    The bundle must lie inside h^(r)A and have its closed-form minimum.
+    The gap family is empty (for the condition ``empty``) when the
+    (x, y) grid is; otherwise every witness on the grid must be in
+    h^(r)A, and the chain must increase strictly, end at min bundle and
+    put its other ``gaps`` members in [min h^(r)A, min bundle - 1].
+    """
+    min_bundle = min(bundle)
+    name = f"block-inclusion-{case}"
+    if not bundle <= full:
+        block = CheckItem(name, "fail", _missing_detail(bundle, full))
+    elif min_bundle != closed_min:
+        detail = f"min bundle {min_bundle} != closed form {closed_min}"
+        block = CheckItem(name, "fail", detail)
+    else:
+        detail = (
+            f"bundle of {len(bundle)} sums inside; min {min_bundle} "
+            f"matches closed form"
+        )
+        block = CheckItem(name, "pass", detail)
+
+    name = f"gap-witnesses-{case}"
+    if not grid:
+        detail = f"family empty for {empty}: min bundle equals min h^(r)A"
+        return [block, CheckItem(name, "pass", detail)]
+    problems = [(x, y) for x, y in grid if witness(x, y) not in full]
+    if problems:
+        detail = f"witnesses not in h^(r)A at (x, y) = {problems[:5]}"
+        return [block, CheckItem(name, "fail", detail)]
     ok_strict = all(a < b for a, b in zip(chain, chain[1:]))
     ok_end = chain[-1] == min_bundle
     gap = chain[:-1]
     ok_interval = all(min_full <= v <= min_bundle - 1 for v in gap)
-    ok_count = len(gap) == m * (m + 1) // 2
+    ok_count = len(gap) == gaps
     if ok_strict and ok_end and ok_interval and ok_count:
-        checks.append(
-            CheckItem(
-                "gap-witnesses-narrow",
-                "pass",
-                f"strict chain of {len(chain)} members; {len(gap)} strictly "
-                f"below min bundle {min_bundle}",
-            )
+        detail = (
+            f"strict chain of {len(chain)} members; {len(gap)} strictly "
+            f"below min bundle {min_bundle}"
         )
-    else:
-        checks.append(
-            CheckItem(
-                "gap-witnesses-narrow",
-                "fail",
-                f"strict={ok_strict} endpoint={ok_end} interval={ok_interval} "
-                f"count={ok_count} chain={chain}",
-            )
-        )
-    return checks
+        return [block, CheckItem(name, "pass", detail)]
+    detail = (
+        f"strict={ok_strict} endpoint={ok_end} interval={ok_interval} "
+        f"count={ok_count} chain={chain}"
+    )
+    return [block, CheckItem(name, "fail", detail)]
 
 
 def is_arithmetic_progression(ground: GroundSet) -> bool:
@@ -545,16 +471,9 @@ def is_arithmetic_progression(ground: GroundSet) -> bool:
     differences (A[1] - A[0]) / i are tried.
     """
     A = ground.elements
-    if ground.modulus is None:
-        return _is_ap_int(A)
-    return _is_ap_mod(A, ground.modulus)
-
-
-def _is_ap_int(A: Tuple[int, ...]) -> bool:
-    if len(A) <= 2:
-        return True
-    d = A[1] - A[0]
-    return all(y - x == d for x, y in zip(A, A[1:]))
+    if ground.modulus is not None:
+        return _is_ap_mod(A, ground.modulus)
+    return all(y - x == A[1] - A[0] for x, y in zip(A, A[1:]))
 
 
 def _is_ap_mod(A: Tuple[int, ...], p: int) -> bool:

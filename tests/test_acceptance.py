@@ -10,7 +10,9 @@ Eight criteria, one test each, run against exhaustive grids:
   5  diameter-capped scans find {0,1,2,3,4} as the only equality set
   6  every distinct-pair equality set in Z/11 and Z/13 is a modular AP
   7  mirrored-parameter cardinality identity on every grid instance
-  8  split inclusion, case bundles and witness chains never fail
+  8  split inclusion, case bundles and witness chains never fail, and
+     each of the five checks passes somewhere (the integer grid plus a
+     narrow-case slice with r up to 8)
 
 Each test prints one ``[criterion N] PASS/FAIL`` line, repeated in the
 run's terminal summary so it is visible without ``-s``, and enforces
@@ -38,11 +40,11 @@ from sumsetlab import (
     check_sumset_factorization,
     generalized_sumset,
     greedy_decompose,
+    is_arithmetic_progression,
     restricted_sumset,
     scan_extremal_integers,
     scan_inverse_eh_mod_p,
 )
-from sumsetlab.verify import _is_ap_int
 
 MOD_PRIMES = (5, 7, 11, 13)
 
@@ -112,7 +114,7 @@ def test_criterion_2_integer_bound_and_tightness():
     for elements in integer_grid_sets():
         ground = GroundSet(elements)
         k = len(elements)
-        is_ap = _is_ap_int(elements)
+        is_ap = is_arithmetic_progression(ground)
         for r, h in integer_grid_pairs(k):
             card = generalized_sumset(ground, SumParams(h=h, r=r)).cardinality
             slack = card - bound_direct_integers(k, h, r)
@@ -295,27 +297,59 @@ def test_criterion_7_mirrored_cardinality():
     )
 
 
+WITNESS_CHECKS = (
+    "split-inclusion",
+    "block-inclusion-wide",
+    "gap-witnesses-wide",
+    "block-inclusion-narrow",
+    "gap-witnesses-narrow",
+)
+
+
+def narrow_slice():
+    """Every A inside {0..10} with k in {2, 3}, 5 <= r <= 8 and
+    1 <= h <= r*k in the narrow case r - 1 > m + eps > k, which the
+    integer grid's r <= 4 rules out."""
+    for k in (2, 3):
+        for elements in combinations(range(11), k):
+            for r in range(5, 9):
+                for h in range(1, r * k + 1):
+                    m, eps = divmod(h, r)
+                    if r - 1 > m + eps > k:
+                        yield elements, h, r
+
+
+def _witness_tally(instances):
+    """Instance count, failed checks and passes per named check."""
+    count = failures = 0
+    passes = dict.fromkeys(WITNESS_CHECKS, 0)
+    for elements, h, r in instances:
+        params = SumParams(h=h, r=r)
+        report = check_inclusions_and_witnesses(GroundSet(elements), params)
+        count += 1
+        failures += len(report.failed)
+        for item in report.checks:
+            if item.status == "pass":
+                passes[item.name] += 1
+    return count, failures, passes
+
+
 def test_criterion_8_inclusions_and_witnesses():
     start = time.monotonic()
-    instances = failures = 0
-    applicable = {"split-inclusion": 0, "block-inclusion-wide": 0,
-                  "gap-witnesses-wide": 0, "block-inclusion-narrow": 0,
-                  "gap-witnesses-narrow": 0}
-    for elements in integer_grid_sets():
-        ground = GroundSet(elements)
-        for r, h in integer_grid_pairs(len(elements)):
-            report = check_inclusions_and_witnesses(ground, SumParams(h=h, r=r))
-            instances += 1
-            failures += len(report.failed)
-            for item in report.checks:
-                if item.status == "pass":
-                    applicable[item.name] += 1
-    elapsed = time.monotonic() - start
-    ok = failures == 0
-    counts = ", ".join(f"{name}: {n}" for name, n in applicable.items())
-    _report(
-        8,
-        ok,
-        f"{instances} instances, {failures} failed checks ({counts}); "
-        f"{elapsed:.1f}s",
+    grid = (
+        (elements, h, r)
+        for elements in integer_grid_sets()
+        for r, h in integer_grid_pairs(len(elements))
     )
+    tallies = [_witness_tally(grid), _witness_tally(narrow_slice())]
+    elapsed = time.monotonic() - start
+    ok = all(failures == 0 for _, failures, _ in tallies) and all(
+        any(passes[name] for _, _, passes in tallies) for name in WITNESS_CHECKS
+    )
+    detail = [
+        f"{instances} instances, {failures} failed checks ("
+        + ", ".join(f"{name}: {n}" for name, n in passes.items())
+        + ")"
+        for instances, failures, passes in tallies
+    ]
+    _report(8, ok, f"{detail[0]}; narrow slice {detail[1]}; {elapsed:.1f}s")

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import shlex
 
 import pytest
 
@@ -11,7 +12,7 @@ from sumsetlab import (
     ScanReport,
     SetLiteralWarning,
 )
-from sumsetlab.cli import CliConfig, run
+from sumsetlab.cli import build_parser, run
 
 
 def run_cli(capsys, *argv):
@@ -245,6 +246,571 @@ def test_scan_output_golden(capsys, command):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (fmt, jobs)
 
 
+# sha256 of stdout and of stderr, and the exit code, of every other
+# command: each subcommand in both formats, with an integer literal, a
+# "mod p" literal and --p; every error exit; and --help at every level.
+# Taken at the commit before the parsed-argument dataclass was removed
+# and the wide and narrow witness verdicts were merged, so those changes
+# are checked to leave every byte unchanged.  {grid} and {partial} name
+# the manifests in CLI_MANIFESTS.  --help is rendered 80 columns wide;
+# argparse's help layout can change between Python versions, and these
+# digests were taken with Python 3.11.
+CLI_MANIFESTS = {
+    "grid": "k = 3\nh = 2..3\nr = 2\nmax_diameter = 5\np = 7\n",
+    "partial": "k = 3\nh = 2\nr = 2\n",
+}
+CLI_GOLDEN = {
+    'compute --set 0,1,3,7 --h 3 --r 2': (
+        0,
+        "169f0641c599dc8b8dec10bc14b35a089ee83072cf32cc0e459bffc18a53d88b",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    'compute --set 0,1,3,7 --h 3 --r 2 --format records': (
+        0,
+        "bbfb97d063d256026b951495b9a12db8e0e271416ddba34c0e6aa786bb5b7cb0",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    'bound --set 0,1,3,7 --h 3 --r 2': (
+        0,
+        "aa67a169b0bba217aa0aa88a65346920c84c42447c36ba5f7ea65f422c1fe5d8",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    'bound --set 0,1,3,7 --h 3 --r 2 --format records': (
+        0,
+        "d03621131142a61f7f7a1af80b783089fc7ecb242a34d510393c40857fe9f3d1",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    'verify direct --set 0,1,3,7 --h 3 --r 2': (
+        0,
+        "abd2915556ea1fdfcd227e9282d67b511d8988ce90757ae7814a0011dff2e6d4",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    'verify direct --set 0,1,3,7 --h 3 --r 2 --format records': (
+        0,
+        "4697847230d1a937c6bd30684a126ee019e9bf6682b542a744b9b10a9f163fd9",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    'verify factorization --set 0,1,3,7 --h 4 --r 2': (
+        0,
+        "7fb4e871328376c3b573d06470031c1d040bf798ddd39369132b010926f7f1ed",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    'verify factorization --set 0,1,3,7 --h 4 --r 2 --format records': (
+        0,
+        "2f82b7ab8d6200ec7739653c7ac7b53bb7f3da1562960f7fa91ed18a5872dcf0",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    'verify complement --set 0,1,3,7 --h 5 --r 2': (
+        0,
+        "5d5e9586e30203ac37c485477a3339143728ff8fddd8d9785583c26a8eb40a9e",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    'verify complement --set 0,1,3,7 --h 5 --r 2 --format records': (
+        0,
+        "a547873769f13d6761e0bad8c25d2eb722bb77b568c9ea1bcfd6237599fca0c0",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    'decompose --set 0,1,3,7 --counts 2,1,1,0 --r 2': (
+        0,
+        "6c1f346b02a99e61fb47d8eea102bc37c6e1de4d4055f924fdd2bb96e2710b25",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    'decompose --set 0,1,3,7 --counts 2,1,1,0 --r 2 --format records': (
+        0,
+        "feb8ce2326ec1e1539e42123914069573855a106dbc8988311e5b3311f63bee6",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "compute --set '0,1,3,7 mod 11' --h 3 --r 2": (
+        0,
+        "c9b5b2416bc064a98c7bae821e33febaa278263354f873fc0f7af1bb012fdceb",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "compute --set '0,1,3,7 mod 11' --h 3 --r 2 --format records": (
+        0,
+        "56ffc93d5877f6f2072503394b0c60771b4eca857e9007f3d0697b869948335a",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "bound --set '0,1,3,7 mod 11' --h 3 --r 2": (
+        0,
+        "aa67a169b0bba217aa0aa88a65346920c84c42447c36ba5f7ea65f422c1fe5d8",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "bound --set '0,1,3,7 mod 11' --h 3 --r 2 --format records": (
+        0,
+        "1c1a650766c98559c3b1f80aac9ebfb05ac7215763c0f9acc49346cebb4aa9ba",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "verify direct --set '0,1,3,7 mod 11' --h 3 --r 2": (
+        0,
+        "416a252b69b4480f6da3af40a6e5226766081d44135c4c8f0a4cea24b56d6598",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "verify direct --set '0,1,3,7 mod 11' --h 3 --r 2 --format records": (
+        0,
+        "68c3dc3ebe75251f44d945ac2a9844f83656468a92806513c8b3f60d37d43d70",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "verify factorization --set '0,1,3,7 mod 11' --h 4 --r 2": (
+        0,
+        "ec1f4e6f874aa1ada8fee5472c47e9449d750945b82334940fc748d86b47da00",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "verify factorization --set '0,1,3,7 mod 11' --h 4 --r 2 --format records": (
+        0,
+        "a1afd78d4a7834c5b2e8e333b3e0d8a7345856ea9b1b117ab66bec766e22f9c5",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "verify complement --set '0,1,3,7 mod 11' --h 5 --r 2": (
+        0,
+        "280b3b3130eea584e7349a71b7dd1aa6d7d258e94fdd6a36dc6674585ebee9c4",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "verify complement --set '0,1,3,7 mod 11' --h 5 --r 2 --format records": (
+        0,
+        "b9167f021726ad87ef68b69422393bcd1ffd4d2fa6af3448097cbeb5bfb1d26a",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "decompose --set '0,1,3,7 mod 11' --counts 2,1,1,0 --r 2": (
+        0,
+        "6c1f346b02a99e61fb47d8eea102bc37c6e1de4d4055f924fdd2bb96e2710b25",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "decompose --set '0,1,3,7 mod 11' --counts 2,1,1,0 --r 2 --format records": (
+        0,
+        "06317f3155527f07ce9a2a7e35d63dd2ed48cc1d8eeecb75305e77ac18ecb09e",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    'compute --set 0,1,3,7 --p 11 --h 3 --r 2': (
+        0,
+        "c9b5b2416bc064a98c7bae821e33febaa278263354f873fc0f7af1bb012fdceb",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    'compute --set 0,1,3,7 --p 11 --h 3 --r 2 --format records': (
+        0,
+        "56ffc93d5877f6f2072503394b0c60771b4eca857e9007f3d0697b869948335a",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    'bound --set 0,1,3,7 --p 11 --h 3 --r 2': (
+        0,
+        "aa67a169b0bba217aa0aa88a65346920c84c42447c36ba5f7ea65f422c1fe5d8",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    'bound --set 0,1,3,7 --p 11 --h 3 --r 2 --format records': (
+        0,
+        "1c1a650766c98559c3b1f80aac9ebfb05ac7215763c0f9acc49346cebb4aa9ba",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    'verify direct --set 0,1,3,7 --p 11 --h 3 --r 2': (
+        0,
+        "416a252b69b4480f6da3af40a6e5226766081d44135c4c8f0a4cea24b56d6598",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    'verify direct --set 0,1,3,7 --p 11 --h 3 --r 2 --format records': (
+        0,
+        "68c3dc3ebe75251f44d945ac2a9844f83656468a92806513c8b3f60d37d43d70",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    'verify factorization --set 0,1,3,7 --p 11 --h 4 --r 2': (
+        0,
+        "ec1f4e6f874aa1ada8fee5472c47e9449d750945b82334940fc748d86b47da00",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    'verify factorization --set 0,1,3,7 --p 11 --h 4 --r 2 --format records': (
+        0,
+        "a1afd78d4a7834c5b2e8e333b3e0d8a7345856ea9b1b117ab66bec766e22f9c5",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    'verify complement --set 0,1,3,7 --p 11 --h 5 --r 2': (
+        0,
+        "280b3b3130eea584e7349a71b7dd1aa6d7d258e94fdd6a36dc6674585ebee9c4",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    'verify complement --set 0,1,3,7 --p 11 --h 5 --r 2 --format records': (
+        0,
+        "b9167f021726ad87ef68b69422393bcd1ffd4d2fa6af3448097cbeb5bfb1d26a",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    'decompose --set 0,1,3,7 --p 11 --counts 2,1,1,0 --r 2': (
+        0,
+        "6c1f346b02a99e61fb47d8eea102bc37c6e1de4d4055f924fdd2bb96e2710b25",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    'decompose --set 0,1,3,7 --p 11 --counts 2,1,1,0 --r 2 --format records': (
+        0,
+        "06317f3155527f07ce9a2a7e35d63dd2ed48cc1d8eeecb75305e77ac18ecb09e",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    'bound --k 5 --h 3 --r 2': (
+        0,
+        "25d4f2a86deb5e2574bb3210b67bb24fcc4afb19f93a7b65a057daa874a9d18e",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    'bound --k 5 --h 3 --r 2 --format records': (
+        0,
+        "a10015b07ddb154b4c3b0c76bcb4790b42cd192c530756bb4804446be6e1838c",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    'bound --k 5 --p 11 --h 7 --r 2': (
+        0,
+        "25d4f2a86deb5e2574bb3210b67bb24fcc4afb19f93a7b65a057daa874a9d18e",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    'bound --k 5 --p 11 --h 7 --r 2 --format records': (
+        0,
+        "cd783a4b78a038d50b5e5c92e5e7609fbbf6daaa2f09ccf5c0917538f3317c34",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    'verify direct --set 0,1,2,3,4 --h 3 --r 2 --verbose': (
+        0,
+        "ef48495baf2b70b2954d976304f4df30aa1281f093f02848c0f0a95c61398b0a",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    'verify direct --set 0,1,2,3,4 --h 3 --r 2 --verbose --format records': (
+        0,
+        "ed7247216c3f0f91c8e28421035f39df6b1be8589148e2395526851a352f2a4a",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    'verify inclusions --set 0,1,2,4,9 --h 5 --r 3': (
+        0,
+        "aa9bd4fd4a1c1107fa7ce7f3cffc8a23ebc9acf53bdd6774cc0da9efbf2760f5",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    'verify inclusions --set 0,1,2,4,9 --h 5 --r 3 --format records': (
+        0,
+        "8c57a92a134e29de33d2611eec2eaec0653406eb8f5f48d59ac9981786957393",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    'verify inclusions --set 0,1,2 --h 14 --r 6': (
+        0,
+        "f4b827ecc472ad608659b75b11b4798f3dfd86005a489257263a7dc4901c8533",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    'verify inclusions --set 0,1,2 --h 14 --r 6 --format records': (
+        0,
+        "36ec5662c99ba652f5a553c6f399274febf838615bad8c4cba52b77afbcd789d",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    'verify inclusions --set 0,1,3,7 --h 4 --r 2': (
+        0,
+        "264845c36fcca97e11e3dea59e59e6a0c71e8b3b951fcf367693cb0df9becb1f",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    'verify inclusions --set 0,1,3,7 --h 4 --r 2 --format records': (
+        0,
+        "5349a1d0b32961cf97867215a25b79e244e95ddcca05370c4abe58b11c8225dd",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    'verify inclusions --set 0,1,2,4,9 --h 5 --r 3 --verbose': (
+        0,
+        "7ec284912a651b53ceef6dd11acf2ca01bf8633b85719ca8ca1680016abe8f33",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "verify inclusions --set '0,1,3 mod 11' --h 2 --r 2": (
+        1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "f7963c828c49f5a2d1b5dd65bc10b2f21e7a7887e05740502f181f11c91efe11",
+    ),
+    "verify inclusions --set '0,1,3 mod 11' --h 2 --r 2 --format records": (
+        1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "f7963c828c49f5a2d1b5dd65bc10b2f21e7a7887e05740502f181f11c91efe11",
+    ),
+    'verify inclusions --set 0,1,3 --p 11 --h 2 --r 2': (
+        1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "f7963c828c49f5a2d1b5dd65bc10b2f21e7a7887e05740502f181f11c91efe11",
+    ),
+    'verify inclusions --set 0,1,3 --p 11 --h 2 --r 2 --format records': (
+        1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "f7963c828c49f5a2d1b5dd65bc10b2f21e7a7887e05740502f181f11c91efe11",
+    ),
+    'scan extremal --manifest {grid}': (
+        0,
+        "9451e5aab11614f50277696ca12c6f0e85a4b7c63e5b55aeb4b36632c6210142",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    'scan extremal --manifest {grid} --format records': (
+        0,
+        "087f34a3fc388689b86d9f00e2debf4ddf82013956e9bc03c0361f370f1b50fc",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    'scan inverse-eh --manifest {grid}': (
+        0,
+        "61f9371f4836d5c047f978b39b947209e1e1a861dd89e061d6af2fdbe6ab4285",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    'scan inverse-eh --manifest {grid} --format records': (
+        0,
+        "30904596f3fa8e57bc2d13653e2ada533690d4b817e8bf5cbc62b94b69535336",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    'scan extremal --k 3 --h 2 --r 2 --max-diameter 6': (
+        0,
+        "aab6e2004a502fc829deb39842b7ef72cc4c82be15c8640c33c84cdbf9e8efbc",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    'scan extremal --k 3 --h 2 --r 2 --max-diameter 6 --format records': (
+        0,
+        "c4b6e96d432498041f32a8243758f3200ed765840c5f11aed67564db2ff81536",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    'compute --set 0,1,2 --h 3': (
+        1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "a4c9c8abc2957de5c6322c9122bc5f4ada8a21f58e9dbbb70b5463db7a0c07f8",
+    ),
+    'compute --set 0,1,2 --h 3 --format records': (
+        1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "a4c9c8abc2957de5c6322c9122bc5f4ada8a21f58e9dbbb70b5463db7a0c07f8",
+    ),
+    'compute --set 0,1,2 --h 9 --r 2': (
+        1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "66414e88d016fe6a34622b255b80259148bc2a89568fc24d8d5e91c60398d19c",
+    ),
+    'compute --set 0,1,2 --h 9 --r 2 --format records': (
+        1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "66414e88d016fe6a34622b255b80259148bc2a89568fc24d8d5e91c60398d19c",
+    ),
+    'compute --set 0,x --h 1 --r 1': (
+        1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "8540ff0b660a13972c5875e6e5922b6e001888c653bc495191953ac24dd3f806",
+    ),
+    'compute --set 0,x --h 1 --r 1 --format records': (
+        1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "8540ff0b660a13972c5875e6e5922b6e001888c653bc495191953ac24dd3f806",
+    ),
+    "compute --set '0,1 mod 7' --p 11 --h 1 --r 1": (
+        1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "13a3d34cb7095d122bd6c9e8486cf3bc3cd3ba031b98509d42bce93f67ccbc4c",
+    ),
+    "compute --set '0,1 mod 7' --p 11 --h 1 --r 1 --format records": (
+        1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "13a3d34cb7095d122bd6c9e8486cf3bc3cd3ba031b98509d42bce93f67ccbc4c",
+    ),
+    'compute --h 1 --r 1': (
+        1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "788e57bb7b6153afa3f1d63d8f110bd7521d5e531a093a9a8c94bcb685c30e23",
+    ),
+    'compute --h 1 --r 1 --format records': (
+        1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "788e57bb7b6153afa3f1d63d8f110bd7521d5e531a093a9a8c94bcb685c30e23",
+    ),
+    'bound --h 3 --r 2': (
+        1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "1446ac3041d976c5414ec96e20c4e7febb25f163590c4b8c877df214a0e5e1ea",
+    ),
+    'bound --h 3 --r 2 --format records': (
+        1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "1446ac3041d976c5414ec96e20c4e7febb25f163590c4b8c877df214a0e5e1ea",
+    ),
+    'decompose --set 0,1,2 --counts 2,x --r 2': (
+        1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "996e032b6f298db22b659e83c48dff85e761c95e07b3041666031d35e4a17305",
+    ),
+    'decompose --set 0,1,2 --counts 2,x --r 2 --format records': (
+        1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "996e032b6f298db22b659e83c48dff85e761c95e07b3041666031d35e4a17305",
+    ),
+    'decompose --set 0,1,2 --counts 2,1,1': (
+        1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "a4c9c8abc2957de5c6322c9122bc5f4ada8a21f58e9dbbb70b5463db7a0c07f8",
+    ),
+    'decompose --set 0,1,2 --counts 2,1,1 --format records': (
+        1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "a4c9c8abc2957de5c6322c9122bc5f4ada8a21f58e9dbbb70b5463db7a0c07f8",
+    ),
+    'scan extremal --k 4 --h 2 --r 2': (
+        1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "65c69f3dc7ff43b87e6b49ed56b67676ecf42f2b59740c2253f289c9c9f31e48",
+    ),
+    'scan extremal --k 4 --h 2 --r 2 --format records': (
+        1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "65c69f3dc7ff43b87e6b49ed56b67676ecf42f2b59740c2253f289c9c9f31e48",
+    ),
+    'scan inverse-eh --k 3': (
+        1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "bfb89d4a411daa83c507f1bb2b5a3190c8d8447893206d937623da983fb0205b",
+    ),
+    'scan inverse-eh --k 3 --format records': (
+        1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "bfb89d4a411daa83c507f1bb2b5a3190c8d8447893206d937623da983fb0205b",
+    ),
+    'scan extremal --manifest {partial} --max-diameter 6': (
+        1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "65c69f3dc7ff43b87e6b49ed56b67676ecf42f2b59740c2253f289c9c9f31e48",
+    ),
+    'scan extremal --manifest {partial} --max-diameter 6 --format records': (
+        1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "65c69f3dc7ff43b87e6b49ed56b67676ecf42f2b59740c2253f289c9c9f31e48",
+    ),
+    'scan extremal --manifest /nonexistent/grid.txt': (
+        1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "28cad84dc97e2d1e7e834dd47e398a5e9117f481ebae1499117f85fae7f8ef36",
+    ),
+    'scan extremal --manifest /nonexistent/grid.txt --format records': (
+        1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "28cad84dc97e2d1e7e834dd47e398a5e9117f481ebae1499117f85fae7f8ef36",
+    ),
+    'scan extremal --k 5 --h 3 --r 2 --max-diameter 12 --cap 10': (
+        3,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "d0161b3631af9459410b0cd89ae7dd796321f836a92f2dd9f77886fe3685986d",
+    ),
+    'scan extremal --k 5 --h 3 --r 2 --max-diameter 12 --cap 10 --format records': (
+        3,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "d0161b3631af9459410b0cd89ae7dd796321f836a92f2dd9f77886fe3685986d",
+    ),
+    'compute --set 0,1 --p 4 --h 1 --r 1': (
+        1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "4d4fd9951f7cea0842cd4b470394180f8443950281789ff4c6a6950fc818f91a",
+    ),
+    'compute --set 0,1 --p 4 --h 1 --r 1 --format records': (
+        1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "4d4fd9951f7cea0842cd4b470394180f8443950281789ff4c6a6950fc818f91a",
+    ),
+    'bound --k 3 --p 4 --h 2 --r 2': (
+        1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "ac79384998d61f2f6c68f7e1746a420cce675fa34b8352fa4cbb09f5b88d55b5",
+    ),
+    'bound --k 3 --p 4 --h 2 --r 2 --format records': (
+        1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "ac79384998d61f2f6c68f7e1746a420cce675fa34b8352fa4cbb09f5b88d55b5",
+    ),
+    'scan inverse-eh --p 9 --k 3': (
+        1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "376674fe2816acb5a67c01f0c55d51942935c9bcaa25274cd4d6fee2a274a6d3",
+    ),
+    'scan inverse-eh --p 9 --k 3 --format records': (
+        1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "376674fe2816acb5a67c01f0c55d51942935c9bcaa25274cd4d6fee2a274a6d3",
+    ),
+    'verify bogus --set 0,1 --h 1 --r 1': (
+        1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "25ef2bb134f987c438ef7258feb6f69ee76050c8f596f1ea7cd800527dc61efb",
+    ),
+    'compute --set 0,1 --h 1 --r 1 --format bogus': (
+        1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "da7c4c9607f950327b6d1961d231098670a85586e049e3a228a2f3ff98d9843e",
+    ),
+    '': (
+        1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "398a71844e12cf1130e8120e26594978f8c8e18f9dc1ee972324c143698a7cad",
+    ),
+    '--help': (
+        0,
+        "c2934fa8a601734aa3cb3d3e5f1b5a859f2bef09f6b5eff8623f924d5fb231b7",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    'compute --help': (
+        0,
+        "510023313eb5b8edc6fa448a79b572a78160d458cad38c2315db1dc3896c5c16",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    'bound --help': (
+        0,
+        "eb1a1cf5cd0d78f2e4c76adfda73241b5abbeba923c94f8a392fa14bb6f35eda",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    'verify --help': (
+        0,
+        "7ae583b9019d8ce145821aed415096243cfb9d5b1747145669fa36f3c37a38d8",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    'verify direct --help': (
+        0,
+        "b18a59c07f7d9c5352a58c3c6cdebdc1a232a687e5155b73422a71cd826759e5",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    'verify factorization --help': (
+        0,
+        "e57022083f00f0f6acbf9489d39a6933ea68c69f043e44fb8a57ff61a993f108",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    'verify complement --help': (
+        0,
+        "7c4d3d75268e56916f2be8b0aadd0818e6d1b2da0b3a76094dd26300543accde",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    'verify inclusions --help': (
+        0,
+        "014b80ab21bcfc5dbaa8ec71174fe7cf6c70b460ae812055a29b3e13995d95d8",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    'decompose --help': (
+        0,
+        "639b6d5e32dd7f815275add9fb348e322f388249ca594ba615f232b1db12b759",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    'scan --help': (
+        0,
+        "f291da17269f2842d51f9cb6632690b1aa090f5dacfc80f575da2d7fbd75b9bd",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    'scan extremal --help': (
+        0,
+        "e4545616728c430a8fa7aae6ba541585ec6abb09ed7f55fd5b10e7c5a229b9b8",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    'scan inverse-eh --help': (
+        0,
+        "1e64b0ccbee3b8780b13ea17fa1ad4865f846c6d385168a8eb0ee1c41c1965b2",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "command", sorted(CLI_GOLDEN), ids=lambda c: c or "no-arguments"
+)
+def test_cli_output_golden(capsys, monkeypatch, tmp_path, command):
+    """Stdout, stderr and exit code match digests taken before the
+    argument-dataclass removal and the witness-verdict merge."""
+    monkeypatch.setenv("COLUMNS", "80")
+    paths = {}
+    for name, text in CLI_MANIFESTS.items():
+        paths[name] = tmp_path / f"{name}.txt"
+        paths[name].write_text(text)
+    argv = [arg.format(**paths) for arg in shlex.split(command)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == CLI_GOLDEN[command][0]
+    assert hashlib.sha256(out.encode()).hexdigest() == CLI_GOLDEN[command][1]
+    assert hashlib.sha256(err.encode()).hexdigest() == CLI_GOLDEN[command][2]
+
+
 def test_decompose_records(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -367,28 +933,50 @@ def test_exit3_cap(capsys):
 
 
 def test_cli_config_defaults():
-    config = CliConfig(command="compute")
-    assert config.format == "plain"
-    assert config.jobs == 1
-    assert config.cap == 10**8
-    assert config.verbose is False
+    args = build_parser().parse_args(
+        ["compute", "--set", "0,1", "--h", "1", "--r", "1"]
+    )
+    assert args.format == "plain"
+    assert args.verbose is False
+    args = build_parser().parse_args(
+        ["scan", "extremal", "--k", "3", "--h", "2", "--r", "2"]
+    )
+    assert args.format == "plain"
+    assert args.cap == 10**8
+    assert args.verbose is False
 
 
-def test_jobs_defaults_to_available_parallelism():
+def test_jobs_defaults_to_available_parallelism(monkeypatch):
     import os
 
-    from sumsetlab.cli import _config_from, build_parser
+    import sumsetlab.cli as cli_mod
 
+    seen = []
+    real_scan = cli_mod.scan_extremal_integers
+
+    def spy(**kwargs):
+        seen.append(kwargs["jobs"])
+        return real_scan(**kwargs)
+
+    monkeypatch.setattr(cli_mod, "scan_extremal_integers", spy)
     parser = build_parser()
     base = ["scan", "extremal", "--k", "3", "--h", "2", "--r", "2",
             "--max-diameter", "6"]
-    assert _config_from(parser.parse_args(base)).jobs == (os.cpu_count() or 1)
-    assert _config_from(parser.parse_args(base + ["--jobs", "3"])).jobs == 3
+    for extra in ([], ["--jobs", "0"], ["--jobs", "3"]):
+        out = cli_mod._Output(records=False)
+        assert cli_mod._cmd_scan(parser.parse_args(base + extra), out) == 0
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    assert seen == [cores, cores, 3]
 
 
 def test_ground_resolution_p_flag_applies():
     from sumsetlab.cli import _resolve_ground
 
-    config = CliConfig(command="compute", set_literal="0,1,3", p=7)
-    ground = _resolve_ground(config)
+    args = build_parser().parse_args(
+        ["compute", "--set", "0,1,3", "--p", "7", "--h", "1", "--r", "1"]
+    )
+    ground = _resolve_ground(args)
     assert ground == GroundSet.of([0, 1, 3], 7)

@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sumsetlab import (
+    CheckItem,
     DomainError,
     GroundSet,
     SumParams,
+    SumsetResult,
     brute_force_sumset,
     check_complement_identity,
     check_direct_bound,
@@ -257,6 +259,61 @@ def test_witnesses_reject_modular_and_oversized():
     with pytest.raises(DomainError):
         check_inclusions_and_witnesses(GroundSet.of([0, 1]), SumParams(9, 2))
 
+
+
+# h^(r)A with one value dropped drives each checker down its fail
+# paths; the expected items were taken before the wide and narrow
+# verdicts were merged into one helper.
+WITNESS_FAILS = {
+    ((0, 1, 2, 4, 9), 5, 3, 3): (
+        ("split-inclusion", "missing from target: [3]"),
+        ("block-inclusion-wide", "missing from target: [3]"),
+        ("gap-witnesses-wide", "witnesses not in h^(r)A at (x, y) = [(1, 0)]"),
+    ),
+    ((0, 1, 2, 4, 9), 5, 3, 2): (
+        ("split-inclusion", "missing from target: [2]"),
+        ("gap-witnesses-wide", "witnesses not in h^(r)A at (x, y) = [(1, 1)]"),
+    ),
+    ((0, 1, 2), 14, 6, 11): (
+        ("split-inclusion", "missing from target: [11]"),
+        ("gap-witnesses-narrow", "witnesses not in h^(r)A at (x, y) = [(1, 2)]"),
+    ),
+    ((0, 1, 2), 14, 6, 13): (
+        ("split-inclusion", "missing from target: [13]"),
+        ("block-inclusion-narrow", "missing from target: [13]"),
+        ("gap-witnesses-narrow", "witnesses not in h^(r)A at (x, y) = [(2, 2)]"),
+    ),
+    ((0, 1), 7, 5, 2): (
+        ("split-inclusion", "missing from target: [2]"),
+        (
+            "gap-witnesses-narrow",
+            "strict=False endpoint=True interval=False count=True chain=[3, 3]",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WITNESS_FAILS))
+def test_witness_fail_paths(monkeypatch, case):
+    import sumsetlab.verify as verify_mod
+
+    elements, h, r, drop = case
+    target = SumParams(h, r)
+
+    def dropping_sumset(ground, params):
+        result = generalized_sumset(ground, params)
+        if params != target:
+            return result
+        assert drop in result.values
+        kept = tuple(v for v in result.values if v != drop)
+        return SumsetResult(kept, result.modulus)
+
+    monkeypatch.setattr(verify_mod, "generalized_sumset", dropping_sumset)
+    report = check_inclusions_and_witnesses(GroundSet.of(elements), target)
+    expected = tuple(
+        CheckItem(name, "fail", detail) for name, detail in WITNESS_FAILS[case]
+    )
+    assert report.failed == expected
 
 class TestWitnessProperty:
     @settings(max_examples=80, deadline=None)
