@@ -158,7 +158,7 @@ def build_parser() -> _Parser:
     si = ssub.add_parser("inverse-eh", help="k-subsets of Z/pZ, distinct-sum equality sets")
     si.add_argument("--p", type=int)
     si.add_argument("--k", type=int)
-    si.add_argument("--h", type=int, default=2)
+    si.add_argument("--h", type=int)
 
     for sp in (se, si):
         sp.add_argument("--manifest", help="grid manifest file")
@@ -317,12 +317,20 @@ def _cmd_scan(args: argparse.Namespace, out: _Output) -> int:
         "extremal": (scan_extremal_integers, ("k", "h", "r", "max_diameter"), ()),
         "inverse-eh": (scan_inverse_eh_mod_p, ("p", "k"), ("h",)),
     }[args.subcommand]
+    flags = {key: getattr(args, key) for key in required + optional}
+    flags = {key: v for key, v in flags.items() if v is not None}
+    combos = [{}]
     if args.manifest:
         with open(args.manifest, "r", encoding="utf-8") as fh:
             combos = parse_manifest(fh.read())
-    else:
-        flags = {key: getattr(args, key) for key in required + optional}
-        combos = [{key: v for key, v in flags.items() if v is not None}]
+    # every manifest combination sets the same keys; flags fill the rest
+    for key in flags:
+        if key in combos[0]:
+            raise DomainError(
+                f"scan {args.subcommand}: {key} is set both by a flag and "
+                f"by the manifest"
+            )
+    combos = [dict(combo, **flags) for combo in combos]
     on_instance = None
     if out.records:
         on_instance = lambda rec: out.instance(rec, failed=rec["slack"] < 0)

@@ -33,7 +33,6 @@ bounds and the minimum/maximum formulas.
 from __future__ import annotations
 
 import warnings
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Tuple
@@ -75,11 +74,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _sorted_contains(values: Tuple[int, ...], x: int) -> bool:
-    i = bisect_left(values, x)
-    return i < len(values) and values[i] == x
-
-
 def split_h(h: int, r: int) -> Tuple[int, int]:
     """Euclidean split h = m*r + eps with 0 <= eps <= r - 1."""
     if r < 1:
@@ -104,7 +98,7 @@ class GroundSet:
     def __post_init__(self):
         if not self.elements:
             raise DomainError("ground set must be nonempty")
-        if any(e != int(e) for e in self.elements):
+        if not all(isinstance(e, int) for e in self.elements):
             raise DomainError("ground set elements must be integers")
         for x, y in zip(self.elements, self.elements[1:]):
             if x >= y:
@@ -114,7 +108,7 @@ class GroundSet:
                 )
         if self.modulus is not None:
             p = self.modulus
-            if not is_prime(p):
+            if not isinstance(p, int) or not is_prime(p):
                 raise DomainError(f"modulus must be prime, got {p}")
             if self.elements[0] < 0 or self.elements[-1] >= p:
                 raise DomainError(
@@ -130,7 +124,7 @@ class GroundSet:
         reducing values into [0, p).  Silent; the text parser warns."""
         vals = list(values)
         if modulus is not None:
-            if not is_prime(modulus):
+            if not isinstance(modulus, int) or not is_prime(modulus):
                 raise DomainError(f"modulus must be prime, got {modulus}")
             vals = [v % modulus for v in vals]
         return cls(tuple(sorted(set(vals))), modulus)
@@ -142,20 +136,13 @@ class GroundSet:
     def __iter__(self):
         return iter(self.elements)
 
-    def __contains__(self, x: int) -> bool:
-        return _sorted_contains(self.elements, x)
-
     def translate(self, t: int) -> "GroundSet":
-        if self.modulus is not None:
-            return GroundSet.of((e + t for e in self.elements), self.modulus)
-        return GroundSet(tuple(e + t for e in self.elements))
+        return GroundSet.of((e + t for e in self.elements), self.modulus)
 
     def dilate(self, c: int) -> "GroundSet":
         if c == 0:
             raise DomainError("dilation factor must be nonzero")
-        if self.modulus is not None:
-            return GroundSet.of((e * c for e in self.elements), self.modulus)
-        return GroundSet.of(e * c for e in self.elements)
+        return GroundSet.of((e * c for e in self.elements), self.modulus)
 
 
 @dataclass(frozen=True)
@@ -166,6 +153,10 @@ class SumParams:
     r: int
 
     def __post_init__(self):
+        if not (isinstance(self.h, int) and isinstance(self.r, int)):
+            raise DomainError(
+                f"h and r must be integers: h={self.h!r}, r={self.r!r}"
+            )
         if self.r < 1:
             raise DomainError(f"r >= 1 required, got r={self.r}")
         if self.h < 1:
@@ -202,9 +193,6 @@ class SumsetResult:
     def as_set(self) -> set:
         return set(self.values)
 
-    def __contains__(self, x: int) -> bool:
-        return _sorted_contains(self.values, x)
-
     def __iter__(self):
         return iter(self.values)
 
@@ -230,11 +218,12 @@ def parse_ground_set(text: str) -> GroundSet:
     tokens = [t for t in tokens if t]
     if not tokens:
         raise DomainError("set literal has no elements")
-    try:
-        raw = [int(t) for t in tokens]
-    except ValueError:
-        bad = next(t for t in tokens if not _is_int_token(t))
-        raise DomainError(f"bad element {bad!r} in set literal") from None
+    raw = []
+    for t in tokens:
+        try:
+            raw.append(int(t))
+        except ValueError:
+            raise DomainError(f"bad element {t!r} in set literal") from None
     gs = GroundSet.of(raw, modulus)
     canon = list(gs.elements)
     reduced = [v % modulus for v in raw] if modulus is not None else raw
@@ -252,14 +241,6 @@ def parse_ground_set(text: str) -> GroundSet:
         )
     assert canon == sorted(set(reduced))
     return gs
-
-
-def _is_int_token(t: str) -> bool:
-    try:
-        int(t)
-        return True
-    except ValueError:
-        return False
 
 
 def _validate_params(ground: GroundSet, params: SumParams) -> None:
@@ -353,7 +334,9 @@ def bound_direct_mod_p(k: int, h: int, r: int, p: int) -> int:
     """Lower bound for |h^(r)A| in Z/pZ: min(p, integer bound).
 
     Hypotheses: p prime, 1 <= k <= p, and 1 <= r <= h <= r*k.  Note the
-    extra r <= h requirement, absent in the integer case.
+    extra r <= h requirement, absent in the integer case.  The classical
+    bounds are its two ends: r = h gives Cauchy-Davenport, r = 1 gives
+    Erdos-Heilbronn.
     """
     if not is_prime(p):
         raise DomainError(f"p must be prime, got p={p}")
@@ -363,30 +346,19 @@ def bound_direct_mod_p(k: int, h: int, r: int, p: int) -> int:
         raise DomainError(f"r >= 1 required, got r={r}")
     if not r <= h <= r * k:
         raise DomainError(f"r <= h <= r*k required: r={r}, h={h}, r*k={r * k}")
-    m, eps = split_h(h, r)
-    return min(p, h * k - m * m * r + 1 - 2 * m * eps - eps)
+    return min(p, bound_direct_integers(k, h, r))
 
 
 def bound_cauchy_davenport(k: int, h: int, p: int) -> int:
-    """Cauchy-Davenport lower bound for |hA| in Z/pZ: min(p, h*k - h + 1)."""
-    if not is_prime(p):
-        raise DomainError(f"p must be prime, got p={p}")
-    if not 1 <= k <= p:
-        raise DomainError(f"1 <= k <= p required: k={k}, p={p}")
-    if h < 1:
-        raise DomainError(f"h >= 1 required, got h={h}")
-    return min(p, h * k - h + 1)
+    """Cauchy-Davenport lower bound for |hA| in Z/pZ: min(p, h*k - h + 1),
+    the mod-p bound at r = h.  Needs h >= 1."""
+    return bound_direct_mod_p(k, h, h, p)
 
 
 def bound_erdos_heilbronn(k: int, h: int, p: int) -> int:
-    """Erdos-Heilbronn lower bound for |h^A| in Z/pZ: min(p, h*k - h^2 + 1)."""
-    if not is_prime(p):
-        raise DomainError(f"p must be prime, got p={p}")
-    if not 1 <= k <= p:
-        raise DomainError(f"1 <= k <= p required: k={k}, p={p}")
-    if not 1 <= h <= k:
-        raise DomainError(f"1 <= h <= k required: h={h}, k={k}")
-    return min(p, h * k - h * h + 1)
+    """Erdos-Heilbronn lower bound for |h^A| in Z/pZ: min(p, h*k - h^2 + 1),
+    the mod-p bound at r = 1.  Needs 1 <= h <= k."""
+    return bound_direct_mod_p(k, h, 1, p)
 
 
 def extremes_closed_form(ground: GroundSet, params: SumParams) -> Tuple[int, int]:

@@ -102,14 +102,13 @@ class ScanReport:
         }
 
 
-def _chunk(args) -> Tuple[int, list, list, list]:
+def _chunk(args) -> Tuple[int, list]:
     """Evaluate all normalized candidates that start with ``prefix``.
-    Returns (evaluated, equality, violations, instances)."""
+    Returns (evaluated, rows): the (candidate, cardinality) pairs of
+    every candidate if ``collect``, else of those at or below ``bound``."""
     k, params, p, largest, prefix, bound, collect = args
     evaluated = 0
-    equality = []
-    violations = []
-    instances = []
+    rows = []
     for rest in combinations(range(prefix[-1] + 1, largest + 1), k - len(prefix)):
         cand = prefix + rest
         # Over Z a set with gcd g > 1 is a dilate of a smaller candidate.
@@ -117,14 +116,9 @@ def _chunk(args) -> Tuple[int, list, list, list]:
             continue
         evaluated += 1
         card = generalized_sumset(GroundSet(cand, p), params).cardinality
-        slack = card - bound
-        if slack == 0:
-            equality.append(cand)
-        elif slack < 0:
-            violations.append(cand)
-        if collect:
-            instances.append((cand, card, slack))
-    return evaluated, equality, violations, instances
+        if collect or card <= bound:
+            rows.append((cand, card))
+    return evaluated, rows
 
 
 def _scan(
@@ -157,14 +151,9 @@ def _scan(
     else:
         results = [_chunk(a) for a in chunk_args]
 
-    evaluated = 0
-    equality = []
-    violations = []
-    for ev, eq, vio, instances in results:
-        evaluated += ev
-        equality.extend(eq)
-        violations.extend(vio)
-        for cand, card, slack in instances:
+    rows = [row for _, chunk_rows in results for row in chunk_rows]
+    if collect:
+        for cand, card in rows:
             on_instance(
                 {
                     "op": "scan",
@@ -173,10 +162,11 @@ def _scan(
                     "p": p,
                     "cardinality": card,
                     "bound": bound,
-                    "slack": slack,
-                    "equality": slack == 0,
+                    "slack": card - bound,
+                    "equality": card == bound,
                 }
             )
+    equality = tuple(cand for cand, card in rows if card == bound)
     non_ap = tuple(
         s for s in equality if not is_arithmetic_progression(GroundSet(s, p))
     )
@@ -189,9 +179,9 @@ def _scan(
         max_diameter=largest if p is None else None,
         bound=bound,
         candidates=count,
-        evaluated=evaluated,
-        equality_sets=tuple(equality),
-        violations=tuple(violations),
+        evaluated=sum(ev for ev, _ in results),
+        equality_sets=equality,
+        violations=tuple(cand for cand, card in rows if card < bound),
         non_ap_equality=non_ap,
         in_hypothesis=in_hypothesis,
         hypothesis=hypothesis,

@@ -465,30 +465,22 @@ def is_arithmetic_progression(ground: GroundSet) -> bool:
     """Whether the ground set is an arithmetic progression.
 
     Integers: consecutive gaps all equal (k <= 2 trivially qualifies).
-    Mod p: some nonzero difference d and start c in A reproduce A as
-    {c, c+d, ..., c+(k-1)d}.  Then A[1] - A[0] = i*d for some
-    0 < |i| < k, and d, -d give the same set, so only the k - 1
-    differences (A[1] - A[0]) / i are tried.
+    Mod p: A = {c, c+d, ..., c+(k-1)d} for some nonzero d.  Then
+    A[1] - A[0] = i*d for some 0 < |i| < k, and d, -d give the same
+    set, so only the k - 1 differences (A[1] - A[0]) / i are tried.
+    For k < p, A splits into k - |A & (A + d)| runs of step d, so A is
+    one progression of difference d exactly when |A & (A + d)| = k - 1;
+    k = p is all of Z/pZ.
     """
     A = ground.elements
-    if ground.modulus is not None:
-        return _is_ap_mod(A, ground.modulus)
-    return all(y - x == A[1] - A[0] for x, y in zip(A, A[1:]))
-
-
-def _is_ap_mod(A: Tuple[int, ...], p: int) -> bool:
+    p = ground.modulus
     k = len(A)
-    if k <= 2:
+    if p is None:
+        return all(y - x == A[1] - A[0] for x, y in zip(A, A[1:]))
+    if k <= 2 or k == p:
         return True
-    target = set(A)
-    for i in range(1, k):
-        d = (A[1] - A[0]) * pow(i, -1, p) % p
-        for c in A:
-            x = c
-            for _ in range(k - 1):
-                x = (x + d) % p
-                if x not in target:
-                    break
-            else:
-                return True
-    return False
+    members = set(A)
+    return any(
+        sum((a + d) % p in members for a in A) == k - 1
+        for d in ((A[1] - A[0]) * pow(i, -1, p) % p for i in range(1, k))
+    )

@@ -84,6 +84,25 @@ def test_bound_mod_p_values():
     assert bound_erdos_heilbronn(5, 2, 5) == 5
 
 
+def test_classical_bounds_are_the_mod_p_bound_at_r_h_and_r_1():
+    """Cauchy-Davenport and Erdos-Heilbronn, read off the mod-p bound,
+    equal their own closed forms and raise on exactly their own domains:
+    p prime, 1 <= k <= p, and h >= 1 or 1 <= h <= k respectively."""
+    for p in (2, 3, 4, 5, 7, 9, 11, 13, 15):
+        for k in range(0, p + 2):
+            for h in range(-1, k + 3):
+                base = is_prime(p) and 1 <= k <= p
+                for bound, in_domain, closed in (
+                    (bound_cauchy_davenport, base and h >= 1, h * k - h + 1),
+                    (bound_erdos_heilbronn, base and 1 <= h <= k, h * k - h * h + 1),
+                ):
+                    if in_domain:
+                        assert bound(k, h, p) == min(p, closed), (bound, k, h, p)
+                    else:
+                        with pytest.raises(DomainError):
+                            bound(k, h, p)
+
+
 def test_extremes_closed_form_values():
     assert extremes_closed_form(GroundSet.of(range(5)), SumParams(3, 2)) == (1, 11)
     assert extremes_closed_form(GroundSet.of(range(4)), SumParams(6, 3)) == (3, 15)
@@ -125,6 +144,26 @@ def test_ground_set_validation():
         GroundSet((0, 7), modulus=5)
     with pytest.raises(DomainError):
         GroundSet((0, 2**64,))
+    # integral floats compare equal to ints but would break the engine
+    with pytest.raises(DomainError):
+        GroundSet((0, 1.0))
+    with pytest.raises(DomainError):
+        GroundSet.of([0, 1.0], 5)
+    with pytest.raises(DomainError):
+        GroundSet(("a",))
+    with pytest.raises(DomainError):
+        GroundSet((0, 1), modulus=5.0)
+    with pytest.raises(DomainError):
+        GroundSet.of([0], 41.0)
+
+
+def test_translate_and_dilate():
+    assert GroundSet.of([0, 1, 3]).translate(-2).elements == (-2, -1, 1)
+    assert GroundSet.of([0, 1, 3]).dilate(-2).elements == (-6, -2, 0)
+    assert GroundSet.of([0, 1, 3], 7).translate(5) == GroundSet((1, 5, 6), 7)
+    assert GroundSet.of([0, 1, 3], 7).dilate(3) == GroundSet((0, 2, 3), 7)
+    with pytest.raises(DomainError):
+        GroundSet.of([0, 1]).dilate(0)
 
 
 def test_ground_set_of_canonicalizes():
@@ -139,6 +178,10 @@ def test_sum_params_validation():
         SumParams(h=0, r=2)
     with pytest.raises(DomainError):
         SumParams(h=3, r=0)
+    with pytest.raises(DomainError):
+        SumParams(h=2.0, r=1)
+    with pytest.raises(DomainError):
+        SumParams(h=2, r=1.0)
     p = SumParams(h=7, r=3)
     assert (p.m, p.epsilon) == (2, 1)
 

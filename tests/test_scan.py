@@ -73,6 +73,20 @@ def test_extremal_instance_callback():
     assert tuple(eq_from_stream) == report.equality_sets
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_report_does_not_depend_on_callback(jobs):
+    """Without a callback the workers keep only candidates at or below
+    the bound; the report must be the one built from every candidate."""
+    for scan, kwargs in (
+        (scan_extremal_integers, dict(k=4, h=3, r=2, max_diameter=8)),
+        (scan_inverse_eh_mod_p, dict(p=11, k=5)),
+    ):
+        seen = []
+        with_callback = scan(**kwargs, jobs=jobs, on_instance=seen.append)
+        assert seen and with_callback.equality_sets
+        assert scan(**kwargs, jobs=jobs) == with_callback
+
+
 def test_extremal_cap_refusal():
     with pytest.raises(ResourceCapError) as err:
         scan_extremal_integers(k=5, h=3, r=2, max_diameter=12, cap=100)

@@ -23,6 +23,7 @@ from sumsetlab import (
     generalized_sumset,
     is_arithmetic_progression,
 )
+from sumsetlab.verify import _check_case
 
 
 # ===================== the oracle itself =====================
@@ -314,6 +315,61 @@ def test_witness_fail_paths(monkeypatch, case):
         CheckItem(name, "fail", detail) for name, detail in WITNESS_FAILS[case]
     )
     assert report.failed == expected
+
+def test_witness_verdict_wrong_minimum():
+    """A bundle inside h^(r)A whose minimum is not the closed form fails
+    block inclusion even though nothing is missing."""
+    checks = _check_case(
+        "wide",
+        set(range(11)),
+        0,
+        bundle={3, 4, 5},
+        closed_min=2,
+        empty="eps = 1",
+        witness=None,
+        grid=[],
+        chain=[],
+        gaps=0,
+    )
+    assert checks == [
+        CheckItem("block-inclusion-wide", "fail", "min bundle 3 != closed form 2"),
+        CheckItem(
+            "gap-witnesses-wide",
+            "pass",
+            "family empty for eps = 1: min bundle equals min h^(r)A",
+        ),
+    ]
+
+
+@pytest.mark.parametrize("gaps", [1, 3])
+def test_witness_verdict_wrong_gap_count(gaps):
+    """A strict chain that ends at min bundle, with every gap member in
+    the interval, still fails when it has the wrong number of them."""
+    checks = _check_case(
+        "narrow",
+        set(range(11)),
+        0,
+        bundle={5, 6},
+        closed_min=5,
+        empty="m = 0",
+        witness=lambda x, y: x + y,
+        grid=[(1, 1)],
+        chain=[1, 2, 5],
+        gaps=gaps,
+    )
+    assert checks == [
+        CheckItem(
+            "block-inclusion-narrow",
+            "pass",
+            "bundle of 2 sums inside; min 5 matches closed form",
+        ),
+        CheckItem(
+            "gap-witnesses-narrow",
+            "fail",
+            "strict=True endpoint=True interval=True count=False chain=[1, 2, 5]",
+        ),
+    ]
+
 
 class TestWitnessProperty:
     @settings(max_examples=80, deadline=None)
