@@ -13,16 +13,19 @@ restricted sumset h^A of sums of h distinct elements.
 Everything here is exact integer arithmetic.  Sumsets are computed by a
 dynamic program over big-int bit vectors: dp[t] is the bitmask of sums
 achievable using the elements scanned so far with total multiplicity
-exactly t.  Scanning element a updates
+exactly t.  One step function, ``_extend``, scans element a:
 
     dp'[t] = OR over c in 0..min(r, t) of  dp[t - c] << (c * a')
 
-where a' = a - min(A), so shifts stay non-negative; the final mask is
-read off at t = h, in one pass over its binary string, and translated
-back by h * min(A).  Modulo a prime p the same loop runs with a' = a
-and shifts c * a mod p on p-bit masks; each new dp'[t] is folded once,
-(mask & (2^p - 1)) | (mask >> p), which is exact because every shift is
-below p.  Folding commutes with OR, so this equals OR-ing rotations.
+where a' = a - min(A), so shifts stay non-negative.  Modulo a prime p
+the same step runs with a' = a and shifts c * a mod p on p-bit masks;
+each new dp'[t] is folded once, (mask & (2^p - 1)) | (mask >> p), which
+is exact because every shift is below p.  Folding commutes with OR, so
+this equals OR-ing rotations.  ``generalized_sumset`` validates, runs
+the step once per element and reads the mask at t = h in one pass over
+its binary string, translated back by h * min(A).  The exhaustive scans
+(``scan.py``) run the same step depth-first over their candidates,
+sharing each prefix's DP, and read only the mask's popcount.
 
 Conventions: modular elements are residues in [0, p) and p must be
 prime; integer ground sets are kept sorted ascending; h = m*r + eps
@@ -243,6 +246,12 @@ def parse_ground_set(text: str) -> GroundSet:
     return gs
 
 
+def _guard_magnitude(h: int, span: int) -> None:
+    """Refuse integer sums whose magnitude h * span exceeds 64 bits."""
+    if h * span > _MAX_MAGNITUDE:
+        raise DomainError(f"h * max|a_i| = {h * span} exceeds the 64-bit guard")
+
+
 def _validate_params(ground: GroundSet, params: SumParams) -> None:
     k = ground.size
     if params.h > params.r * k:
@@ -251,21 +260,39 @@ def _validate_params(ground: GroundSet, params: SumParams) -> None:
             f"{k} elements with cap {params.r}): h={params.h}, r*k={params.r * k}"
         )
     if ground.modulus is None:
-        span = max(abs(ground.elements[0]), abs(ground.elements[-1]))
-        if params.h * span > _MAX_MAGNITUDE:
-            raise DomainError(
-                f"h * max|a_i| = {params.h * span} exceeds the 64-bit guard"
-            )
+        _guard_magnitude(
+            params.h, max(abs(ground.elements[0]), abs(ground.elements[-1]))
+        )
+
+
+def _extend(dp: list, a: int, i: int, k: int, h: int, r: int, p: Optional[int]) -> list:
+    """The DP over the first i elements of a k-set, extended by element a
+    (over Z, translated by -min A).  Only the t reachable from i + 1
+    elements and completable by the other k - i - 1 are computed."""
+    step = [c * a if p is None else c * a % p for c in range(r + 1)]
+    new = [0] * (h + 1)
+    for t in range(max(0, h - (k - i - 1) * r), min(h, (i + 1) * r) + 1):
+        acc = 0
+        for c in range(min(r, t) + 1):
+            x = dp[t - c]
+            if x:
+                acc |= x << step[c]
+        if p is not None:
+            # Every mask has p bits and every shift is below p, so one
+            # fold turns the shifts into rotations.
+            acc = (acc & ((1 << p) - 1)) | (acc >> p)
+        new[t] = acc
+    return new
 
 
 def generalized_sumset(ground: GroundSet, params: SumParams) -> SumsetResult:
     """Compute h^(r)A exactly.
 
-    Bit-vector dynamic program over exact multiplicity: one pass per
-    element, tracking for each total multiplicity t the bitmask of
-    achievable sums.  Integers run in the translated coordinates
-    a - min(A); modulo p the shifts are reduced mod p and each new mask
-    is folded back onto p bits.
+    Bit-vector dynamic program over exact multiplicity: one
+    :func:`_extend` step per element, tracking for each total
+    multiplicity t the bitmask of achievable sums.  Integers run in the
+    translated coordinates a - min(A); modulo p the shifts are reduced
+    mod p and each new mask is folded back onto p bits.
     """
     _validate_params(ground, params)
     A = ground.elements
@@ -273,28 +300,9 @@ def generalized_sumset(ground: GroundSet, params: SumParams) -> SumsetResult:
     k = len(A)
     p = ground.modulus
     base = A[0] if p is None else 0
-    full = None if p is None else (1 << p) - 1
-    dp = [0] * (h + 1)
-    dp[0] = 1
+    dp = [1] + [0] * h
     for i, a in enumerate(A):
-        step = [c * (a - base) if p is None else c * a % p for c in range(r + 1)]
-        # dp[t] can only matter later if t is reachable from this prefix
-        # and completable by the remaining elements.
-        hi = min(h, (i + 1) * r)
-        lo = max(0, h - (k - i - 1) * r)
-        new = [0] * (h + 1)
-        for t in range(lo, hi + 1):
-            acc = 0
-            for c in range(min(r, t) + 1):
-                x = dp[t - c]
-                if x:
-                    acc |= x << step[c]
-            if p is not None:
-                # Every mask has p bits and every shift is below p, so
-                # one fold turns the shifts into rotations.
-                acc = (acc & full) | (acc >> p)
-            new[t] = acc
-        dp = new
+        dp = _extend(dp, a - base, i, k, h, r, p)
     offset = h * base
     bits = bin(dp[h])[:1:-1]  # lowest bit first
     return SumsetResult(

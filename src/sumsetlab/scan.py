@@ -16,9 +16,14 @@ and slack are invariant under both):
 
 Both are thin wrappers over one driver: candidates are the k-sets
 0 = a_1 < ... < a_k <= largest (max_diameter, or p - 1 in Z/pZ), the
-driver refuses up front if their count exceeds the cap, and it splits
-the enumeration into chunks by the prefix (0,) or (0, a_2), optionally
-over worker processes; chunk results are merged in prefix order.
+driver refuses up front if their count exceeds the cap (or, over Z, if
+h * largest exceeds the engine's 64-bit guard), and it splits the
+enumeration into chunks by the prefix (0,) or (0, a_2), optionally over
+worker processes; chunk results are merged in prefix order.  A chunk
+walks depth-first with the engine's DP step ``core._extend``, one DP per
+prefix depth, so a candidate costs one element step and a popcount.
+``generalized_sumset`` recomputes every set found at or below the bound,
+and its cardinality is the one reported.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable, Optional, Tuple
 
 from .core import (
@@ -36,6 +40,8 @@ from .core import (
     bound_erdos_heilbronn,
     generalized_sumset,
     is_prime,
+    _extend,
+    _guard_magnitude,
 )
 from .errors import DomainError, ResourceCapError
 from .verify import is_arithmetic_progression
@@ -103,21 +109,36 @@ class ScanReport:
 
 
 def _chunk(args) -> Tuple[int, list]:
-    """Evaluate all normalized candidates that start with ``prefix``.
+    """Evaluate all normalized candidates that start with ``prefix``, in
+    ``combinations`` order, extending each prefix's DP by one element.
     Returns (evaluated, rows): the (candidate, cardinality) pairs of
     every candidate if ``collect``, else of those at or below ``bound``."""
     k, params, p, largest, prefix, bound, collect = args
+    h, r = params.h, params.r
     evaluated = 0
     rows = []
-    for rest in combinations(range(prefix[-1] + 1, largest + 1), k - len(prefix)):
-        cand = prefix + rest
-        # Over Z a set with gcd g > 1 is a dilate of a smaller candidate.
-        if p is None and math.gcd(*cand) > 1:
-            continue
-        evaluated += 1
-        card = generalized_sumset(GroundSet(cand, p), params).cardinality
-        if collect or card <= bound:
-            rows.append((cand, card))
+
+    def walk(cand, dp, g):
+        nonlocal evaluated
+        i = len(cand)
+        if i < len(prefix):
+            choices = (prefix[i],)
+        else:
+            choices = range(cand[-1] + 1, largest - k + i + 2)
+        if i < k - 1:
+            for a in choices:
+                walk(cand + (a,), _extend(dp, a, i, k, h, r, p), math.gcd(g, a))
+            return
+        for a in choices:
+            # Over Z a set with gcd > 1 is a dilate of a smaller candidate.
+            if p is None and math.gcd(g, a) > 1:
+                continue
+            evaluated += 1
+            card = _extend(dp, a, i, k, h, r, p)[h].bit_count()
+            if collect or card <= bound:
+                rows.append((cand + (a,), card))
+
+    walk((), [1] + [0] * h, 0)
     return evaluated, rows
 
 
@@ -140,6 +161,9 @@ def _scan(
     count = math.comb(largest, k - 1)
     if count > cap:
         raise ResourceCapError(count, cap)
+    # Every candidate but (0,) reaches `largest`; the engine's guard, once.
+    if p is None and k > 1:
+        _guard_magnitude(params.h, largest)
     collect = on_instance is not None
     prefixes = [(0,)] if k == 1 else [(0, f) for f in range(1, largest - k + 3)]
     chunk_args = [
@@ -151,7 +175,13 @@ def _scan(
     else:
         results = [_chunk(a) for a in chunk_args]
 
-    rows = [row for _, chunk_rows in results for row in chunk_rows]
+    # The engine is the authority for every set the report names.
+    rows = [
+        (cand, card if card > bound else
+         generalized_sumset(GroundSet(cand, p), params).cardinality)
+        for _, chunk_rows in results
+        for cand, card in chunk_rows
+    ]
     if collect:
         for cand, card in rows:
             on_instance(

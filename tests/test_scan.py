@@ -6,17 +6,24 @@ independently of the package.
 """
 
 import math
+from itertools import combinations
 
 import pytest
 
+import sumsetlab.scan
 from sumsetlab import (
     DomainError,
+    GroundSet,
     ResourceCapError,
     ScanReport,
+    SumParams,
+    brute_force_sumset,
     parse_manifest,
     scan_extremal_integers,
     scan_inverse_eh_mod_p,
 )
+from sumsetlab.cli import run
+from sumsetlab.scan import _scan
 
 
 # ===================== integer scans =====================
@@ -97,6 +104,141 @@ def test_extremal_cap_refusal():
 def test_extremal_diameter_too_small():
     with pytest.raises(DomainError, match="max_diameter"):
         scan_extremal_integers(k=5, h=3, r=2, max_diameter=3)
+
+
+def test_extremal_64_bit_guard_refuses_before_any_dp(monkeypatch, capsys):
+    """h * max_diameter above 2**63 - 1 exits 1 before a chunk starts."""
+
+    def no_dp(*args):
+        raise AssertionError("DP started")
+
+    monkeypatch.setattr(sumsetlab.scan, "_chunk", no_dp)
+    monkeypatch.setattr(sumsetlab.scan, "_extend", no_dp)
+    monkeypatch.setattr(sumsetlab.scan, "ProcessPoolExecutor", no_dp)
+    h, r = 2**62, 2**61
+    for jobs in ("1", "2"):
+        code = run(["scan", "extremal", "--k", "3", "--h", str(h), "--r", str(r),
+                    "--max-diameter", "10", "--jobs", jobs])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: h * max|a_i| = {h * 10} exceeds the 64-bit guard\n"
+        )
+
+
+# ===================== depth-first walk =====================
+
+
+def _normalized(k, largest, p):
+    """The candidates a scan evaluates, in the order it must report them."""
+    return [
+        (0,) + rest
+        for rest in combinations(range(1, largest + 1), k - 1)
+        if p is not None or math.gcd(*rest) < 2
+    ]
+
+
+@pytest.mark.parametrize(
+    "kwargs, candidates, evaluated",
+    [
+        (dict(k=1, h=1, r=1, max_diameter=0), 1, 1),  # prefix only
+        (dict(k=1, h=2, r=2, max_diameter=3), 1, 1),
+        (dict(k=2, h=2, r=2, max_diameter=5), 5, 1),  # every leaf but 1 skipped
+        (dict(k=2, h=3, r=2, max_diameter=1), 1, 1),  # max_diameter = k - 1
+        (dict(k=4, h=3, r=2, max_diameter=3), 1, 1),  # max_diameter = k - 1
+        (dict(k=3, h=2, r=2, max_diameter=8), 28, 21),
+        (dict(k=4, h=5, r=2, max_diameter=10), 120, 109),
+        (dict(k=5, h=7, r=3, max_diameter=9), 126, 125),
+        (dict(p=5, k=5, h=1), 1, 1),  # largest = k - 1
+        (dict(p=7, k=1, h=1), 1, 1),
+        (dict(p=7, k=2, h=2), 6, 6),
+        (dict(p=11, k=4, h=3), 120, 120),
+        (dict(p=13, k=5, h=2), 495, 495),
+    ],
+)
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_walk_edges_order_and_evaluated(kwargs, candidates, evaluated, jobs):
+    """Records come in ``combinations`` order with gcd-skipped leaves left
+    out; the counts are those of the per-candidate scan this walk replaced."""
+    p = kwargs.get("p")
+    scan = scan_extremal_integers if p is None else scan_inverse_eh_mod_p
+    seen = []
+    report = scan(**kwargs, jobs=jobs, on_instance=seen.append)
+    largest = kwargs["max_diameter"] if p is None else p - 1
+    expected = _normalized(kwargs["k"], largest, p)
+    assert [tuple(rec["set"]) for rec in seen] == expected
+    assert (report.candidates, report.evaluated) == (candidates, evaluated)
+    assert len(expected) == evaluated
+
+
+def _oracle_cardinality(cache, s, p, h, r):
+    key = (s, p, h, r)
+    if key not in cache:
+        ground = GroundSet(s, p)
+        cache[key] = brute_force_sumset(ground, SumParams(h=h, r=r)).cardinality
+    return cache[key]
+
+
+def test_scan_cardinalities_match_oracle():
+    """Every record of both scans against the brute-force oracle: over Z
+    every k <= 5, max_diameter <= 7, r <= 3, 1 <= h <= r*k; in Z/p for p
+    in {5, 7, 11}, k <= 4, 1 <= h <= k with r = 1 through the public
+    scan, and r in {2, 3}, h <= r*k through the driver.  Records at
+    jobs 2 must equal those at jobs 1."""
+    cache = {}
+    runs = []
+    for k in range(1, 6):
+        for d in range(k - 1, 8):
+            for r in range(1, 4):
+                for h in range(1, r * k + 1):
+                    runs.append((None, k, h, r, d))
+    for p in (5, 7, 11):
+        for k in range(1, 5):
+            for r in range(1, 4):
+                for h in range(1, (k if r == 1 else r * k) + 1):
+                    runs.append((p, k, h, r, p - 1))
+    checked = 0
+    for p, k, h, r, largest in runs:
+        outputs = []
+        # A smaller max_diameter over Z scans a subset of the d = 7 sets.
+        for jobs in (1, 2) if p is not None or largest == 7 else (1,):
+            seen = []
+            if p is None:
+                scan_extremal_integers(k, h, r, largest, jobs=jobs, on_instance=seen.append)
+            elif r == 1:
+                scan_inverse_eh_mod_p(p, k, h, jobs=jobs, on_instance=seen.append)
+            else:
+                _scan("inverse-eh", k, SumParams(h=h, r=r), p, largest, 0,
+                      False, "", 10**8, jobs, seen.append)
+            for rec in seen:
+                want = _oracle_cardinality(cache, tuple(rec["set"]), p, h, r)
+                assert rec["cardinality"] == want, (rec, h, r)
+                checked += 1
+            outputs.append(seen)
+        assert all(out == outputs[0] for out in outputs)
+    assert checked > 10_000
+
+
+def test_scan_claims_are_the_engines(monkeypatch):
+    """Each set the walk finds at or below the bound is reported with the
+    engine's cardinality: an engine that drops a value turns the unit
+    progression into a violation, and the scan exits 2."""
+    engine = sumsetlab.scan.generalized_sumset
+
+    def wrong(ground, params):
+        result = engine(ground, params)
+        return type(result)(result.values[:-1], result.modulus)
+
+    monkeypatch.setattr(sumsetlab.scan, "generalized_sumset", wrong)
+    seen = []
+    report = scan_extremal_integers(
+        k=5, h=3, r=2, max_diameter=8, on_instance=seen.append
+    )
+    assert report.equality_sets == ()
+    assert report.violations == ((0, 1, 2, 3, 4),)
+    assert report.verdict == "fail"
+    assert seen[0]["set"] == [0, 1, 2, 3, 4] and seen[0]["slack"] == -1
+    assert all(rec["slack"] > 0 for rec in seen[1:])
+    assert run(["scan", "inverse-eh", "--p", "11", "--k", "5"]) == 2
 
 
 # ===================== mod-p scans =====================
