@@ -7,9 +7,9 @@ emits one JSON object per line, one per checked instance, closing with
 a summary line, so a scan can be piped into other tooling and re-run
 from its own records.
 
-Exit codes: 0 success, 1 bad parameters or unparsable input, 2 a
-verification that was supposed to hold failed, 3 a scan refused by the
-resource cap.
+Exit codes: 0 success, 1 bad parameters or unparsable input (or a
+worker process that died), 2 a verification that was supposed to hold
+failed, 3 a scan refused by the resource cap, 130 interrupted.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from typing import Optional, Sequence
 
 from .core import (
@@ -46,6 +47,16 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_VERIFICATION = 2
 EXIT_CAP = 3
+EXIT_INTERRUPTED = 130
+
+# Each scan's help line and grid keys: those it requires, then those it
+# takes if given.  A manifest's other keys are ignored.
+_SCANS = {
+    "extremal": ("normalized integer sets up to a diameter",
+                 ("k", "h", "r", "max_diameter"), ()),
+    "inverse-eh": ("k-subsets of Z/pZ, distinct-sum equality sets",
+                   ("p", "k"), ("h",)),
+}
 
 
 class _ParseError(Exception):
@@ -149,18 +160,10 @@ def build_parser() -> _Parser:
     s = sub.add_parser("scan", help="exhaustive equality-set scans")
     ssub = s.add_subparsers(dest="subcommand", required=True)
 
-    se = ssub.add_parser("extremal", help="normalized integer sets up to a diameter")
-    se.add_argument("--k", type=int)
-    se.add_argument("--h", type=int)
-    se.add_argument("--r", type=int)
-    se.add_argument("--max-diameter", dest="max_diameter", type=int)
-
-    si = ssub.add_parser("inverse-eh", help="k-subsets of Z/pZ, distinct-sum equality sets")
-    si.add_argument("--p", type=int)
-    si.add_argument("--k", type=int)
-    si.add_argument("--h", type=int)
-
-    for sp in (se, si):
+    for name, (blurb, required, optional) in _SCANS.items():
+        sp = ssub.add_parser(name, help=blurb)
+        for key in required + optional:
+            sp.add_argument("--" + key.replace("_", "-"), type=int)
         sp.add_argument("--manifest", help="grid manifest file")
         sp.add_argument("--cap", type=int, default=DEFAULT_CAP)
         sp.add_argument(
@@ -311,12 +314,10 @@ def _cmd_decompose(args: argparse.Namespace, out: _Output) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace, out: _Output) -> int:
-    # scan function (looked up when called), then the keys it requires
-    # and the keys it takes if given; a manifest's other keys are ignored
-    scan, required, optional = {
-        "extremal": (scan_extremal_integers, ("k", "h", "r", "max_diameter"), ()),
-        "inverse-eh": (scan_inverse_eh_mod_p, ("p", "k"), ("h",)),
-    }[args.subcommand]
+    # looked up when called, so that a patched scan function is the one run
+    scan = {"extremal": scan_extremal_integers,
+            "inverse-eh": scan_inverse_eh_mod_p}[args.subcommand]
+    _, required, optional = _SCANS[args.subcommand]
     flags = {key: getattr(args, key) for key in required + optional}
     flags = {key: v for key, v in flags.items() if v is not None}
     combos = [{}]
@@ -412,9 +413,15 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except ResourceCapError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except BrokenProcessPool as exc:
+        print(f"error: a worker process died: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 def main() -> None:

@@ -42,9 +42,12 @@ from typing import Iterable, Optional, Tuple
 
 from .errors import DomainError
 
-# Resource guard, not a correctness limit: sums are exact bigints, but a
-# ground set whose span overflows 64 bits signals an unreasonable input.
+# Resource guards, not correctness limits: sums are exact bigints, but a
+# ground set whose span overflows 64 bits signals an unreasonable input,
+# and h + 1 masks of more than 2**33 bits in all (1 GiB) are refused
+# before the DP allocates them.
 _MAX_MAGNITUDE = 2**63 - 1
+_MAX_MASK_BITS = 2**33
 
 
 class SetLiteralWarning(UserWarning):
@@ -252,6 +255,17 @@ def _guard_magnitude(h: int, span: int) -> None:
         raise DomainError(f"h * max|a_i| = {h * span} exceeds the 64-bit guard")
 
 
+def _guard_mask_width(h: int, span: int, p: Optional[int]) -> None:
+    """Refuse a DP of h + 1 masks of width W = h * span + 1 over Z (span
+    = max A - min A), or W = p modulo p, above 2**33 bits in all."""
+    width = h * span + 1 if p is None else p
+    if (h + 1) * width > _MAX_MASK_BITS:
+        raise DomainError(
+            f"(h + 1) * mask width = {(h + 1) * width} bits exceeds the "
+            f"2**33-bit guard"
+        )
+
+
 def _validate_params(ground: GroundSet, params: SumParams) -> None:
     k = ground.size
     if params.h > params.r * k:
@@ -263,6 +277,9 @@ def _validate_params(ground: GroundSet, params: SumParams) -> None:
         _guard_magnitude(
             params.h, max(abs(ground.elements[0]), abs(ground.elements[-1]))
         )
+    _guard_mask_width(
+        params.h, ground.elements[-1] - ground.elements[0], ground.modulus
+    )
 
 
 def _extend(dp: list, a: int, i: int, k: int, h: int, r: int, p: Optional[int]) -> list:

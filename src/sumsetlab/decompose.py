@@ -219,17 +219,14 @@ def check_sumset_factorization(
 ) -> FactorizationReport:
     """Check h^(r)A == r-fold sumset of m^A (requires r | h).
 
-    Left side comes from the capped dynamic program, right side from the
-    restricted sumset followed by an r-fold classical sumset, so the two
-    sides exercise different code paths.
+    Both sides run the one engine, with different parameters: the left
+    side is h^(r)A directly, the right side the restricted sumset m^A
+    followed by its r-fold classical sumset, which goes through the
+    intermediate set m^A.
     """
     if params.epsilon != 0:
         raise DomainError(
             f"r | h required for the factorization: h={params.h}, r={params.r}"
-        )
-    if params.h > params.r * ground.size:
-        raise DomainError(
-            f"h <= r*k required: h={params.h}, r*k={params.r * ground.size}"
         )
     left = generalized_sumset(ground, params)
     m = params.m

@@ -5,19 +5,24 @@ translate or dilate of a set is visited twice (cardinalities, bounds
 and slack are invariant under both):
 
 * integer scan: sets 0 = a_1 < ... < a_k <= max_diameter whose gaps
-  have gcd 1, checked against the capped-multiplicity bound; inside the
-  inverse hypotheses (k >= 5, 2 <= r <= h <= r*k - 2) the interval
-  {0, ..., k-1} must be the one and only equality set;
+  have gcd 1, checked against the capped-multiplicity bound, with the
+  paper's inverse hypotheses k >= 5, 2 <= r <= h <= r*k - 2;
 * mod-p scan: k-subsets of Z/pZ containing 0, checked against the
-  distinct-pair bound |2^A| >= min(p, 2k - 3); inside the hypotheses
-  (k >= 5, p > 2k - 3) every equality set must be a modular arithmetic
-  progression.  Other h are accepted for exploration but assert
-  nothing.
+  distinct-sum bound |h^A| >= min(p, hk - h^2 + 1), with Karolyi's
+  inverse hypotheses h == 2, k >= 5, p > 2k - 3.  Other h are accepted
+  for exploration but assert nothing.
+
+One rule serves both.  Outside its hypotheses a scan asserts only that
+no set falls below the bound.  Inside them, only progressions attain
+the bound: every equality set must be an arithmetic progression, and
+the progression {0, ..., k-1} must be one.  Over Z the normalization
+leaves {0, ..., k-1} as the only progression, so there the rule reads
+"{0, ..., k-1} only".
 
 Both are thin wrappers over one driver: candidates are the k-sets
 0 = a_1 < ... < a_k <= largest (max_diameter, or p - 1 in Z/pZ), the
-driver refuses up front if their count exceeds the cap (or, over Z, if
-h * largest exceeds the engine's 64-bit guard), and it splits the
+driver refuses up front if their count exceeds the cap, or if the
+engine's 64-bit or mask-width guard refuses their DP, and it splits the
 enumeration into chunks by the prefix (0,) or (0, a_2), optionally over
 worker processes; chunk results are merged in prefix order.  A chunk
 walks depth-first with the engine's DP step ``core._extend``, one DP per
@@ -39,9 +44,9 @@ from .core import (
     bound_direct_integers,
     bound_erdos_heilbronn,
     generalized_sumset,
-    is_prime,
     _extend,
     _guard_magnitude,
+    _guard_mask_width,
 )
 from .errors import DomainError, ResourceCapError
 from .verify import is_arithmetic_progression
@@ -55,7 +60,7 @@ InstanceCallback = Callable[[dict], None]
 class ScanReport:
     """Aggregated outcome of one exhaustive scan."""
 
-    kind: str  # "extremal" | "inverse-eh"
+    kind: str  # record label: "extremal" | "inverse-eh"
     k: int
     h: int
     r: int
@@ -72,15 +77,14 @@ class ScanReport:
 
     @property
     def counterexamples(self) -> Tuple[Tuple[int, ...], ...]:
-        """Sets refuting a claim this scan is entitled to assert."""
+        """Sets refuting a claim this scan is entitled to assert: sets
+        below the bound, and inside the hypotheses every equality set that
+        is not a progression, then {0, ..., k-1} if it is not at the bound."""
         if not self.in_hypothesis:
             return self.violations
-        if self.kind == "extremal":
-            expected = tuple(range(self.k))
-            extra = tuple(s for s in self.equality_sets if s != expected)
-            missing = () if expected in self.equality_sets else (expected,)
-            return self.violations + extra + missing
-        return self.violations + self.non_ap_equality
+        interval = tuple(range(self.k))
+        missing = () if interval in self.equality_sets else (interval,)
+        return self.violations + self.non_ap_equality + missing
 
     @property
     def verdict(self) -> str:
@@ -161,9 +165,11 @@ def _scan(
     count = math.comb(largest, k - 1)
     if count > cap:
         raise ResourceCapError(count, cap)
-    # Every candidate but (0,) reaches `largest`; the engine's guard, once.
-    if p is None and k > 1:
-        _guard_magnitude(params.h, largest)
+    # The engine's guards, once: every candidate but (0,) spans `largest`.
+    span = largest if k > 1 else 0
+    if p is None:
+        _guard_magnitude(params.h, span)
+    _guard_mask_width(params.h, span, p)
     collect = on_instance is not None
     prefixes = [(0,)] if k == 1 else [(0, f) for f in range(1, largest - k + 3)]
     chunk_args = [
@@ -267,19 +273,14 @@ def scan_inverse_eh_mod_p(
     modular progressions when k >= 5 and p > 2k - 3).  Other h values
     are exploratory: reported, asserted never.
     """
-    if not is_prime(p):
-        raise DomainError(f"p must be prime, got p={p}")
-    if not 1 <= k <= p:
-        raise DomainError(f"1 <= k <= p required: k={k}, p={p}")
-    if not 1 <= h <= k:
-        raise DomainError(f"1 <= h <= k required for distinct sums: h={h}, k={k}")
+    bound = bound_erdos_heilbronn(k, h, p)
     return _scan(
         kind="inverse-eh",
         k=k,
         params=SumParams(h=h, r=1),
         p=p,
         largest=p - 1,
-        bound=bound_erdos_heilbronn(k, h, p),
+        bound=bound,
         in_hypothesis=h == 2 and k >= 5 and p > 2 * k - 3,
         hypothesis="h == 2 and k >= 5 and p > 2*k - 3",
         cap=cap,

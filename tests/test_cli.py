@@ -937,6 +937,66 @@ def test_exit3_cap(capsys):
     assert code == 3 and "cap" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--set", "0,1 mod 2305843009213693951", "--h", "2", "--r", "1"],
+        ["compute", "--set", "0,1152921504606846976", "--h", "2", "--r", "1"],
+        ["scan", "inverse-eh", "--p", "2305843009213693951", "--k", "1", "--h", "1"],
+    ],
+)
+def test_exit1_oversized_dp(capsys, argv):
+    """A DP of more than 2**33 mask bits is refused with one error line."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: (h + 1) * mask width = ")
+    assert err.endswith(" bits exceeds the 2**33-bit guard\n")
+    assert err.count("\n") == 1
+
+
+def test_exit130_interrupted(capsys, monkeypatch):
+    import sumsetlab.cli as cli_mod
+
+    def interrupted(**kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli_mod, "scan_extremal_integers", interrupted)
+    code, out, err = run_cli(
+        capsys,
+        "scan", "extremal",
+        "--k", "3", "--h", "2", "--r", "2", "--max-diameter", "6",
+    )
+    assert (code, out, err) == (130, "", "interrupted\n")
+
+
+def test_exit1_worker_died(capsys, monkeypatch):
+    from concurrent.futures.process import BrokenProcessPool
+
+    import sumsetlab.scan as scan_mod
+
+    class DyingPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            raise BrokenProcessPool("worker killed")
+
+    monkeypatch.setattr(scan_mod, "ProcessPoolExecutor", DyingPool)
+    code, out, err = run_cli(
+        capsys,
+        "scan", "extremal",
+        "--k", "3", "--h", "2", "--r", "2", "--max-diameter", "6", "--jobs", "2",
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: a worker process died: worker killed\n"
+
+
 # ===================== config =====================
 
 

@@ -27,6 +27,7 @@ from sumsetlab import (
     restricted_sumset,
     split_h,
 )
+from sumsetlab.core import _guard_mask_width
 
 
 # ===================== frozen examples =====================
@@ -195,6 +196,22 @@ def test_magnitude_guard():
     g = GroundSet.of([0, 2**62])
     with pytest.raises(DomainError, match="64-bit"):
         generalized_sumset(g, SumParams(h=3, r=2))
+
+
+def test_mask_width_guard():
+    """h + 1 masks of more than 2**33 bits in all are refused before the
+    DP allocates them (test_magnitude_guard's set exceeds both guards, and
+    the 64-bit one speaks first)."""
+    for ground, params in (
+        (GroundSet.of([0, 2**60]), SumParams(h=2, r=1)),  # 3 masks of 2**61 + 1 bits
+        (GroundSet.of([0, 1], 2**61 - 1), SumParams(h=2, r=1)),  # 3 of 2**61 - 1
+        (GroundSet.of([0]), SumParams(h=2**56, r=2**56)),  # 2**56 + 1 of 1 bit
+    ):
+        with pytest.raises(DomainError, match="2\\*\\*33-bit guard"):
+            generalized_sumset(ground, params)
+    _guard_mask_width(1, 2**32 - 1, None)  # 2 masks of 2**32 bits: at the limit
+    with pytest.raises(DomainError, match="= 8589934594 bits"):
+        _guard_mask_width(1, 2**32, None)
 
 
 def test_restricted_needs_h_at_most_k():

@@ -125,6 +125,30 @@ def test_extremal_64_bit_guard_refuses_before_any_dp(monkeypatch, capsys):
         )
 
 
+def test_mask_width_guard_refuses_before_any_dp(monkeypatch, capsys):
+    """A scan whose DP would hold more than 2**33 mask bits exits 1 before
+    a chunk starts: over Z for k > 1, and mod p also at k = 1."""
+
+    def no_dp(*args):
+        raise AssertionError("DP started")
+
+    monkeypatch.setattr(sumsetlab.scan, "_chunk", no_dp)
+    monkeypatch.setattr(sumsetlab.scan, "_extend", no_dp)
+    monkeypatch.setattr(sumsetlab.scan, "ProcessPoolExecutor", no_dp)
+    h, p = 2**30, 2**61 - 1
+    for jobs in ("1", "2"):
+        for argv, bits in (
+            (["extremal", "--k", "3", "--h", str(h), "--r", str(h),
+              "--max-diameter", "10"], (h + 1) * (10 * h + 1)),
+            (["inverse-eh", "--p", str(p), "--k", "1", "--h", "1"], 2 * p),
+        ):
+            assert run(["scan"] + argv + ["--jobs", jobs]) == 1
+            assert capsys.readouterr().err == (
+                f"error: (h + 1) * mask width = {bits} bits exceeds the "
+                f"2**33-bit guard\n"
+            )
+
+
 # ===================== depth-first walk =====================
 
 
@@ -311,7 +335,10 @@ def _report(kind="extremal", **overrides):
 
 
 def test_verdict_extra_equality_set_inside_hypothesis():
-    report = _report(equality_sets=((0, 1, 2, 3, 4), (0, 1, 2, 3, 7)))
+    report = _report(
+        equality_sets=((0, 1, 2, 3, 4), (0, 1, 2, 3, 7)),
+        non_ap_equality=((0, 1, 2, 3, 7),),
+    )
     assert report.counterexamples == ((0, 1, 2, 3, 7),)
     assert report.verdict == "fail"
 
@@ -337,10 +364,72 @@ def test_verdict_outside_hypothesis_tolerates_oddities():
 def test_verdict_non_ap_inside_hypothesis_mod_p():
     report = _report(
         kind="inverse-eh",
-        equality_sets=((0, 1, 2, 3, 7),),
+        equality_sets=((0, 1, 2, 3, 4), (0, 1, 2, 3, 7)),
         non_ap_equality=((0, 1, 2, 3, 7),),
     )
     assert report.counterexamples == ((0, 1, 2, 3, 7),)
+    assert report.verdict == "fail"
+
+
+def _per_kind_counterexamples(report):
+    """The verdict rule as it read before both scans shared one: over Z
+    the interval had to be the only equality set, mod p every equality
+    set had to be a progression."""
+    if not report.in_hypothesis:
+        return report.violations
+    if report.kind == "extremal":
+        expected = tuple(range(report.k))
+        extra = tuple(s for s in report.equality_sets if s != expected)
+        missing = () if expected in report.equality_sets else (expected,)
+        return report.violations + extra + missing
+    return report.violations + report.non_ap_equality
+
+
+def test_one_rule_matches_the_per_kind_rules():
+    """Over Z (k <= 6, max_diameter <= 9, r <= 6, 1 <= h <= r*k) and
+    Z/pZ (p in 5, 7, 11, 13, k <= 6, 1 <= h <= k), every scan's
+    counterexamples and verdict equal those of the per-kind rules."""
+    reports = [
+        scan_extremal_integers(k=k, h=h, r=r, max_diameter=d)
+        for k in range(1, 7)
+        for d in range(k - 1, 10)
+        for r in range(1, 7)
+        for h in range(1, r * k + 1)
+    ]
+    reports += [
+        scan_inverse_eh_mod_p(p=p, k=k, h=h)
+        for p in (5, 7, 11, 13)
+        for k in range(1, min(6, p) + 1)
+        for h in range(1, k + 1)
+    ]
+    for report in reports:
+        expected = _per_kind_counterexamples(report)
+        assert report.counterexamples == expected, report
+        assert report.verdict == ("fail" if expected else "pass")
+    inside = [r for r in reports if r.in_hypothesis and r.equality_sets]
+    assert {r.kind for r in inside} == {"extremal", "inverse-eh"}
+    assert len(reports) == 3018
+
+
+def test_one_rule_needs_the_interval_mod_p(monkeypatch):
+    """Inside the hypotheses mod p, the interval {0, ..., k-1} above the
+    bound is a counterexample: an engine that puts it one above fails."""
+    engine = sumsetlab.scan.generalized_sumset
+
+    def wrong(ground, params):
+        result = engine(ground, params)
+        if ground.elements == (0, 1, 2, 3, 4):
+            extra = next(v for v in range(ground.modulus) if v not in result.values)
+            values = tuple(sorted(result.values + (extra,)))
+            return type(result)(values, result.modulus)
+        return result
+
+    monkeypatch.setattr(sumsetlab.scan, "generalized_sumset", wrong)
+    report = scan_inverse_eh_mod_p(11, 5)
+    assert report.in_hypothesis and report.violations == ()
+    assert report.non_ap_equality == ()
+    assert (0, 1, 2, 3, 4) not in report.equality_sets
+    assert report.counterexamples == ((0, 1, 2, 3, 4),)
     assert report.verdict == "fail"
 
 
