@@ -5,7 +5,9 @@ factorization, complement, inclusions), decompose, scan (extremal,
 inverse-eh).  Output is plain text by default; ``--format records``
 emits one JSON object per line, one per checked instance, closing with
 a summary line, so a scan can be piped into other tooling and re-run
-from its own records.
+from its own records.  The single-instance commands return their record,
+text lines and verdict, and run() prints them; a scan prints each record
+as it goes and returns its counts.
 
 Exit codes: 0 success, 1 bad parameters or unparsable input (or a
 worker process that died), 2 a verification that was supposed to hold
@@ -74,40 +76,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _json_line(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-class _Output:
-    """Collects instance records; prints them only in records mode."""
-
-    def __init__(self, records: bool, verbose: bool = False):
-        self.records = records
-        self.verbose = verbose
-        self.instances = 0
-        self.failures = 0
-
-    def instance(self, record: dict, failed: bool = False) -> None:
-        self.instances += 1
-        if failed:
-            self.failures += 1
-        if self.records:
-            print(_json_line(record))
-
-    def text(self, line: str = "") -> None:
-        if not self.records:
-            print(line)
-
-    def summary(self, verdict: str) -> None:
-        if self.records:
-            print(
-                _json_line(
-                    {
-                        "op": "summary",
-                        "instances": self.instances,
-                        "failures": self.failures,
-                        "verdict": verdict,
-                    }
-                )
-            )
 
 
 def _fmt_set(values, modulus=None) -> str:
@@ -200,7 +168,7 @@ def _resolve_ground(args: argparse.Namespace) -> GroundSet:
     return ground
 
 
-def _cmd_compute(args: argparse.Namespace, out: _Output) -> int:
+def _cmd_compute(args: argparse.Namespace) -> tuple:
     ground = _resolve_ground(args)
     params = SumParams(h=args.h, r=args.r)
     result = generalized_sumset(ground, params)
@@ -215,18 +183,20 @@ def _cmd_compute(args: argparse.Namespace, out: _Output) -> int:
         "min": result.min,
         "max": result.max,
     }
-    out.instance(record)
-    out.text(_fmt_set(result.values, ground.modulus))
-    out.text(f"cardinality {result.cardinality}")
+    lines = [
+        _fmt_set(result.values, ground.modulus),
+        f"cardinality {result.cardinality}",
+    ]
     if ground.modulus is None:
-        out.text(f"min {result.min} max {result.max}")
-    out.summary("pass")
-    return EXIT_OK
+        lines.append(f"min {result.min} max {result.max}")
+    return record, lines, "pass"
 
 
-def _cmd_bound(args: argparse.Namespace, out: _Output) -> int:
+def _cmd_bound(args: argparse.Namespace) -> tuple:
     p = args.p
     if args.set_literal:
+        if args.k is not None:
+            raise DomainError("bound: k is set both by --k and by --set")
         ground = _resolve_ground(args)
         k = ground.size
         p = ground.modulus
@@ -239,15 +209,12 @@ def _cmd_bound(args: argparse.Namespace, out: _Output) -> int:
         value = bound_direct_integers(k, params.h, params.r)
     else:
         value = bound_direct_mod_p(k, params.h, params.r, p)
-    out.instance(
-        {"op": "bound", "k": k, "h": params.h, "r": params.r, "p": p, "bound": value}
-    )
-    out.text(str(value))
-    out.summary("pass")
-    return EXIT_OK
+    record = {"op": "bound", "k": k, "h": params.h, "r": params.r, "p": p,
+              "bound": value}
+    return record, [str(value)], "pass"
 
 
-def _cmd_verify(args: argparse.Namespace, out: _Output) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple:
     ground = _resolve_ground(args)
     params = SumParams(h=args.h, r=args.r)
     if args.subcommand == "direct":
@@ -278,18 +245,14 @@ def _cmd_verify(args: argparse.Namespace, out: _Output) -> int:
         lines = []
         for item in report.checks:
             line = f"{item.name}: {item.status}"
-            if item.detail and (out.verbose or item.status == "fail"):
+            if item.detail and (args.verbose or item.status == "fail"):
                 line += f" ({item.detail})"
             lines.append(line)
-    out.instance(report.to_record(), failed=report.verdict == "fail")
-    for line in lines:
-        out.text(line)
-    out.text(f"verdict {report.verdict}")
-    out.summary(report.verdict)
-    return EXIT_OK if report.verdict == "pass" else EXIT_VERIFICATION
+    lines.append(f"verdict {report.verdict}")
+    return report.to_record(), lines, report.verdict
 
 
-def _cmd_decompose(args: argparse.Namespace, out: _Output) -> int:
+def _cmd_decompose(args: argparse.Namespace) -> tuple:
     ground = _resolve_ground(args)
     if not args.counts:
         raise DomainError("--counts is required for decompose")
@@ -299,21 +262,23 @@ def _cmd_decompose(args: argparse.Namespace, out: _Output) -> int:
         raise DomainError(f"bad --counts {args.counts!r}") from None
     vector = MultiplicityVector(counts=counts, cap=args.r)
     result = greedy_decompose(ground, vector)
-    out.instance(result.to_record())
-    out.text(
+    lines = [
         f"total {result.total_sum} from counts {vector.counts} cap {vector.cap}"
-    )
+    ]
     for step, part, value in zip(result.trace, result.parts, result.part_sums):
         values = tuple(ground.elements[i] for i in part)
-        out.text(
+        lines.append(
             f"part {step.step}: indices {part} values {values} sum {value} "
             f"[active_before={step.active_before} max_after={step.max_after}]"
         )
-    out.summary("pass")
-    return EXIT_OK
+    return result.to_record(), lines, "pass"
 
 
-def _cmd_scan(args: argparse.Namespace, out: _Output) -> int:
+def _cmd_scan(args: argparse.Namespace) -> tuple:
+    """Run every grid point, printing its records (or text) as it
+    finishes; returns (instances, failures, verdict) over all of them."""
+    if (args.jobs or 0) < 0:
+        raise DomainError(f"--jobs must be >= 0, got {args.jobs}")
     # looked up when called, so that a patched scan function is the one run
     scan = {"extremal": scan_extremal_integers,
             "inverse-eh": scan_inverse_eh_mod_p}[args.subcommand]
@@ -332,10 +297,10 @@ def _cmd_scan(args: argparse.Namespace, out: _Output) -> int:
                 f"by the manifest"
             )
     combos = [dict(combo, **flags) for combo in combos]
-    on_instance = None
-    if out.records:
-        on_instance = lambda rec: out.instance(rec, failed=rec["slack"] < 0)
-    code = EXIT_OK
+    records = args.format == "records"
+    on_instance = (lambda rec: print(_json_line(rec))) if records else None
+    instances = failures = 0
+    failed = False
     for combo in combos:
         for key in required:
             if key not in combo:
@@ -348,41 +313,41 @@ def _cmd_scan(args: argparse.Namespace, out: _Output) -> int:
             jobs=args.jobs or _available_cores(),
             on_instance=on_instance,
         )
-        if out.records:
+        instances += report.evaluated  # records mode prints one per candidate
+        failures += len(report.violations)
+        failed = failed or report.verdict == "fail"
+        if records:
             print(_json_line(report.to_record()))
         else:
-            _print_scan_plain(report, out)
-        if report.verdict == "fail":
-            code = EXIT_VERIFICATION
-    out.summary("pass" if code == EXIT_OK else "fail")
-    return code
+            _print_scan_plain(report, args.verbose)
+    return instances, failures, "fail" if failed else "pass"
 
 
-def _print_scan_plain(report, out: _Output) -> None:
+def _print_scan_plain(report, verbose: bool) -> None:
     header = f"scan {report.kind} k={report.k} h={report.h} r={report.r}"
     if report.p is not None:
         header += f" p={report.p}"
     if report.max_diameter is not None:
         header += f" max_diameter={report.max_diameter}"
-    out.text(header)
-    out.text(
+    print(header)
+    print(
         f"candidates {report.candidates}  evaluated {report.evaluated}  "
         f"bound {report.bound}"
     )
-    out.text(f"equality sets: {len(report.equality_sets)}")
-    shown = report.equality_sets if out.verbose else report.equality_sets[:10]
+    print(f"equality sets: {len(report.equality_sets)}")
+    shown = report.equality_sets if verbose else report.equality_sets[:10]
     for s in shown:
-        out.text(f"  {_fmt_set(s, report.p)}")
+        print(f"  {_fmt_set(s, report.p)}")
     if len(shown) < len(report.equality_sets):
         hidden = len(report.equality_sets) - len(shown)
-        out.text(f"  ... and {hidden} more (--verbose lists all)")
+        print(f"  ... and {hidden} more (--verbose lists all)")
     if report.violations:
-        out.text(f"bound violations: {len(report.violations)}")
+        print(f"bound violations: {len(report.violations)}")
         for s in report.violations:
-            out.text(f"  {_fmt_set(s, report.p)}")
+            print(f"  {_fmt_set(s, report.p)}")
     side = "inside" if report.in_hypothesis else "outside"
-    out.text(f"hypothesis ({report.hypothesis}): {side}")
-    out.text(f"verdict {report.verdict}")
+    print(f"hypothesis ({report.hypothesis}): {side}")
+    print(f"verdict {report.verdict}")
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
@@ -394,16 +359,19 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_DOMAIN
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    out = _Output(records=args.format == "records", verbose=args.verbose)
-    handlers = {
-        "compute": _cmd_compute,
-        "bound": _cmd_bound,
-        "verify": _cmd_verify,
-        "decompose": _cmd_decompose,
-        "scan": _cmd_scan,
-    }
+    records = args.format == "records"
     try:
-        return handlers[args.command](args, out)
+        if args.command == "scan":
+            instances, failures, verdict = _cmd_scan(args)
+        else:
+            handler = {"compute": _cmd_compute, "bound": _cmd_bound,
+                       "verify": _cmd_verify, "decompose": _cmd_decompose}
+            record, lines, verdict = handler[args.command](args)
+            instances, failures = 1, 1 if verdict == "fail" else 0
+            print(_json_line(record) if records else "\n".join(lines))
+        if records:
+            print(_json_line({"op": "summary", "instances": instances,
+                              "failures": failures, "verdict": verdict}))
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
@@ -422,6 +390,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
+    return EXIT_OK if verdict == "pass" else EXIT_VERIFICATION
 
 
 def main() -> None:

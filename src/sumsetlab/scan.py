@@ -22,7 +22,7 @@ leaves {0, ..., k-1} as the only progression, so there the rule reads
 Both are thin wrappers over one driver: candidates are the k-sets
 0 = a_1 < ... < a_k <= largest (max_diameter, or p - 1 in Z/pZ), the
 driver refuses up front if their count exceeds the cap, or if the
-engine's 64-bit or mask-width guard refuses their DP, and it splits the
+engine's validation refuses the widest candidate, and it splits the
 enumeration into chunks by the prefix (0,) or (0, a_2), optionally over
 worker processes; chunk results are merged in prefix order.  A chunk
 walks depth-first with the engine's DP step ``core._extend``, one DP per
@@ -45,8 +45,7 @@ from .core import (
     bound_erdos_heilbronn,
     generalized_sumset,
     _extend,
-    _guard_magnitude,
-    _guard_mask_width,
+    _validate_params,
 )
 from .errors import DomainError, ResourceCapError
 from .verify import is_arithmetic_progression
@@ -165,11 +164,9 @@ def _scan(
     count = math.comb(largest, k - 1)
     if count > cap:
         raise ResourceCapError(count, cap)
-    # The engine's guards, once: every candidate but (0,) spans `largest`.
-    span = largest if k > 1 else 0
-    if p is None:
-        _guard_magnitude(params.h, span)
-    _guard_mask_width(params.h, span, p)
+    # The engine's validation, once, on the widest candidate.
+    widest = tuple(range(k - 1)) + (largest,) if k > 1 else (0,)
+    _validate_params(GroundSet(widest, p), params)
     collect = on_instance is not None
     prefixes = [(0,)] if k == 1 else [(0, f) for f in range(1, largest - k + 3)]
     chunk_args = [

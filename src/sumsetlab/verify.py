@@ -337,20 +337,16 @@ def check_inclusions_and_witnesses(ground: GroundSet, params: SumParams) -> Witn
     if wide:
         checks.extend(_check_wide(A, r, m, eps, full, min_full))
         na = "narrow case needs r - 1 > m + eps > k"
-        checks.append(CheckItem("block-inclusion-narrow", "not-applicable", na))
-        checks.append(CheckItem("gap-witnesses-narrow", "not-applicable", na))
     elif narrow:
-        na = "wide case needs m + eps <= k"
-        checks.append(CheckItem("block-inclusion-wide", "not-applicable", na))
-        checks.append(CheckItem("gap-witnesses-wide", "not-applicable", na))
         checks.extend(_check_narrow(A, r, m, eps, full, min_full))
+        na = "wide case needs m + eps <= k"
     else:
         na = (
             f"neither case condition holds for m+eps={m + eps}, k={k}, r={r}; "
             f"the mirrored parameters cover this instance"
         )
-        checks += [CheckItem(name, "not-applicable", na) for name in names[1:]]
-
+    ran = {item.name: item for item in checks}
+    checks = [ran.get(name, CheckItem(name, "not-applicable", na)) for name in names]
     return WitnessReport(ground=ground, params=params, checks=checks)
 
 

@@ -257,7 +257,9 @@ def test_scan_output_golden(capsys, command):
 # digests were taken with Python 3.11.  Since then flags fill the keys a
 # manifest leaves unset: the {partial} scans now print exactly what the
 # same scan given by flags alone prints, and the {grid} --k entry pins
-# the exit when a flag and the manifest set the same key.
+# the exit when a flag and the manifest set the same key.  Two refusals
+# were added later, with digests of their error line: bound given both
+# --set and --k, and a negative --jobs.
 CLI_MANIFESTS = {
     "grid": "k = 3\nh = 2..3\nr = 2\nmax_diameter = 5\np = 7\n",
     "partial": "k = 3\nh = 2\nr = 2\n",
@@ -723,6 +725,21 @@ CLI_GOLDEN = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "376674fe2816acb5a67c01f0c55d51942935c9bcaa25274cd4d6fee2a274a6d3",
     ),
+    'bound --set 0,1 --k 5 --h 2 --r 1': (
+        1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "038f42494fa1da0d58fbd44073e4fcd7a4b43bfe77baf1572bd7b584dfc84b4b",
+    ),
+    'bound --set 0,1 --k 5 --h 2 --r 1 --format records': (
+        1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "038f42494fa1da0d58fbd44073e4fcd7a4b43bfe77baf1572bd7b584dfc84b4b",
+    ),
+    'scan extremal --k 3 --h 2 --r 2 --max-diameter 6 --jobs -3': (
+        1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "bf8bf70a02e5dca73d5ec33480671274af7d386afd62489278c3caa7aea4a643",
+    ),
     'verify bogus --set 0,1 --h 1 --r 1': (
         1,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -1031,8 +1048,8 @@ def test_jobs_defaults_to_available_parallelism(monkeypatch):
     base = ["scan", "extremal", "--k", "3", "--h", "2", "--r", "2",
             "--max-diameter", "6"]
     for extra in ([], ["--jobs", "0"], ["--jobs", "3"]):
-        out = cli_mod._Output(records=False)
-        assert cli_mod._cmd_scan(parser.parse_args(base + extra), out) == 0
+        _, _, verdict = cli_mod._cmd_scan(parser.parse_args(base + extra))
+        assert verdict == "pass"
     if hasattr(os, "sched_getaffinity"):
         cores = len(os.sched_getaffinity(0))
     else:

@@ -5,6 +5,7 @@ enumeration of multiplicity vectors over all normalized candidate sets,
 independently of the package.
 """
 
+import json
 import math
 from itertools import combinations
 
@@ -263,6 +264,27 @@ def test_scan_claims_are_the_engines(monkeypatch):
     assert seen[0]["set"] == [0, 1, 2, 3, 4] and seen[0]["slack"] == -1
     assert all(rec["slack"] > 0 for rec in seen[1:])
     assert run(["scan", "inverse-eh", "--p", "11", "--k", "5"]) == 2
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_records_summary_counts_the_scan_records(monkeypatch, capsys, jobs):
+    """The closing summary of a failing records-mode scan counts one
+    instance per scan record and one failure per record below the bound."""
+    engine = sumsetlab.scan.generalized_sumset
+
+    def wrong(ground, params):
+        result = engine(ground, params)
+        return type(result)(result.values[:-1], result.modulus)
+
+    monkeypatch.setattr(sumsetlab.scan, "generalized_sumset", wrong)
+    code = run(["scan", "extremal", "--k", "5", "--h", "3", "--r", "2",
+                "--max-diameter", "8", "--format", "records", "--jobs", jobs])
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    scans = [rec for rec in records if rec["op"] == "scan"]
+    assert code == 2
+    assert records[-1]["op"] == "summary"
+    assert records[-1]["instances"] == len(scans)
+    assert records[-1]["failures"] == sum(rec["slack"] < 0 for rec in scans) == 1
 
 
 # ===================== mod-p scans =====================
