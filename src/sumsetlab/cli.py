@@ -52,7 +52,8 @@ EXIT_CAP = 3
 EXIT_INTERRUPTED = 130
 
 # Each scan's help line and grid keys: those it requires, then those it
-# takes if given.  A manifest's other keys are ignored.
+# takes if given.  A manifest's other keys are ignored and never repeat
+# a scan.
 _SCANS = {
     "extremal": ("normalized integer sets up to a diameter",
                  ("k", "h", "r", "max_diameter"), ()),
@@ -87,26 +88,28 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="sumsetlab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_set=True, with_hr=True, with_p=True):
-        if with_set:
-            p.add_argument("--set", dest="set_literal", help='e.g. "0,1,3,7 mod 11"')
+    def add_output(p, verbose=False):
+        p.add_argument("--format", choices=("plain", "records"), default="plain")
+        if verbose:
+            p.add_argument(
+                "--verbose",
+                action="store_true",
+                help="plain mode: list every equality set and full check details",
+            )
+
+    def add_common(p, with_hr=True, verbose=False):
+        p.add_argument("--set", dest="set_literal", help='e.g. "0,1,3,7 mod 11"')
         if with_hr:
             p.add_argument("--h", type=int, required=True)
             p.add_argument("--r", type=int, required=True)
-        if with_p:
-            p.add_argument("--p", type=int, help="modulus (alternative to 'mod p')")
-        p.add_argument("--format", choices=("plain", "records"), default="plain")
-        p.add_argument(
-            "--verbose",
-            action="store_true",
-            help="plain mode: list every equality set and full check details",
-        )
+        p.add_argument("--p", type=int, help="modulus (alternative to 'mod p')")
+        add_output(p, verbose)
 
     c = sub.add_parser("compute", help="compute h^(r)A")
     add_common(c)
 
     b = sub.add_parser("bound", help="closed-form lower bound for |h^(r)A|")
-    add_common(b, with_set=True)
+    add_common(b)
     b.add_argument("--k", type=int, help="set size (alternative to --set)")
 
     v = sub.add_parser("verify", help="check bounds and identities")
@@ -118,7 +121,7 @@ def build_parser() -> _Parser:
         ("inclusions", "split inclusion, case bundles, witness chains"),
     ):
         vp = vsub.add_parser(name, help=blurb)
-        add_common(vp)
+        add_common(vp, verbose=name == "inclusions")
 
     d = sub.add_parser("decompose", help="greedy rewrite into r parts of m distinct elements")
     add_common(d, with_hr=False)
@@ -140,8 +143,7 @@ def build_parser() -> _Parser:
             default=None,
             help="worker processes (default: all available cores)",
         )
-        # of the common arguments, scans take only --format and --verbose
-        add_common(sp, with_set=False, with_hr=False, with_p=False)
+        add_output(sp, verbose=True)
 
     return parser
 
@@ -254,8 +256,6 @@ def _cmd_verify(args: argparse.Namespace) -> tuple:
 
 def _cmd_decompose(args: argparse.Namespace) -> tuple:
     ground = _resolve_ground(args)
-    if not args.counts:
-        raise DomainError("--counts is required for decompose")
     try:
         counts = tuple(int(t) for t in args.counts.split(",") if t.strip())
     except ValueError:
@@ -283,7 +283,8 @@ def _cmd_scan(args: argparse.Namespace) -> tuple:
     scan = {"extremal": scan_extremal_integers,
             "inverse-eh": scan_inverse_eh_mod_p}[args.subcommand]
     _, required, optional = _SCANS[args.subcommand]
-    flags = {key: getattr(args, key) for key in required + optional}
+    keys = required + optional
+    flags = {key: getattr(args, key) for key in keys}
     flags = {key: v for key, v in flags.items() if v is not None}
     combos = [{}]
     if args.manifest:
@@ -296,7 +297,11 @@ def _cmd_scan(args: argparse.Namespace) -> tuple:
                 f"scan {args.subcommand}: {key} is set both by a flag and "
                 f"by the manifest"
             )
-    combos = [dict(combo, **flags) for combo in combos]
+    # keys this scan does not take are dropped, so they repeat no scan
+    combos = [dict(pairs, **flags) for pairs in dict.fromkeys(
+        tuple((key, combo[key]) for key in keys if key in combo)
+        for combo in combos
+    )]
     records = args.format == "records"
     on_instance = (lambda rec: print(_json_line(rec))) if records else None
     instances = failures = 0
@@ -308,7 +313,7 @@ def _cmd_scan(args: argparse.Namespace) -> tuple:
                     f"scan {args.subcommand} needs {key} (flag or manifest)"
                 )
         report = scan(
-            **{key: combo[key] for key in required + optional if key in combo},
+            **combo,
             cap=args.cap,
             jobs=args.jobs or _available_cores(),
             on_instance=on_instance,

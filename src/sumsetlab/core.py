@@ -231,7 +231,6 @@ def parse_ground_set(text: str) -> GroundSet:
         except ValueError:
             raise DomainError(f"bad element {t!r} in set literal") from None
     gs = GroundSet.of(raw, modulus)
-    canon = list(gs.elements)
     reduced = [v % modulus for v in raw] if modulus is not None else raw
     if reduced != raw:
         warnings.warn(
@@ -239,13 +238,12 @@ def parse_ground_set(text: str) -> GroundSet:
             SetLiteralWarning,
             stacklevel=2,
         )
-    if sorted(set(reduced)) != reduced:
+    if list(gs.elements) != reduced:
         warnings.warn(
             "set literal was unsorted or contained duplicates; canonicalized",
             SetLiteralWarning,
             stacklevel=2,
         )
-    assert canon == sorted(set(reduced))
     return gs
 
 

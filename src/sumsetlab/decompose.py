@@ -31,6 +31,7 @@ from .core import (
     restricted_sumset,
 )
 from .errors import DomainError, InvariantViolationError
+from .verify import _Report
 
 
 @dataclass(frozen=True)
@@ -179,11 +180,9 @@ def greedy_decompose(ground: GroundSet, vector: MultiplicityVector) -> Decomposi
 
 
 @dataclass(frozen=True)
-class FactorizationReport:
+class FactorizationReport(_Report):
     """Set-wise form of the rewriting: h^(r)A versus r-fold of m^A."""
 
-    ground: GroundSet
-    params: SumParams
     left: SumsetResult
     right: SumsetResult
 
@@ -197,21 +196,15 @@ class FactorizationReport:
 
     def to_record(self) -> dict:
         left, right = set(self.left.values), set(self.right.values)
-        return {
-            "op": "verify",
-            "kind": "factorization",
-            "set": list(self.ground.elements),
-            "p": self.ground.modulus,
-            "h": self.params.h,
-            "r": self.params.r,
-            "m": self.params.m,
-            "left_cardinality": self.left.cardinality,
-            "right_cardinality": self.right.cardinality,
-            "only_left": sorted(left - right),
-            "only_right": sorted(right - left),
-            "equal": self.equal,
-            "verdict": self.verdict,
-        }
+        return self._record(
+            "factorization",
+            m=self.params.m,
+            left_cardinality=self.left.cardinality,
+            right_cardinality=self.right.cardinality,
+            only_left=sorted(left - right),
+            only_right=sorted(right - left),
+            equal=self.equal,
+        )
 
 
 def check_sumset_factorization(

@@ -80,11 +80,30 @@ def brute_force_sumset(ground: GroundSet, params: SumParams) -> SumsetResult:
 
 
 @dataclass(frozen=True)
-class BoundReport:
-    """One bound-vs-computation comparison: slack = cardinality - bound."""
+class _Report:
+    """One checked instance; its record opens with the instance and
+    closes with the subclass's verdict."""
 
     ground: GroundSet
     params: SumParams
+
+    def _record(self, kind: str, **fields) -> dict:
+        return {
+            "op": "verify",
+            "kind": kind,
+            "set": list(self.ground.elements),
+            "p": self.ground.modulus,
+            "h": self.params.h,
+            "r": self.params.r,
+            **fields,
+            "verdict": self.verdict,
+        }
+
+
+@dataclass(frozen=True)
+class BoundReport(_Report):
+    """One bound-vs-computation comparison: slack = cardinality - bound."""
+
     cardinality: int
     bound: int
 
@@ -101,19 +120,13 @@ class BoundReport:
         return "pass" if self.slack >= 0 else "fail"
 
     def to_record(self) -> dict:
-        return {
-            "op": "verify",
-            "kind": "direct",
-            "set": list(self.ground.elements),
-            "p": self.ground.modulus,
-            "h": self.params.h,
-            "r": self.params.r,
-            "cardinality": self.cardinality,
-            "bound": self.bound,
-            "slack": self.slack,
-            "equality": self.equality,
-            "verdict": self.verdict,
-        }
+        return self._record(
+            "direct",
+            cardinality=self.cardinality,
+            bound=self.bound,
+            slack=self.slack,
+            equality=self.equality,
+        )
 
 
 def check_direct_bound(ground: GroundSet, params: SumParams) -> BoundReport:
@@ -133,11 +146,9 @@ def check_direct_bound(ground: GroundSet, params: SumParams) -> BoundReport:
 
 
 @dataclass(frozen=True)
-class ComplementReport:
+class ComplementReport(_Report):
     """Cardinality comparison of h^(r)A and (rk-h)^(r)A."""
 
-    ground: GroundSet
-    params: SumParams
     h_complement: int
     cardinality: int
     complement_cardinality: int
@@ -151,19 +162,13 @@ class ComplementReport:
         return "pass" if self.equal else "fail"
 
     def to_record(self) -> dict:
-        return {
-            "op": "verify",
-            "kind": "complement",
-            "set": list(self.ground.elements),
-            "p": self.ground.modulus,
-            "h": self.params.h,
-            "r": self.params.r,
-            "h_complement": self.h_complement,
-            "cardinality": self.cardinality,
-            "complement_cardinality": self.complement_cardinality,
-            "equal": self.equal,
-            "verdict": self.verdict,
-        }
+        return self._record(
+            "complement",
+            h_complement=self.h_complement,
+            cardinality=self.cardinality,
+            complement_cardinality=self.complement_cardinality,
+            equal=self.equal,
+        )
 
 
 def check_complement_identity(ground: GroundSet, params: SumParams) -> ComplementReport:
@@ -206,11 +211,9 @@ class CheckItem:
 
 
 @dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(_Report):
     """Outcome of the inclusion and witness-chain checks for one instance."""
 
-    ground: GroundSet
-    params: SumParams
     checks: Tuple[CheckItem, ...]
 
     @property
@@ -222,18 +225,12 @@ class WitnessReport:
         return "fail" if self.failed else "pass"
 
     def to_record(self) -> dict:
-        return {
-            "op": "verify",
-            "kind": "inclusions",
-            "set": list(self.ground.elements),
-            "p": self.ground.modulus,
-            "h": self.params.h,
-            "r": self.params.r,
-            "m": self.params.m,
-            "eps": self.params.epsilon,
-            "checks": [c.to_record() for c in self.checks],
-            "verdict": self.verdict,
-        }
+        return self._record(
+            "inclusions",
+            m=self.params.m,
+            eps=self.params.epsilon,
+            checks=[c.to_record() for c in self.checks],
+        )
 
 
 def _restricted_values(A: Tuple[int, ...], t: int) -> Set[int]:

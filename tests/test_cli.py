@@ -259,7 +259,10 @@ def test_scan_output_golden(capsys, command):
 # same scan given by flags alone prints, and the {grid} --k entry pins
 # the exit when a flag and the manifest set the same key.  Two refusals
 # were added later, with digests of their error line: bound given both
-# --set and --k, and a negative --jobs.
+# --set and --k, and a negative --jobs.  --verbose was then dropped from
+# the six commands that never read it: their --help pages lost its line,
+# and the two verify direct --verbose entries now exit 1 on
+# "unrecognized arguments: --verbose".
 CLI_MANIFESTS = {
     "grid": "k = 3\nh = 2..3\nr = 2\nmax_diameter = 5\np = 7\n",
     "partial": "k = 3\nh = 2\nr = 2\n",
@@ -466,14 +469,14 @@ CLI_GOLDEN = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     'verify direct --set 0,1,2,3,4 --h 3 --r 2 --verbose': (
-        0,
-        "ef48495baf2b70b2954d976304f4df30aa1281f093f02848c0f0a95c61398b0a",
+        1,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e131b906ff3c49ddb09acfc8a51adf33ca1af508e11313b8367ad4a1f91659a8",
     ),
     'verify direct --set 0,1,2,3,4 --h 3 --r 2 --verbose --format records': (
-        0,
-        "ed7247216c3f0f91c8e28421035f39df6b1be8589148e2395526851a352f2a4a",
+        1,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e131b906ff3c49ddb09acfc8a51adf33ca1af508e11313b8367ad4a1f91659a8",
     ),
     'verify inclusions --set 0,1,2,4,9 --h 5 --r 3': (
         0,
@@ -762,12 +765,12 @@ CLI_GOLDEN = {
     ),
     'compute --help': (
         0,
-        "510023313eb5b8edc6fa448a79b572a78160d458cad38c2315db1dc3896c5c16",
+        "a05577f0706fd52a6b156cedd0234a601e7c7ed63f8fb8a11569395fd5136c8d",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     'bound --help': (
         0,
-        "eb1a1cf5cd0d78f2e4c76adfda73241b5abbeba923c94f8a392fa14bb6f35eda",
+        "4b2ace64219521f02aa11e85796e6c4b92ca662e8b9361f9c7231d2785c8214e",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     'verify --help': (
@@ -777,17 +780,17 @@ CLI_GOLDEN = {
     ),
     'verify direct --help': (
         0,
-        "b18a59c07f7d9c5352a58c3c6cdebdc1a232a687e5155b73422a71cd826759e5",
+        "0691b87ca9dcac894360be9e9555be8fb3a99d9e10430adcb6c856199a1c6e6e",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     'verify factorization --help': (
         0,
-        "e57022083f00f0f6acbf9489d39a6933ea68c69f043e44fb8a57ff61a993f108",
+        "3a16bcfee8ece83a8e593751673f5ea218415e71d16fd79942c6703213c80674",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     'verify complement --help': (
         0,
-        "7c4d3d75268e56916f2be8b0aadd0818e6d1b2da0b3a76094dd26300543accde",
+        "f1dce1e9aec0f746ab0a9b43ec0acf26829517c661a6fa9ab0fba6dd7b4e26c9",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     'verify inclusions --help': (
@@ -797,7 +800,7 @@ CLI_GOLDEN = {
     ),
     'decompose --help': (
         0,
-        "639b6d5e32dd7f815275add9fb348e322f388249ca594ba615f232b1db12b759",
+        "4370c12527390a0629c75a162bb6626978c5ec87db3671b4c9f2978e13203546",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     'scan --help': (
@@ -860,7 +863,75 @@ def test_manifest_scan(capsys, tmp_path):
     assert [s["h"] for s in summaries] == [2, 3]
 
 
+@pytest.mark.parametrize("scan, manifest, grid", [
+    ("extremal", "k = 3\nh = 2..3\nr = 2\nmax_diameter = 5\np = 5,7\n",
+     [(3, 2, 2), (3, 3, 2)]),
+    ("inverse-eh", "k = 3\nh = 2\nr = 2,3\nmax_diameter = 4,5\np = 7\n",
+     [(3, 2, 1)]),
+], ids=["extremal", "inverse-eh"])
+def test_manifest_keys_a_scan_does_not_take_repeat_no_scan(
+    capsys, tmp_path, scan, manifest, grid
+):
+    path = tmp_path / "grid.txt"
+    path.write_text(manifest)
+    argv = ["scan", scan, "--manifest", str(path), "--jobs", "1"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    headers = [line for line in out.splitlines() if line.startswith("scan ")]
+    assert len(headers) == len(grid)
+    code, out, _ = run_cli(capsys, *argv, "--format", "records")
+    assert code == 0
+    records = records_of(out)
+    summaries = [r for r in records if r["op"] == "scan-summary"]
+    assert [(s["k"], s["h"], s["r"]) for s in summaries] == grid
+    assert records[-1]["instances"] == sum(r["op"] == "scan" for r in records)
+
+
 # ===================== exit codes =====================
+
+
+VERBOSE_COMMANDS = {
+    "compute": ["compute", "--set", "0,1,3", "--h", "2", "--r", "1"],
+    "bound": ["bound", "--k", "3", "--h", "2", "--r", "1"],
+    "verify direct": ["verify", "direct", "--set", "0,1,3", "--h", "2", "--r", "1"],
+    "verify factorization": [
+        "verify", "factorization", "--set", "0,1,3", "--h", "2", "--r", "1",
+    ],
+    "verify complement": [
+        "verify", "complement", "--set", "0,1,3", "--h", "2", "--r", "1",
+    ],
+    "decompose": ["decompose", "--set", "0,1,2", "--counts", "2,1,1", "--r", "2"],
+    "verify inclusions": [
+        "verify", "inclusions", "--set", "0,1,3", "--h", "2", "--r", "1",
+    ],
+    "scan extremal": [
+        "scan", "extremal", "--k", "3", "--h", "2", "--r", "2",
+        "--max-diameter", "5", "--jobs", "1",
+    ],
+    "scan inverse-eh": ["scan", "inverse-eh", "--p", "7", "--k", "3", "--jobs", "1"],
+}
+READS_VERBOSE = {"verify inclusions", "scan extremal", "scan inverse-eh"}
+
+
+def test_verbose_only_where_it_acts(capsys):
+    for command, argv in VERBOSE_COMMANDS.items():
+        code, out, err = run_cli(capsys, *argv, "--verbose")
+        if command in READS_VERBOSE:
+            assert (code, err) == (0, ""), command
+        else:
+            assert (code, out) == (1, ""), command
+            assert err == "error: unrecognized arguments: --verbose\n", command
+
+
+def test_exit1_decompose_empty_counts_one_message(capsys):
+    errs = []
+    for counts in ("", ","):
+        code, out, err = run_cli(
+            capsys, "decompose", "--set", "0,1,2", "--counts", counts, "--r", "2"
+        )
+        assert (code, out) == (1, "")
+        errs.append(err)
+    assert errs == ["error: counts must be nonempty\n"] * 2
 
 
 def test_exit1_parse_error(capsys):
@@ -1022,7 +1093,7 @@ def test_cli_config_defaults():
         ["compute", "--set", "0,1", "--h", "1", "--r", "1"]
     )
     assert args.format == "plain"
-    assert args.verbose is False
+    assert not hasattr(args, "verbose")
     args = build_parser().parse_args(
         ["scan", "extremal", "--k", "3", "--h", "2", "--r", "2"]
     )
