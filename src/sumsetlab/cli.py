@@ -17,6 +17,7 @@ failed, 3 a scan refused by the resource cap, 130 interrupted.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -284,36 +285,34 @@ def _cmd_scan(args: argparse.Namespace) -> tuple:
             "inverse-eh": scan_inverse_eh_mod_p}[args.subcommand]
     _, required, optional = _SCANS[args.subcommand]
     keys = required + optional
-    flags = {key: getattr(args, key) for key in keys}
-    flags = {key: v for key, v in flags.items() if v is not None}
-    combos = [{}]
+    grid = {}
     if args.manifest:
         with open(args.manifest, "r", encoding="utf-8") as fh:
-            combos = parse_manifest(fh.read())
-    # every manifest combination sets the same keys; flags fill the rest
-    for key in flags:
-        if key in combos[0]:
+            grid = parse_manifest(fh.read())
+    for key in keys:
+        value = getattr(args, key)
+        if value is None:
+            continue
+        if key in grid:
             raise DomainError(
                 f"scan {args.subcommand}: {key} is set both by a flag and "
                 f"by the manifest"
             )
-    # keys this scan does not take are dropped, so they repeat no scan
-    combos = [dict(pairs, **flags) for pairs in dict.fromkeys(
-        tuple((key, combo[key]) for key in keys if key in combo)
-        for combo in combos
-    )]
+        grid[key] = [value]
+    for key in required:
+        if key not in grid:
+            raise DomainError(
+                f"scan {args.subcommand} needs {key} (flag or manifest)"
+            )
+    # keys this scan does not take are left out, so they repeat no scan
+    names = [key for key in grid if key in keys]
     records = args.format == "records"
     on_instance = (lambda rec: print(_json_line(rec))) if records else None
     instances = failures = 0
     failed = False
-    for combo in combos:
-        for key in required:
-            if key not in combo:
-                raise DomainError(
-                    f"scan {args.subcommand} needs {key} (flag or manifest)"
-                )
+    for values in itertools.product(*(grid[key] for key in names)):
         report = scan(
-            **combo,
+            **dict(zip(names, values)),
             cap=args.cap,
             jobs=args.jobs or _available_cores(),
             on_instance=on_instance,

@@ -56,9 +56,11 @@ class SetLiteralWarning(UserWarning):
 
 @lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all 64-bit integers."""
+    """Deterministic Miller-Rabin for n < 2**64; larger n are refused."""
     if n < 2:
         return False
+    if n >= 2**64:
+        raise DomainError(f"primality is decided only below 2**64, got {n}")
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % q == 0:
             return n == q

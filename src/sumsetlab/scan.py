@@ -24,7 +24,8 @@ Both are thin wrappers over one driver: candidates are the k-sets
 driver refuses up front if their count exceeds the cap, or if the
 engine's validation refuses the widest candidate, and it splits the
 enumeration into chunks by the prefix (0,) or (0, a_2), optionally over
-worker processes; chunk results are merged in prefix order.  A chunk
+worker processes; chunk results are folded in prefix order as each
+chunk arrives, so a serial scan holds one chunk's rows at a time.  A chunk
 walks depth-first with the engine's DP step ``core._extend``, one DP per
 prefix depth, so a candidate costs one element step and a popcount.
 ``generalized_sumset`` recomputes every set found at or below the bound,
@@ -34,8 +35,11 @@ and its cardinality is the one reported.
 from __future__ import annotations
 
 import math
+import signal
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Tuple
 
 from .core import (
@@ -111,12 +115,11 @@ class ScanReport:
         }
 
 
-def _chunk(args) -> Tuple[int, list]:
+def _chunk(k, params, p, largest, bound, collect, prefix) -> Tuple[int, list]:
     """Evaluate all normalized candidates that start with ``prefix``, in
     ``combinations`` order, extending each prefix's DP by one element.
     Returns (evaluated, rows): the (candidate, cardinality) pairs of
     every candidate if ``collect``, else of those at or below ``bound``."""
-    k, params, p, largest, prefix, bound, collect = args
     h, r = params.h, params.r
     evaluated = 0
     rows = []
@@ -160,46 +163,44 @@ def _scan(
 ) -> ScanReport:
     """Scan the k-sets 0 = a_1 < ... < a_k <= largest, in Z/pZ when
     ``p`` is given, against ``bound``.  Work is split by the smallest
-    nonzero element; chunks merge in that order whatever ``jobs`` is."""
+    nonzero element; chunks are folded in that order, as each arrives,
+    whatever ``jobs`` is."""
     count = math.comb(largest, k - 1)
     if count > cap:
         raise ResourceCapError(count, cap)
     # The engine's validation, once, on the widest candidate.
     widest = tuple(range(k - 1)) + (largest,) if k > 1 else (0,)
     _validate_params(GroundSet(widest, p), params)
-    collect = on_instance is not None
+    chunk = partial(_chunk, k, params, p, largest, bound, on_instance is not None)
     prefixes = [(0,)] if k == 1 else [(0, f) for f in range(1, largest - k + 3)]
-    chunk_args = [
-        (k, params, p, largest, prefix, bound, collect) for prefix in prefixes
-    ]
-    if jobs > 1 and len(chunk_args) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_chunk, chunk_args))
-    else:
-        results = [_chunk(a) for a in chunk_args]
-
-    # The engine is the authority for every set the report names.
-    rows = [
-        (cand, card if card > bound else
-         generalized_sumset(GroundSet(cand, p), params).cardinality)
-        for _, chunk_rows in results
-        for cand, card in chunk_rows
-    ]
-    if collect:
-        for cand, card in rows:
-            on_instance(
-                {
-                    "op": "scan",
-                    "kind": kind,
-                    "set": list(cand),
-                    "p": p,
-                    "cardinality": card,
-                    "bound": bound,
-                    "slack": card - bound,
-                    "equality": card == bound,
-                }
-            )
-    equality = tuple(cand for cand, card in rows if card == bound)
+    evaluated = 0
+    equality, violations = [], []
+    with ExitStack() as stack:
+        if jobs > 1 and len(prefixes) > 1:
+            # Workers die on SIGINT, so Ctrl-C breaks the pool at once.
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=jobs,
+                initializer=signal.signal,
+                initargs=(signal.SIGINT, signal.SIG_DFL),
+            ))
+            futures = [pool.submit(chunk, prefix) for prefix in prefixes]
+            results = (future.result() for future in futures)
+        else:
+            results = map(chunk, prefixes)
+        for chunk_evaluated, rows in results:
+            evaluated += chunk_evaluated
+            for cand, card in rows:
+                # The engine is the authority for every set the report names.
+                if card <= bound:
+                    card = generalized_sumset(GroundSet(cand, p), params).cardinality
+                if on_instance is not None:
+                    on_instance({"op": "scan", "kind": kind, "set": list(cand),
+                                 "p": p, "cardinality": card, "bound": bound,
+                                 "slack": card - bound, "equality": card == bound})
+                if card < bound:
+                    violations.append(cand)
+                elif card == bound:
+                    equality.append(cand)
     non_ap = tuple(
         s for s in equality if not is_arithmetic_progression(GroundSet(s, p))
     )
@@ -212,9 +213,9 @@ def _scan(
         max_diameter=largest if p is None else None,
         bound=bound,
         candidates=count,
-        evaluated=sum(ev for ev, _ in results),
-        equality_sets=equality,
-        violations=tuple(cand for cand, card in rows if card < bound),
+        evaluated=evaluated,
+        equality_sets=tuple(equality),
+        violations=tuple(violations),
         non_ap_equality=non_ap,
         in_hypothesis=in_hypothesis,
         hypothesis=hypothesis,
@@ -289,13 +290,15 @@ def scan_inverse_eh_mod_p(
 _MANIFEST_KEYS = ("k", "h", "r", "max_diameter", "p")
 
 
-def parse_manifest(text: str) -> list:
-    """Parse a scan grid manifest into a list of parameter dicts.
+def parse_manifest(text: str) -> dict:
+    """Parse a scan grid manifest into its key -> values table, keys in
+    the order k, h, r, max_diameter, p.
 
     One ``key = value`` per line; blank lines and ``#`` comments are
     skipped.  A value is an integer, a comma list, or an ``a..b``
-    inclusive range; multiple multi-valued keys expand as a Cartesian
-    product in key order k, h, r, max_diameter, p.
+    inclusive range; a value listed twice is kept once.  A scan runs the
+    Cartesian product of the values of the keys it takes, in the table's
+    key order.
     """
     grid = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -316,12 +319,7 @@ def parse_manifest(text: str) -> list:
         grid[key] = _parse_values(value.strip(), lineno)
     if not grid:
         raise DomainError("manifest is empty")
-    combos = [{}]
-    for key in _MANIFEST_KEYS:
-        if key not in grid:
-            continue
-        combos = [dict(c, **{key: v}) for c in combos for v in grid[key]]
-    return combos
+    return {key: grid[key] for key in _MANIFEST_KEYS if key in grid}
 
 
 def _parse_values(text: str, lineno: int) -> list:
@@ -352,4 +350,4 @@ def _parse_values(text: str, lineno: int) -> list:
                 ) from None
     if not out:
         raise DomainError(f"manifest line {lineno}: no values")
-    return out
+    return list(dict.fromkeys(out))

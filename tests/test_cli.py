@@ -2,10 +2,17 @@
 
 import hashlib
 import json
+import os
 import shlex
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import sumsetlab
 from sumsetlab import (
     BoundReport,
     GroundSet,
@@ -863,6 +870,24 @@ def test_manifest_scan(capsys, tmp_path):
     assert [s["h"] for s in summaries] == [2, 3]
 
 
+def test_manifest_product_order(capsys, tmp_path):
+    """A manifest's grid runs as a product in key order k, h, r,
+    max_diameter, p (the last key varies fastest), whatever the order of
+    its lines, in both formats."""
+    manifest = tmp_path / "grid.txt"
+    manifest.write_text("p = 11, 13\nk = 5\nh = 2..3\n")
+    argv = ["scan", "inverse-eh", "--manifest", str(manifest), "--jobs", "1"]
+    order = [(2, 11), (2, 13), (3, 11), (3, 13)]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    headers = [line for line in out.splitlines() if line.startswith("scan ")]
+    assert headers == [f"scan inverse-eh k=5 h={h} r=1 p={p}" for h, p in order]
+    code, out, _ = run_cli(capsys, *argv, "--format", "records")
+    assert code == 0
+    summaries = [r for r in records_of(out) if r["op"] == "scan-summary"]
+    assert [(s["h"], s["p"]) for s in summaries] == order
+
+
 @pytest.mark.parametrize("scan, manifest, grid", [
     ("extremal", "k = 3\nh = 2..3\nr = 2\nmax_diameter = 5\np = 5,7\n",
      [(3, 2, 2), (3, 3, 2)]),
@@ -954,6 +979,20 @@ def test_exit1_conflicting_moduli(capsys):
         capsys, "compute", "--set", "0,1 mod 7", "--p", "11", "--h", "1", "--r", "1"
     )
     assert code == 1 and "conflicts" in err
+
+
+def test_exit1_modulus_above_64_bits(capsys):
+    """A strong pseudoprime to every base of the primality test, above
+    2**64, is refused as a modulus like the composite 15."""
+    pseudoprime = "318665857834031151167461"  # 399165290221 * 798330580441
+    for p in ("15", pseudoprime):
+        code, out, err = run_cli(capsys, "bound", "--k", "2", "--p", p,
+                                 "--h", "1", "--r", "1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+    code, out, _ = run_cli(capsys, "bound", "--k", "2", "--p", str(2**61 - 1),
+                           "--h", "1", "--r", "1")
+    assert (code, out) == (0, "2\n")
 
 
 def test_exit1_bound_needs_k_or_set(capsys):
@@ -1063,7 +1102,7 @@ def test_exit1_worker_died(capsys, monkeypatch):
     import sumsetlab.scan as scan_mod
 
     class DyingPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, **kwargs):
             pass
 
         def __enter__(self):
@@ -1072,7 +1111,7 @@ def test_exit1_worker_died(capsys, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, iterable):
+        def submit(self, fn, *args):
             raise BrokenProcessPool("worker killed")
 
     monkeypatch.setattr(scan_mod, "ProcessPoolExecutor", DyingPool)
@@ -1083,6 +1122,79 @@ def test_exit1_worker_died(capsys, monkeypatch):
     )
     assert (code, out) == (1, "")
     assert err == "error: a worker process died: worker killed\n"
+
+
+# A two-worker scan that runs for far longer than these tests wait.
+LONG_SCAN = ["scan", "extremal", "--k", "7", "--h", "3", "--r", "2",
+             "--max-diameter", "60", "--jobs", "2", "--cap", "10000000000"]
+
+
+def _start_long_scan():
+    """Start the long scan as a child process leading its own process
+    group, and wait until its two workers have run for half a second.
+    Returns the process and its workers' pids, or None for the pids where
+    the platform does not list child processes."""
+    src = str(Path(sumsetlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sumsetlab", *LONG_SCAN],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=env, start_new_session=True,
+    )
+    children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+    workers = []
+    for _ in range(100):
+        time.sleep(0.1)
+        try:
+            workers = children.read_text().split()
+        except OSError:
+            workers = None
+            time.sleep(1.0)
+            break
+        if len(workers) == 2:
+            break
+    time.sleep(0.5)
+    return proc, workers
+
+
+def _finish(proc):
+    """Wait for the child; returns (exit code, stderr, seconds waited)."""
+    start = time.monotonic()
+    try:
+        _, err = proc.communicate(timeout=30)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+    return proc.returncode, err, time.monotonic() - start
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs os.killpg")
+def test_exit130_sigint_to_a_parallel_scan():
+    """Ctrl-C (SIGINT to the process group) ends a --jobs 2 scan at once:
+    the workers die, the pool breaks and the CLI exits 130."""
+    proc, _ = _start_long_scan()
+    os.killpg(proc.pid, signal.SIGINT)
+    code, err, waited = _finish(proc)
+    assert (code, err) == (130, "interrupted\n")
+    assert waited < 2
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs os.killpg")
+def test_exit1_real_worker_killed():
+    """SIGKILL to one worker of a --jobs 2 scan exits 1 with one line."""
+    proc, workers = _start_long_scan()
+    if workers is None or len(workers) != 2:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+    if workers is None:
+        pytest.skip("child processes are not listed by this platform")
+    assert len(workers) == 2
+    os.kill(int(workers[0]), signal.SIGKILL)
+    code, err, _ = _finish(proc)
+    assert code == 1
+    assert err.startswith("error: a worker process died: ")
+    assert err.count("\n") == 1
 
 
 # ===================== config =====================

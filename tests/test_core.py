@@ -127,6 +127,21 @@ def test_is_prime():
     assert not is_prime(561)  # Carmichael
     assert is_prime(2**61 - 1)
     assert not is_prime(2**61 + 1)
+    assert is_prime(2**64 - 59)  # the largest 64-bit prime
+
+
+# 399165290221 * 798330580441: the smallest strong pseudoprime to all
+# of the bases 2, 3, ..., 37 that the primality test uses.
+PSEUDOPRIME = 318665857834031151167461
+
+
+def test_is_prime_refuses_above_64_bits():
+    """Above 2**64 a composite can pass every base, so no answer is given."""
+    for n in (2**64, PSEUDOPRIME, 2**89 - 1):
+        with pytest.raises(DomainError, match="below 2\\*\\*64"):
+            is_prime(n)
+    with pytest.raises(DomainError, match="below 2\\*\\*64"):
+        GroundSet.of([0, 1], PSEUDOPRIME)
 
 
 # ===================== validation =====================

@@ -287,6 +287,29 @@ def test_records_summary_counts_the_scan_records(monkeypatch, capsys, jobs):
     assert records[-1]["failures"] == sum(rec["slack"] < 0 for rec in scans) == 1
 
 
+def test_serial_records_stream_per_chunk(monkeypatch, capsys):
+    """At --jobs 1 each chunk's scan records are printed before the next
+    chunk is evaluated, so records mode holds one chunk at a time."""
+    real = sumsetlab.scan._chunk
+    printed = []  # scan records printed since the previous chunk started
+    sizes = []  # records each chunk returned
+
+    def counting(*args):
+        out = capsys.readouterr().out
+        printed.append(sum(json.loads(line)["op"] == "scan"
+                           for line in out.splitlines()))
+        evaluated, rows = real(*args)
+        sizes.append(len(rows))
+        return evaluated, rows
+
+    monkeypatch.setattr(sumsetlab.scan, "_chunk", counting)
+    code = run(["scan", "extremal", "--k", "4", "--h", "3", "--r", "2",
+                "--max-diameter", "8", "--format", "records", "--jobs", "1"])
+    assert code == 0
+    assert len(sizes) == 6 and all(sizes)
+    assert printed == [0] + sizes[:-1]
+
+
 # ===================== mod-p scans =====================
 
 
@@ -466,24 +489,24 @@ def test_scan_record_shape():
 
 
 def test_manifest_single():
-    combos = parse_manifest("k = 5\nh = 3\nr = 2\nmax_diameter = 12\n")
-    assert combos == [{"k": 5, "h": 3, "r": 2, "max_diameter": 12}]
+    grid = parse_manifest("k = 5\nh = 3\nr = 2\nmax_diameter = 12\n")
+    assert grid == {"k": [5], "h": [3], "r": [2], "max_diameter": [12]}
 
 
 def test_manifest_product_and_ranges():
+    """The table lists its keys in the order k, h, r, max_diameter, p,
+    whatever the manifest's line order; ranges expand and a value listed
+    twice is kept once.  The order in which a scan runs the product is
+    pinned by the CLI's manifest tests."""
     text = """
     # mod-p sweep
     p = 11, 13
     k = 5
-    h = 2..3
+    h = 2..3, 2
     """
-    combos = parse_manifest(text)
-    assert combos == [
-        {"k": 5, "h": 2, "p": 11},
-        {"k": 5, "h": 2, "p": 13},
-        {"k": 5, "h": 3, "p": 11},
-        {"k": 5, "h": 3, "p": 13},
-    ]
+    grid = parse_manifest(text)
+    assert grid == {"k": [5], "h": [2, 3], "p": [11, 13]}
+    assert list(grid) == ["k", "h", "p"]
 
 
 def test_manifest_errors():
