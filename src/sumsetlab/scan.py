@@ -177,12 +177,14 @@ def _scan(
     equality, violations = [], []
     with ExitStack() as stack:
         if jobs > 1 and len(prefixes) > 1:
-            # Workers die on SIGINT, so Ctrl-C breaks the pool at once.
-            pool = stack.enter_context(ProcessPoolExecutor(
+            # Workers die on SIGINT, so Ctrl-C breaks the pool at once; if
+            # the fold stops early, chunks not yet started are dropped.
+            pool = ProcessPoolExecutor(
                 max_workers=jobs,
                 initializer=signal.signal,
                 initargs=(signal.SIGINT, signal.SIG_DFL),
-            ))
+            )
+            stack.callback(pool.shutdown, cancel_futures=True)
             futures = [pool.submit(chunk, prefix) for prefix in prefixes]
             results = (future.result() for future in futures)
         else:
@@ -291,14 +293,13 @@ _MANIFEST_KEYS = ("k", "h", "r", "max_diameter", "p")
 
 
 def parse_manifest(text: str) -> dict:
-    """Parse a scan grid manifest into its key -> values table, keys in
-    the order k, h, r, max_diameter, p.
+    """Parse a scan grid manifest into its key -> values table.
 
     One ``key = value`` per line; blank lines and ``#`` comments are
     skipped.  A value is an integer, a comma list, or an ``a..b``
-    inclusive range; a value listed twice is kept once.  A scan runs the
-    Cartesian product of the values of the keys it takes, in the table's
-    key order.
+    inclusive range; a value listed twice is kept once.  Keys come in
+    the order k, h, r, max_diameter, p, in which a scan runs the
+    Cartesian product of the keys it takes (the last varies fastest).
     """
     grid = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):

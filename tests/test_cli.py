@@ -1105,14 +1105,11 @@ def test_exit1_worker_died(capsys, monkeypatch):
         def __init__(self, max_workers, **kwargs):
             pass
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
         def submit(self, fn, *args):
             raise BrokenProcessPool("worker killed")
+
+        def shutdown(self, **kwargs):
+            pass
 
     monkeypatch.setattr(scan_mod, "ProcessPoolExecutor", DyingPool)
     code, out, err = run_cli(
@@ -1124,20 +1121,23 @@ def test_exit1_worker_died(capsys, monkeypatch):
     assert err == "error: a worker process died: worker killed\n"
 
 
-# A two-worker scan that runs for far longer than these tests wait.
-LONG_SCAN = ["scan", "extremal", "--k", "7", "--h", "3", "--r", "2",
-             "--max-diameter", "60", "--jobs", "2", "--cap", "10000000000"]
+# Two-worker scans that run for far longer than these tests wait: one of
+# long chunks (its first takes tens of seconds), one of 597 short ones.
+LONG_CHUNKS = ["scan", "extremal", "--k", "7", "--h", "3", "--r", "2",
+               "--max-diameter", "60", "--jobs", "2", "--cap", "10000000000"]
+SHORT_CHUNKS = ["scan", "extremal", "--k", "4", "--h", "3", "--r", "2",
+                "--max-diameter", "600", "--jobs", "2"]
 
 
-def _start_long_scan():
-    """Start the long scan as a child process leading its own process
-    group, and wait until its two workers have run for half a second.
+def _start_scan(argv):
+    """Start a scan as a child process leading its own process group,
+    and wait until its two workers have run for half a second.
     Returns the process and its workers' pids, or None for the pids where
     the platform does not list child processes."""
     src = str(Path(sumsetlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.Popen(
-        [sys.executable, "-m", "sumsetlab", *LONG_SCAN],
+        [sys.executable, "-m", "sumsetlab", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         env=env, start_new_session=True,
     )
@@ -1173,7 +1173,7 @@ def _finish(proc):
 def test_exit130_sigint_to_a_parallel_scan():
     """Ctrl-C (SIGINT to the process group) ends a --jobs 2 scan at once:
     the workers die, the pool breaks and the CLI exits 130."""
-    proc, _ = _start_long_scan()
+    proc, _ = _start_scan(LONG_CHUNKS)
     os.killpg(proc.pid, signal.SIGINT)
     code, err, waited = _finish(proc)
     assert (code, err) == (130, "interrupted\n")
@@ -1181,9 +1181,20 @@ def test_exit130_sigint_to_a_parallel_scan():
 
 
 @pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs os.killpg")
+def test_exit130_sigint_to_the_main_process_only():
+    """SIGINT to the main process alone leaves the workers running; the
+    scan still ends once its started chunks finish, dropping the rest."""
+    proc, _ = _start_scan(SHORT_CHUNKS)
+    os.kill(proc.pid, signal.SIGINT)
+    code, err, waited = _finish(proc)
+    assert (code, err) == (130, "interrupted\n")
+    assert waited < 15
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs os.killpg")
 def test_exit1_real_worker_killed():
     """SIGKILL to one worker of a --jobs 2 scan exits 1 with one line."""
-    proc, workers = _start_long_scan()
+    proc, workers = _start_scan(LONG_CHUNKS)
     if workers is None or len(workers) != 2:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
