@@ -6,8 +6,8 @@ inverse-eh).  Output is plain text by default; ``--format records``
 emits one JSON object per line, one per checked instance, closing with
 a summary line, so a scan can be piped into other tooling and re-run
 from its own records.  The single-instance commands return their record,
-text lines and verdict, and run() prints them; a scan prints each record
-as it goes and returns its counts.
+text lines and verdict, and run() prints them; a scan prints each
+chunk's records in one write as it goes and returns its counts.
 
 Exit codes: 0 success, 1 bad parameters or unparsable input (or a
 worker process that died), 2 a verification that was supposed to hold
@@ -76,8 +76,10 @@ class _Parser(argparse.ArgumentParser):
         raise _ParseError(message)
 
 
-def _json_line(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+# One encoder for every record line (json.dumps with options builds a new
+# one per call).  Scan candidate lines come from scan.py's template, which
+# writes the same bytes.
+_json_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _fmt_set(values, modulus=None) -> str:
@@ -307,7 +309,7 @@ def _cmd_scan(args: argparse.Namespace) -> tuple:
     # keys this scan does not take are left out, so they repeat no scan
     names = [key for key in grid if key in keys]
     records = args.format == "records"
-    on_instance = (lambda rec: print(_json_line(rec))) if records else None
+    on_records = (lambda lines: print("\n".join(lines))) if records else None
     instances = failures = 0
     failed = False
     for values in itertools.product(*(grid[key] for key in names)):
@@ -315,7 +317,7 @@ def _cmd_scan(args: argparse.Namespace) -> tuple:
             **dict(zip(names, values)),
             cap=args.cap,
             jobs=args.jobs or _available_cores(),
-            on_instance=on_instance,
+            on_records=on_records,
         )
         instances += report.evaluated  # records mode prints one per candidate
         failures += len(report.violations)

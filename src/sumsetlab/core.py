@@ -13,7 +13,8 @@ restricted sumset h^A of sums of h distinct elements.
 Everything here is exact integer arithmetic.  Sumsets are computed by a
 dynamic program over big-int bit vectors: dp[t] is the bitmask of sums
 achievable using the elements scanned so far with total multiplicity
-exactly t.  One step function, ``_extend``, scans element a:
+exactly t.  One step function, ``_mask_at``, gives the new mask at one t
+when element a is scanned:
 
     dp'[t] = OR over c in 0..min(r, t) of  dp[t - c] << (c * a')
 
@@ -21,11 +22,14 @@ where a' = a - min(A), so shifts stay non-negative.  Modulo a prime p
 the same step runs with a' = a and shifts c * a mod p on p-bit masks;
 each new dp'[t] is folded once, (mask & (2^p - 1)) | (mask >> p), which
 is exact because every shift is below p.  Folding commutes with OR, so
-this equals OR-ing rotations.  ``generalized_sumset`` validates, runs
-the step once per element and reads the mask at t = h in one pass over
-its binary string, translated back by h * min(A).  The exhaustive scans
-(``scan.py``) run the same step depth-first over their candidates,
-sharing each prefix's DP, and read only the mask's popcount.
+this equals OR-ing rotations.  ``_extend`` scans one element by taking
+``_mask_at`` at every t that the remaining elements can still complete
+to h.  ``generalized_sumset`` validates, runs ``_extend`` on every
+element but the last, takes the last element's mask at t = h alone and
+reads it in one pass over its binary string, translated back by
+h * min(A).  The exhaustive scans (``scan.py``) run the same steps
+depth-first over their candidates, sharing each prefix's DP, and read
+only the popcount of each candidate's ``_mask_at`` at t = h.
 
 Conventions: modular elements are residues in [0, p) and p must be
 prime; integer ground sets are kept sorted ascending; h = m*r + eps
@@ -282,32 +286,37 @@ def _validate_params(ground: GroundSet, params: SumParams) -> None:
     )
 
 
+def _mask_at(dp: list, a: int, t: int, r: int, p: Optional[int]) -> int:
+    """The one DP step: the mask at multiplicity t after the element a (over
+    Z, translated by -min A) joins the elements behind ``dp``, i.e. the OR
+    of dp[t - c] << c*a over c = 0..min(r, t), folded onto p bits mod p."""
+    acc = 0
+    for c in range(min(r, t) + 1):
+        x = dp[t - c]
+        if x:
+            acc |= x << (c * a if p is None else c * a % p)
+    if p is not None:
+        # Every mask has p bits and every shift is below p, so one fold
+        # turns the shifts into rotations.
+        acc = (acc & ((1 << p) - 1)) | (acc >> p)
+    return acc
+
+
 def _extend(dp: list, a: int, i: int, k: int, h: int, r: int, p: Optional[int]) -> list:
-    """The DP over the first i elements of a k-set, extended by element a
-    (over Z, translated by -min A).  Only the t reachable from i + 1
-    elements and completable by the other k - i - 1 are computed."""
-    step = [c * a if p is None else c * a % p for c in range(r + 1)]
-    new = [0] * (h + 1)
-    for t in range(max(0, h - (k - i - 1) * r), min(h, (i + 1) * r) + 1):
-        acc = 0
-        for c in range(min(r, t) + 1):
-            x = dp[t - c]
-            if x:
-                acc |= x << step[c]
-        if p is not None:
-            # Every mask has p bits and every shift is below p, so one
-            # fold turns the shifts into rotations.
-            acc = (acc & ((1 << p) - 1)) | (acc >> p)
-        new[t] = acc
-    return new
+    """The DP over the first i elements of a k-set, extended by element a.
+    Only the t reachable from i + 1 elements and completable by the other
+    k - i - 1 are computed; the rest stay 0."""
+    lo, hi = max(0, h - (k - i - 1) * r), min(h, (i + 1) * r)
+    return [_mask_at(dp, a, t, r, p) if lo <= t <= hi else 0 for t in range(h + 1)]
 
 
 def generalized_sumset(ground: GroundSet, params: SumParams) -> SumsetResult:
     """Compute h^(r)A exactly.
 
     Bit-vector dynamic program over exact multiplicity: one
-    :func:`_extend` step per element, tracking for each total
-    multiplicity t the bitmask of achievable sums.  Integers run in the
+    :func:`_extend` step per element but the last, tracking for each
+    total multiplicity t the bitmask of achievable sums, and for the last
+    element one :func:`_mask_at` at t = h.  Integers run in the
     translated coordinates a - min(A); modulo p the shifts are reduced
     mod p and each new mask is folded back onto p bits.
     """
@@ -318,10 +327,12 @@ def generalized_sumset(ground: GroundSet, params: SumParams) -> SumsetResult:
     p = ground.modulus
     base = A[0] if p is None else 0
     dp = [1] + [0] * h
-    for i, a in enumerate(A):
+    for i, a in enumerate(A[:-1]):
         dp = _extend(dp, a - base, i, k, h, r, p)
+    # The last element is needed only at t = h.
+    mask = _mask_at(dp, A[-1] - base, h, r, p)
     offset = h * base
-    bits = bin(dp[h])[:1:-1]  # lowest bit first
+    bits = bin(mask)[:1:-1]  # lowest bit first
     return SumsetResult(
         tuple(i + offset for i, b in enumerate(bits) if b == "1"), p
     )

@@ -25,17 +25,22 @@ driver refuses up front if their count exceeds the cap, or if the
 engine's validation refuses the widest candidate, and it splits the
 enumeration into chunks by the prefix (0,) or (0, a_2), optionally over
 worker processes; chunk results are folded in prefix order as each
-chunk arrives, so a serial scan holds one chunk's rows at a time.  A chunk
-walks depth-first with the engine's DP step ``core._extend``, one DP per
-prefix depth, so a candidate costs one element step and a popcount.
-``generalized_sumset`` recomputes every set found at or below the bound,
-and its cardinality is the one reported.
+chunk arrives, so a serial scan holds one chunk's rows at a time and a
+parallel one at most 2 * jobs chunks submitted and not yet folded.  A
+chunk walks depth-first with the engine's DP steps, one ``core._extend``
+DP per prefix depth, so a candidate costs one ``core._mask_at`` at t = h
+and a popcount.  ``generalized_sumset`` recomputes every set found at or
+below the bound, and its cardinality is the one reported.  In records
+mode each candidate's line is one %-format of a template built once per
+scan, and a chunk's lines are handed over in one call.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import signal
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
@@ -49,6 +54,7 @@ from .core import (
     bound_erdos_heilbronn,
     generalized_sumset,
     _extend,
+    _mask_at,
     _validate_params,
 )
 from .errors import DomainError, ResourceCapError
@@ -56,7 +62,7 @@ from .verify import is_arithmetic_progression
 
 DEFAULT_CAP = 10**8
 
-InstanceCallback = Callable[[dict], None]
+RecordsCallback = Callable[[list], None]
 
 
 @dataclass(frozen=True)
@@ -140,12 +146,35 @@ def _chunk(k, params, p, largest, bound, collect, prefix) -> Tuple[int, list]:
             if p is None and math.gcd(g, a) > 1:
                 continue
             evaluated += 1
-            card = _extend(dp, a, i, k, h, r, p)[h].bit_count()
+            card = _mask_at(dp, a, h, r, p).bit_count()
             if collect or card <= bound:
                 rows.append((cand + (a,), card))
 
     walk((), [1] + [0] * h, 0)
     return evaluated, rows
+
+
+def _record_template(kind: str, p: Optional[int], bound: int) -> str:
+    """The %-template of a candidate's record line, as the CLI's encoder
+    writes the record (compact, keys sorted), with the constant fields
+    encoded once.  It takes (cardinality, "true" | "false" for equality,
+    the comma-joined set, slack)."""
+    fields = {key: json.dumps(value).replace("%", "%%") for key, value in
+              (("bound", bound), ("kind", kind), ("op", "scan"), ("p", p))}
+    fields.update(cardinality="%d", equality="%s", set="[%s]", slack="%d")
+    return "{" + ",".join(f'"{key}":{fields[key]}' for key in sorted(fields)) + "}"
+
+
+def _in_order(pool, fn, items, window: int):
+    """Yield fn(item) for each item in order, computed in ``pool`` with at
+    most ``window`` calls submitted and not yet yielded."""
+    pending = deque()
+    for item in items:
+        if len(pending) == window:
+            yield pending.popleft().result()
+        pending.append(pool.submit(fn, item))
+    while pending:
+        yield pending.popleft().result()
 
 
 def _scan(
@@ -159,19 +188,21 @@ def _scan(
     hypothesis: str,
     cap: int,
     jobs: int,
-    on_instance: Optional[InstanceCallback],
+    on_records: Optional[RecordsCallback],
 ) -> ScanReport:
     """Scan the k-sets 0 = a_1 < ... < a_k <= largest, in Z/pZ when
     ``p`` is given, against ``bound``.  Work is split by the smallest
     nonzero element; chunks are folded in that order, as each arrives,
-    whatever ``jobs`` is."""
+    whatever ``jobs`` is.  ``on_records``, if given, is called once per
+    chunk that evaluated a candidate, with that chunk's record lines."""
     count = math.comb(largest, k - 1)
     if count > cap:
         raise ResourceCapError(count, cap)
     # The engine's validation, once, on the widest candidate.
     widest = tuple(range(k - 1)) + (largest,) if k > 1 else (0,)
     _validate_params(GroundSet(widest, p), params)
-    chunk = partial(_chunk, k, params, p, largest, bound, on_instance is not None)
+    chunk = partial(_chunk, k, params, p, largest, bound, on_records is not None)
+    template = _record_template(kind, p, bound)
     prefixes = [(0,)] if k == 1 else [(0, f) for f in range(1, largest - k + 3)]
     evaluated = 0
     equality, violations = [], []
@@ -185,24 +216,27 @@ def _scan(
                 initargs=(signal.SIGINT, signal.SIG_DFL),
             )
             stack.callback(pool.shutdown, cancel_futures=True)
-            futures = [pool.submit(chunk, prefix) for prefix in prefixes]
-            results = (future.result() for future in futures)
+            # Finished chunks wait for the fold, so a bounded window keeps
+            # memory at O(jobs) chunks while every worker has work queued.
+            results = _in_order(pool, chunk, prefixes, 2 * jobs)
         else:
             results = map(chunk, prefixes)
         for chunk_evaluated, rows in results:
             evaluated += chunk_evaluated
+            lines = []
             for cand, card in rows:
                 # The engine is the authority for every set the report names.
                 if card <= bound:
                     card = generalized_sumset(GroundSet(cand, p), params).cardinality
-                if on_instance is not None:
-                    on_instance({"op": "scan", "kind": kind, "set": list(cand),
-                                 "p": p, "cardinality": card, "bound": bound,
-                                 "slack": card - bound, "equality": card == bound})
-                if card < bound:
-                    violations.append(cand)
-                elif card == bound:
-                    equality.append(cand)
+                    if card < bound:
+                        violations.append(cand)
+                    elif card == bound:
+                        equality.append(cand)
+                if on_records is not None:
+                    lines.append(template % (card, "true" if card == bound else "false",
+                                             ",".join(map(str, cand)), card - bound))
+            if lines:
+                on_records(lines)
     non_ap = tuple(
         s for s in equality if not is_arithmetic_progression(GroundSet(s, p))
     )
@@ -231,7 +265,7 @@ def scan_extremal_integers(
     max_diameter: int,
     cap: int = DEFAULT_CAP,
     jobs: int = 1,
-    on_instance: Optional[InstanceCallback] = None,
+    on_records: Optional[RecordsCallback] = None,
 ) -> ScanReport:
     """Scan all normalized k-sets of diameter <= max_diameter.
 
@@ -255,7 +289,7 @@ def scan_extremal_integers(
         hypothesis="k >= 5 and 2 <= r <= h <= r*k - 2",
         cap=cap,
         jobs=jobs,
-        on_instance=on_instance,
+        on_records=on_records,
     )
 
 
@@ -265,7 +299,7 @@ def scan_inverse_eh_mod_p(
     h: int = 2,
     cap: int = DEFAULT_CAP,
     jobs: int = 1,
-    on_instance: Optional[InstanceCallback] = None,
+    on_records: Optional[RecordsCallback] = None,
 ) -> ScanReport:
     """Scan all k-subsets of Z/pZ containing 0 for |h^A| equality sets.
 
@@ -285,7 +319,7 @@ def scan_inverse_eh_mod_p(
         hypothesis="h == 2 and k >= 5 and p > 2*k - 3",
         cap=cap,
         jobs=jobs,
-        on_instance=on_instance,
+        on_records=on_records,
     )
 
 

@@ -7,6 +7,7 @@ independently of the package.
 
 import json
 import math
+from concurrent.futures import Future
 from itertools import combinations
 
 import pytest
@@ -23,8 +24,13 @@ from sumsetlab import (
     scan_extremal_integers,
     scan_inverse_eh_mod_p,
 )
-from sumsetlab.cli import run
+from sumsetlab.cli import _json_line, run
 from sumsetlab.scan import _scan
+
+
+def _decoding(seen):
+    """An ``on_records`` callback that decodes each record line into ``seen``."""
+    return lambda lines: seen.extend(map(json.loads, lines))
 
 
 # ===================== integer scans =====================
@@ -73,7 +79,7 @@ def test_extremal_jobs_match_serial():
 def test_extremal_instance_callback():
     seen = []
     report = scan_extremal_integers(
-        k=3, h=2, r=2, max_diameter=6, on_instance=seen.append
+        k=3, h=2, r=2, max_diameter=6, on_records=_decoding(seen)
     )
     assert len(seen) == report.evaluated
     assert all(rec["op"] == "scan" and "slack" in rec for rec in seen)
@@ -90,7 +96,7 @@ def test_report_does_not_depend_on_callback(jobs):
         (scan_inverse_eh_mod_p, dict(p=11, k=5)),
     ):
         seen = []
-        with_callback = scan(**kwargs, jobs=jobs, on_instance=seen.append)
+        with_callback = scan(**kwargs, jobs=jobs, on_records=_decoding(seen))
         assert seen and with_callback.equality_sets
         assert scan(**kwargs, jobs=jobs) == with_callback
 
@@ -187,7 +193,7 @@ def test_walk_edges_order_and_evaluated(kwargs, candidates, evaluated, jobs):
     p = kwargs.get("p")
     scan = scan_extremal_integers if p is None else scan_inverse_eh_mod_p
     seen = []
-    report = scan(**kwargs, jobs=jobs, on_instance=seen.append)
+    report = scan(**kwargs, jobs=jobs, on_records=_decoding(seen))
     largest = kwargs["max_diameter"] if p is None else p - 1
     expected = _normalized(kwargs["k"], largest, p)
     assert [tuple(rec["set"]) for rec in seen] == expected
@@ -228,12 +234,12 @@ def test_scan_cardinalities_match_oracle():
         for jobs in (1, 2) if p is not None or largest == 7 else (1,):
             seen = []
             if p is None:
-                scan_extremal_integers(k, h, r, largest, jobs=jobs, on_instance=seen.append)
+                scan_extremal_integers(k, h, r, largest, jobs=jobs, on_records=_decoding(seen))
             elif r == 1:
-                scan_inverse_eh_mod_p(p, k, h, jobs=jobs, on_instance=seen.append)
+                scan_inverse_eh_mod_p(p, k, h, jobs=jobs, on_records=_decoding(seen))
             else:
                 _scan("inverse-eh", k, SumParams(h=h, r=r), p, largest, 0,
-                      False, "", 10**8, jobs, seen.append)
+                      False, "", 10**8, jobs, _decoding(seen))
             for rec in seen:
                 want = _oracle_cardinality(cache, tuple(rec["set"]), p, h, r)
                 assert rec["cardinality"] == want, (rec, h, r)
@@ -256,7 +262,7 @@ def test_scan_claims_are_the_engines(monkeypatch):
     monkeypatch.setattr(sumsetlab.scan, "generalized_sumset", wrong)
     seen = []
     report = scan_extremal_integers(
-        k=5, h=3, r=2, max_diameter=8, on_instance=seen.append
+        k=5, h=3, r=2, max_diameter=8, on_records=_decoding(seen)
     )
     assert report.equality_sets == ()
     assert report.violations == ((0, 1, 2, 3, 4),)
@@ -308,6 +314,75 @@ def test_serial_records_stream_per_chunk(monkeypatch, capsys):
     assert code == 0
     assert len(sizes) == 6 and all(sizes)
     assert printed == [0] + sizes[:-1]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_record_lines_match_the_encoder(monkeypatch, capsys, jobs):
+    """Every scan record line is the CLI encoder's line for its decoded
+    record: over Z (p null) and mod p (p an int), at and above the bound,
+    and below it under an engine that drops a value."""
+    argvs = [
+        ["extremal", "--k", "5", "--h", "3", "--r", "2", "--max-diameter", "8"],
+        ["inverse-eh", "--p", "11", "--k", "5"],
+    ]
+    engine = sumsetlab.scan.generalized_sumset
+
+    def wrong(ground, params):
+        result = engine(ground, params)
+        return type(result)(result.values[:-1], result.modulus)
+
+    lines = []
+    for argv, code in ((argvs[0], 0), (argvs[1], 0), (argvs[0], 2)):
+        if code == 2:
+            monkeypatch.setattr(sumsetlab.scan, "generalized_sumset", wrong)
+        assert run(["scan"] + argv + ["--format", "records",
+                                      "--jobs", str(jobs)]) == code
+        lines += [line for line in capsys.readouterr().out.splitlines()
+                  if '"op":"scan"' in line]
+    for line in lines:
+        assert line == _json_line(json.loads(line))
+    records = [json.loads(line) for line in lines]
+    assert {rec["p"] for rec in records} == {None, 11}
+    assert {rec["equality"] for rec in records} == {True, False}
+    assert sum(rec["slack"] < 0 for rec in records) == 1
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_parallel_scan_window(monkeypatch, capsys, jobs):
+    """A parallel scan keeps at most 2 * jobs chunks submitted and not yet
+    folded, cancels the rest on shutdown, and prints the --jobs 1 bytes."""
+    argv = ["scan", "extremal", "--k", "4", "--h", "3", "--r", "2",
+            "--max-diameter", "12", "--format", "records", "--jobs"]
+    assert run(argv + ["1"]) == 0
+    serial = capsys.readouterr().out
+    state = {"open": 0, "peak": 0, "submitted": 0, "cancel": None}
+
+    class Read(Future):
+        def result(self, timeout=None):
+            state["open"] -= 1
+            return super().result(timeout)
+
+    class Pool:
+        def __init__(self, max_workers, initializer, initargs):
+            assert max_workers == jobs
+
+        def submit(self, fn, *args):
+            state["open"] += 1
+            state["submitted"] += 1
+            state["peak"] = max(state["peak"], state["open"])
+            future = Read()
+            future.set_result(fn(*args))
+            return future
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            state["cancel"] = cancel_futures
+
+    monkeypatch.setattr(sumsetlab.scan, "ProcessPoolExecutor", Pool)
+    assert run(argv + [str(jobs)]) == 0
+    assert capsys.readouterr().out == serial
+    assert state["submitted"] == 10 and state["open"] == 0
+    assert state["peak"] == 2 * jobs
+    assert state["cancel"] is True
 
 
 # ===================== mod-p scans =====================
