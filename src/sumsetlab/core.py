@@ -31,6 +31,22 @@ h * min(A).  The exhaustive scans (``scan.py``) run the same steps
 depth-first over their candidates, sharing each prefix's DP, and read
 only the popcount of each candidate's ``_mask_at`` at t = h.
 
+Callers such as the checkers and the acceptance grids call the engine
+many times with one (k, h, r, p) on sets that share a prefix, so
+``generalized_sumset`` keeps, for each such key, the last call's
+translated prefix (every element but the last, minus min A over Z) and
+the DP row after each of its elements, as one immutable tuple.  The
+next call with that key runs ``_extend`` only from its first element
+that differs from the kept prefix.  A row depends on nothing but
+(k, h, r, p) and the translated elements before it, so a kept row is
+exactly the row the call would compute, and no result can depend on
+which calls came before.  The store is bounded: it holds at most 4 096
+keys and 2**18 mask bits (each entry charged k * (h + 1) * W bits for
+masks of width W), it is cleared when a new entry would pass either cap,
+and a call whose h + 1 masks exceed 2**16 bits, or whose k rows alone
+pass the bit cap, keeps nothing, so wide inputs run as before.  Entries are replaced, never mutated, under a
+lock, so threads may share the engine.
+
 Conventions: modular elements are residues in [0, p) and p must be
 prime; integer ground sets are kept sorted ascending; h = m*r + eps
 with 0 <= eps <= r - 1 is the Euclidean split used by the closed-form
@@ -39,6 +55,7 @@ bounds and the minimum/maximum formulas.
 
 from __future__ import annotations
 
+import threading
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -52,6 +69,19 @@ from .errors import DomainError
 # before the DP allocates them.
 _MAX_MAGNITUDE = 2**63 - 1
 _MAX_MASK_BITS = 2**33
+
+# Cross-call prefix reuse (see the module docstring).  Each entry is
+# charged k * (h + 1) * W bits, the most its k rows of h + 1 masks of
+# width W can hold.  Small masks cost far more memory as Python objects
+# than their bits, so the bit cap is set by peak RSS: 2**20 grew the
+# benchmark's verify-sweep by 5-8 %, 2**18 by 2 %, while clearing the
+# store is cheap (a few hundred clears over an acceptance grid).
+_REUSE_MAX_KEYS = 4096
+_REUSE_MAX_BITS = 2**18
+_REUSE_MAX_DP_BITS = 2**16
+_reuse: dict = {}  # (k, h, r, p) -> (prefix, rows, bits), never mutated
+_reuse_bits = 0
+_reuse_lock = threading.Lock()
 
 
 class SetLiteralWarning(UserWarning):
@@ -310,6 +340,20 @@ def _extend(dp: list, a: int, i: int, k: int, h: int, r: int, p: Optional[int]) 
     return [_mask_at(dp, a, t, r, p) if lo <= t <= hi else 0 for t in range(h + 1)]
 
 
+def _remember(key: tuple, prefix: tuple, rows: list, bits: int) -> None:
+    """Keep ``prefix`` and its DP ``rows`` for ``key``, charged ``bits``,
+    clearing the store first if they would take it past either cap."""
+    global _reuse_bits
+    with _reuse_lock:
+        old = _reuse.get(key)
+        held = _reuse_bits + bits - (old[2] if old else 0)
+        if held > _REUSE_MAX_BITS or (old is None and len(_reuse) >= _REUSE_MAX_KEYS):
+            _reuse.clear()
+            held = bits
+        _reuse[key] = (prefix, tuple(rows), bits)
+        _reuse_bits = held
+
+
 def generalized_sumset(ground: GroundSet, params: SumParams) -> SumsetResult:
     """Compute h^(r)A exactly.
 
@@ -319,6 +363,12 @@ def generalized_sumset(ground: GroundSet, params: SumParams) -> SumsetResult:
     element one :func:`_mask_at` at t = h.  Integers run in the
     translated coordinates a - min(A); modulo p the shifts are reduced
     mod p and each new mask is folded back onto p bits.
+
+    The rows after each element but the last are kept for the next call
+    with the same (k, h, r, p), which steps only from its first element
+    that differs in translated coordinates.  Every kept row is exactly
+    the row this call would compute, so the result does not depend on
+    earlier calls.  The module docstring gives the store's bounds.
     """
     _validate_params(ground, params)
     A = ground.elements
@@ -326,11 +376,25 @@ def generalized_sumset(ground: GroundSet, params: SumParams) -> SumsetResult:
     k = len(A)
     p = ground.modulus
     base = A[0] if p is None else 0
-    dp = [1] + [0] * h
-    for i, a in enumerate(A[:-1]):
-        dp = _extend(dp, a - base, i, k, h, r, p)
+    prefix = A[:-1] if p is not None else tuple([a - base for a in A[:-1]])
+    key = (k, h, r, p)
+    # kept[i] is the DP over kept_prefix[:i], so it holds for this call
+    # up to the first element where the two prefixes differ.
+    kept_prefix, kept, _ = _reuse.get(key) or ((), ((1,) + (0,) * h,), 0)
+    j = 0
+    for x, y in zip(prefix, kept_prefix):
+        if x != y:
+            break
+        j += 1
+    rows = list(kept[: j + 1])
+    for i in range(j, k - 1):
+        rows.append(tuple(_extend(rows[i], prefix[i], i, k, h, r, p)))
+    if j < k - 1:
+        dp_bits = (h + 1) * (h * (A[-1] - A[0]) + 1 if p is None else p)
+        if dp_bits <= _REUSE_MAX_DP_BITS and k * dp_bits <= _REUSE_MAX_BITS:
+            _remember(key, prefix, rows, k * dp_bits)
     # The last element is needed only at t = h.
-    mask = _mask_at(dp, A[-1] - base, h, r, p)
+    mask = _mask_at(rows[-1], A[-1] - base, h, r, p)
     offset = h * base
     bits = bin(mask)[:1:-1]  # lowest bit first
     return SumsetResult(

@@ -5,6 +5,9 @@ of multiplicity vectors (itertools.product over 0..r per element),
 independently of the package, and frozen here.
 """
 
+import random
+import sys
+import threading
 import warnings
 
 import pytest
@@ -19,6 +22,7 @@ from sumsetlab import (
     bound_direct_integers,
     bound_direct_mod_p,
     bound_erdos_heilbronn,
+    brute_force_sumset,
     classical_sumset,
     extremes_closed_form,
     generalized_sumset,
@@ -27,6 +31,7 @@ from sumsetlab import (
     restricted_sumset,
     split_h,
 )
+from sumsetlab import core
 from sumsetlab.core import _guard_mask_width
 
 
@@ -403,3 +408,139 @@ class TestClassicalBoundsHold:
         h = data.draw(st.integers(1, g.size), label="h")
         card = restricted_sumset(g, h).cardinality
         assert card >= bound_erdos_heilbronn(g.size, h, p)
+
+
+# ===================== cross-call prefix reuse =====================
+
+
+@pytest.fixture
+def store(monkeypatch):
+    """An empty prefix store for this test, with the caps restored after."""
+    monkeypatch.setattr(core, "_reuse", {})
+    monkeypatch.setattr(core, "_reuse_bits", 0)
+    return monkeypatch
+
+
+def _cold(ground, params):
+    """The engine with nothing kept from earlier calls."""
+    core._reuse.clear()
+    core._reuse_bits = 0
+    return generalized_sumset(ground, params)
+
+
+def _pairs(k, max_r=3, max_h=6):
+    return [(h, r) for r in range(1, max_r + 1) for h in range(1, min(r * k, max_h) + 1)]
+
+
+# Sets of one size are listed next to the set they test against, so that
+# each (k, h, r) sees them one after the other in the listed order.
+_REUSE_SETS = (
+    # k = 1 and k = 2, over Z and mod p
+    GroundSet((5,)), GroundSet((-3,)), GroundSet((4,), 7), GroundSet((2,), 7),
+    GroundSet((0, 9)), GroundSet((-4, -1)), GroundSet((-4, 5)),
+    GroundSet((3, 6), 11), GroundSet((3, 8), 11),
+    # negative elements; translates of one prefix with another minimum,
+    # with the last element the same, moved, or the last prefix element moved
+    GroundSet((-7, -6, -4, 3)), GroundSet((2, 3, 5, 9)), GroundSet((2, 3, 5, 12)),
+    GroundSet((-7, -6, -3, 3)), GroundSet((-1, 0, 2, 9)),
+    # the last prefix element alone differs
+    GroundSet((0, 1, 3, 8)), GroundSet((0, 1, 4, 8)),
+    GroundSet((0, 2, 5)), GroundSet((0, 3, 5)), GroundSet((-6, -4, -1)),
+    GroundSet((0, 1, 3, 7), 11), GroundSet((0, 1, 4, 7), 11),
+    GroundSet((0, 1, 3, 7), 13), GroundSet((2, 5, 6, 10), 13),
+    GroundSet((1, 2, 4, 6, 9), 11), GroundSet((1, 2, 4, 7, 9), 11),
+    GroundSet((-5, -3, 0, 1, 6)), GroundSet((0, 2, 5, 7, 12)),
+)
+
+
+def test_prefix_reuse_never_shows_in_results(store):
+    rng = random.Random(20150126)
+    sets = list(_REUSE_SETS)
+    for _ in range(12):
+        k = rng.randint(1, 5)
+        sets.append(GroundSet.of(rng.sample(range(-6, 7), k)))
+        p = rng.choice((5, 7, 11, 13))
+        sets.append(GroundSet.of(rng.sample(range(p), min(k, p)), p))
+    listed = [(g, h, r) for g in sets for h, r in _pairs(g.size)]
+    shuffled = list(listed)
+    rng.shuffle(shuffled)
+    calls = listed + shuffled
+    expected = [
+        _cold(g, SumParams(h, r)).values for g, h, r in calls
+    ]
+    steps = []
+    engine_extend = core._extend
+    store.setattr(core, "_extend", lambda *a: steps.append(1) or engine_extend(*a))
+    core._reuse.clear()
+    core._reuse_bits = 0
+    warm = [generalized_sumset(g, SumParams(h, r)).values for g, h, r in calls]
+    for (g, h, r), got, want in zip(calls, warm, expected):
+        assert got == want, (g, h, r)
+        assert got == brute_force_sumset(g, SumParams(h, r)).values, (g, h, r)
+    cold_steps = sum(g.size - 1 for g, _, _ in calls)
+    assert len(steps) < cold_steps  # the reuse really ran
+
+
+def test_prefix_store_stays_within_its_caps(store):
+    store.setattr(core, "_REUSE_MAX_KEYS", 6)
+    store.setattr(core, "_REUSE_MAX_BITS", 3000)
+    rng = random.Random(7)
+    for _ in range(400):
+        k = rng.randint(1, 6)
+        ground = GroundSet.of(rng.sample(range(-8, 9), k))
+        h, r = rng.choice(_pairs(k, max_r=4, max_h=8))
+        values = generalized_sumset(ground, SumParams(h, r)).values
+        assert len(core._reuse) <= 6
+        assert core._reuse_bits <= 3000
+        assert core._reuse_bits == sum(entry[2] for entry in core._reuse.values())
+        assert values == brute_force_sumset(ground, SumParams(h, r)).values
+
+
+@pytest.mark.parametrize(
+    "elements, modulus, h, r",
+    [
+        # (h + 1) * W above the per-call limit
+        (tuple(range(-500_000, -492_000, 200)) + (-492_000,), None, 3, 1),
+        # under the per-call limit, but its k rows above the bit cap
+        (tuple(range(0, 2_400, 100)) + (2_500,), None, 4, 2),
+    ],
+)
+def test_wide_call_leaves_the_prefix_store_alone(store, elements, modulus, h, r):
+    ground = GroundSet(elements, modulus)
+    generalized_sumset(GroundSet((0, 1, 3)), SumParams(2, 1))
+    before = dict(core._reuse), core._reuse_bits
+    for _ in range(2):
+        generalized_sumset(ground, SumParams(h, r))
+    assert (dict(core._reuse), core._reuse_bits) == before
+
+
+def test_prefix_reuse_across_threads(store):
+    rng = random.Random(3)
+    sets = list(_REUSE_SETS[9:])
+    calls = [(g, h, r) for g in sets for h, r in _pairs(g.size, max_h=4)]
+    expected = {(g, h, r): _cold(g, SumParams(h, r)).values for g, h, r in calls}
+    orders = []
+    for _ in range(4):
+        order = calls * 3
+        rng.shuffle(order)
+        orders.append(order)
+    wrong = []
+
+    def work(order):
+        for g, h, r in order:
+            if generalized_sumset(g, SumParams(h, r)).values != expected[g, h, r]:
+                wrong.append((g, h, r))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(o,)) for o in orders]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert core._reuse_bits == sum(entry[2] for entry in core._reuse.values())
