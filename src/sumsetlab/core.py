@@ -44,8 +44,9 @@ which calls came before.  The store is bounded: it holds at most 4 096
 keys and 2**18 mask bits (each entry charged k * (h + 1) * W bits for
 masks of width W), it is cleared when a new entry would pass either cap,
 and a call whose h + 1 masks exceed 2**16 bits, or whose k rows alone
-pass the bit cap, keeps nothing, so wide inputs run as before.  Entries are replaced, never mutated, under a
-lock, so threads may share the engine.
+pass the bit cap, keeps nothing, so wide inputs run as before.  Entries
+are replaced under a lock, never mutated, so threads may share the
+engine.
 
 Conventions: modular elements are residues in [0, p) and p must be
 prime; integer ground sets are kept sorted ascending; h = m*r + eps
@@ -73,13 +74,14 @@ _MAX_MASK_BITS = 2**33
 # Cross-call prefix reuse (see the module docstring).  Each entry is
 # charged k * (h + 1) * W bits, the most its k rows of h + 1 masks of
 # width W can hold.  Small masks cost far more memory as Python objects
-# than their bits, so the bit cap is set by peak RSS: 2**20 grew the
-# benchmark's verify-sweep by 5-8 %, 2**18 by 2 %, while clearing the
-# store is cheap (a few hundred clears over an acceptance grid).
+# than their bits, so the bit cap is set by peak RSS: on CPython 3.11 it
+# grew a verify-sweep benchmark process by 5-8 % at 2**20 and by 2 % at
+# 2**18, while clearing the store is cheap (a few hundred clears over an
+# acceptance grid).
 _REUSE_MAX_KEYS = 4096
 _REUSE_MAX_BITS = 2**18
 _REUSE_MAX_DP_BITS = 2**16
-_reuse: dict = {}  # (k, h, r, p) -> (prefix, rows, bits), never mutated
+_reuse: dict = {}  # (k, h, r, p) -> (prefix, rows, bits); entries are never mutated
 _reuse_bits = 0
 _reuse_lock = threading.Lock()
 

@@ -414,11 +414,11 @@ class TestClassicalBoundsHold:
 
 
 @pytest.fixture
-def store(monkeypatch):
-    """An empty prefix store for this test, with the caps restored after."""
+def fresh_store(monkeypatch):
+    """An empty prefix store for this test; the process's own is put back
+    after it."""
     monkeypatch.setattr(core, "_reuse", {})
     monkeypatch.setattr(core, "_reuse_bits", 0)
-    return monkeypatch
 
 
 def _cold(ground, params):
@@ -439,8 +439,8 @@ _REUSE_SETS = (
     GroundSet((5,)), GroundSet((-3,)), GroundSet((4,), 7), GroundSet((2,), 7),
     GroundSet((0, 9)), GroundSet((-4, -1)), GroundSet((-4, 5)),
     GroundSet((3, 6), 11), GroundSet((3, 8), 11),
-    # negative elements; translates of one prefix with another minimum,
-    # with the last element the same, moved, or the last prefix element moved
+    # negative elements; after the first set: its last element moved, a
+    # translate of it, its last prefix element moved, another translate
     GroundSet((-7, -6, -4, 3)), GroundSet((2, 3, 5, 9)), GroundSet((2, 3, 5, 12)),
     GroundSet((-7, -6, -3, 3)), GroundSet((-1, 0, 2, 9)),
     # the last prefix element alone differs
@@ -453,7 +453,7 @@ _REUSE_SETS = (
 )
 
 
-def test_prefix_reuse_never_shows_in_results(store):
+def test_prefix_reuse_never_shows_in_results(fresh_store, monkeypatch):
     rng = random.Random(20150126)
     sets = list(_REUSE_SETS)
     for _ in range(12):
@@ -465,12 +465,10 @@ def test_prefix_reuse_never_shows_in_results(store):
     shuffled = list(listed)
     rng.shuffle(shuffled)
     calls = listed + shuffled
-    expected = [
-        _cold(g, SumParams(h, r)).values for g, h, r in calls
-    ]
+    expected = [_cold(g, SumParams(h, r)).values for g, h, r in calls]
     steps = []
     engine_extend = core._extend
-    store.setattr(core, "_extend", lambda *a: steps.append(1) or engine_extend(*a))
+    monkeypatch.setattr(core, "_extend", lambda *a: steps.append(1) or engine_extend(*a))
     core._reuse.clear()
     core._reuse_bits = 0
     warm = [generalized_sumset(g, SumParams(h, r)).values for g, h, r in calls]
@@ -481,9 +479,9 @@ def test_prefix_reuse_never_shows_in_results(store):
     assert len(steps) < cold_steps  # the reuse really ran
 
 
-def test_prefix_store_stays_within_its_caps(store):
-    store.setattr(core, "_REUSE_MAX_KEYS", 6)
-    store.setattr(core, "_REUSE_MAX_BITS", 3000)
+def test_prefix_store_stays_within_its_caps(fresh_store, monkeypatch):
+    monkeypatch.setattr(core, "_REUSE_MAX_KEYS", 6)
+    monkeypatch.setattr(core, "_REUSE_MAX_BITS", 3000)
     rng = random.Random(7)
     for _ in range(400):
         k = rng.randint(1, 6)
@@ -501,11 +499,12 @@ def test_prefix_store_stays_within_its_caps(store):
     [
         # (h + 1) * W above the per-call limit
         (tuple(range(-500_000, -492_000, 200)) + (-492_000,), None, 3, 1),
+        (tuple(range(0, 20_000, 500)), 20_011, 3, 1),
         # under the per-call limit, but its k rows above the bit cap
         (tuple(range(0, 2_400, 100)) + (2_500,), None, 4, 2),
     ],
 )
-def test_wide_call_leaves_the_prefix_store_alone(store, elements, modulus, h, r):
+def test_wide_call_leaves_the_prefix_store_alone(fresh_store, elements, modulus, h, r):
     ground = GroundSet(elements, modulus)
     generalized_sumset(GroundSet((0, 1, 3)), SumParams(2, 1))
     before = dict(core._reuse), core._reuse_bits
@@ -514,7 +513,7 @@ def test_wide_call_leaves_the_prefix_store_alone(store, elements, modulus, h, r)
     assert (dict(core._reuse), core._reuse_bits) == before
 
 
-def test_prefix_reuse_across_threads(store):
+def test_prefix_reuse_across_threads(fresh_store):
     rng = random.Random(3)
     sets = list(_REUSE_SETS[9:])
     calls = [(g, h, r) for g in sets for h, r in _pairs(g.size, max_h=4)]
