@@ -23,30 +23,40 @@ the same step runs with a' = a and shifts c * a mod p on p-bit masks;
 each new dp'[t] is folded once, (mask & (2^p - 1)) | (mask >> p), which
 is exact because every shift is below p.  Folding commutes with OR, so
 this equals OR-ing rotations.  ``_extend`` scans one element by taking
-``_mask_at`` at every t that the remaining elements can still complete
-to h.  ``generalized_sumset`` validates, runs ``_extend`` on every
-element but the last, takes the last element's mask at t = h alone and
-reads it in one pass over its binary string, translated back by
-h * min(A).  The exhaustive scans (``scan.py``) run the same steps
-depth-first over their candidates, sharing each prefix's DP, and read
-only the popcount of each candidate's ``_mask_at`` at t = h.
+``_mask_at`` at every t of a window its caller gives.  ``generalized_sumset``
+validates, runs ``_extend`` on every element but the last, takes the last
+element's mask at t = h alone and reads it in one pass over its binary
+string, translated back by h * min(A).  The exhaustive scans
+(``scan.py``) run the same steps depth-first over their candidates,
+sharing each prefix's DP, with the window cut to the t that the
+remaining elements can still complete to h, and read only the popcount
+of each candidate's ``_mask_at`` at t = h.
 
 Callers such as the checkers and the acceptance grids call the engine
-many times with one (k, h, r, p) on sets that share a prefix, so
-``generalized_sumset`` keeps, for each such key, the last call's
-translated prefix (every element but the last, minus min A over Z) and
-the DP row after each of its elements, as one immutable tuple.  The
-next call with that key runs ``_extend`` only from its first element
-that differs from the kept prefix.  A row depends on nothing but
-(k, h, r, p) and the translated elements before it, so a kept row is
-exactly the row the call would compute, and no result can depend on
-which calls came before.  The store is bounded: it holds at most 4 096
-keys and 2**18 mask bits (each entry charged k * (h + 1) * W bits for
-masks of width W), it is cleared when a new entry would pass either cap,
-and a call whose h + 1 masks exceed 2**16 bits, or whose k rows alone
-pass the bit cap, keeps nothing, so wide inputs run as before.  Entries
-are replaced under a lock, never mutated, so threads may share the
-engine.
+many times with one (k, r, p), running every h of a set and then moving
+to a set that shares a prefix with it.  So ``generalized_sumset`` keeps,
+for each (k, r, p), the last call's translated prefix (every element but
+the last, minus min A over Z), a height H, and the DP row after each
+prefix element, as one immutable tuple.  The rows skip the lower
+completability cut: row i holds dp[t] for every t <= min(H, (i+1)*r),
+which depends on nothing but r, p, H and the translated elements before
+it, and dp[t] at t <= H is the same for every H >= t.  A call at h <= H
+therefore runs ``_extend`` only from its first element that differs from
+the kept prefix, and a kept row is exactly the row a cold call would
+compute for the t it reads.  The height is a high-water mark: a call
+runs at H' = max(h, H) when H' + 1 of its masks fit the per-call limit
+and at H' = h otherwise, and starts over from the first element when
+H' != H.  So a grid that runs h upwards pays one DP per set after the
+key's first set.  The entry also keeps the last set's elements and the
+results already read for it, one per h, so a repeated (A, h) skips the
+last step and the extraction.  No result can depend on which calls came
+before.  The store is bounded: it holds at most 4 096 keys and 2**18
+charged bits (each entry charged k * (H + 1) * W(H) for its rows plus
+W(h) for each kept result, W(t) = t * span + 1 over Z and p modulo p),
+it is cleared when a new entry would pass either cap, and a call whose
+h + 1 masks exceed 2**16 bits, or whose entry alone passes the bit cap,
+keeps nothing, so wide inputs run as before.  Entries are replaced under
+a lock, never mutated, so threads may share the engine.
 
 Conventions: modular elements are residues in [0, p) and p must be
 prime; integer ground sets are kept sorted ascending; h = m*r + eps
@@ -60,6 +70,7 @@ import threading
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from typing import Iterable, Optional, Tuple
 
 from .errors import DomainError
@@ -71,19 +82,24 @@ from .errors import DomainError
 _MAX_MAGNITUDE = 2**63 - 1
 _MAX_MASK_BITS = 2**33
 
-# Cross-call prefix reuse (see the module docstring).  Each entry is
-# charged k * (h + 1) * W bits, the most its k rows of h + 1 masks of
-# width W can hold.  Small masks cost far more memory as Python objects
-# than their bits, so the bit cap is set by peak RSS: on CPython 3.11 it
+# Cross-call reuse (see the module docstring).  Each entry is charged
+# k * (H + 1) * W(H) bits, the most its k rows of H + 1 masks of width
+# W(H) can hold, plus the mask width of each kept result.  Small masks
+# cost far more memory as Python objects than their bits, so the bit cap is set by peak RSS: on CPython 3.11 it
 # grew a verify-sweep benchmark process by 5-8 % at 2**20 and by 2 % at
 # 2**18, while clearing the store is cheap (a few hundred clears over an
 # acceptance grid).
 _REUSE_MAX_KEYS = 4096
 _REUSE_MAX_BITS = 2**18
 _REUSE_MAX_DP_BITS = 2**16
-_reuse: dict = {}  # (k, h, r, p) -> (prefix, rows, bits); entries are never mutated
+# (k, r, p) -> (prefix, rows, H, bits, elements, {h: SumsetResult});
+# entries are never mutated.
+_reuse: dict = {}
 _reuse_bits = 0
 _reuse_lock = threading.Lock()
+
+# bin(mask) digits to the 0/1 bytes that itertools.compress selects by.
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class SetLiteralWarning(UserWarning):
@@ -334,25 +350,24 @@ def _mask_at(dp: list, a: int, t: int, r: int, p: Optional[int]) -> int:
     return acc
 
 
-def _extend(dp: list, a: int, i: int, k: int, h: int, r: int, p: Optional[int]) -> list:
-    """The DP over the first i elements of a k-set, extended by element a.
-    Only the t reachable from i + 1 elements and completable by the other
-    k - i - 1 are computed; the rest stay 0."""
-    lo, hi = max(0, h - (k - i - 1) * r), min(h, (i + 1) * r)
-    return [_mask_at(dp, a, t, r, p) if lo <= t <= hi else 0 for t in range(h + 1)]
+def _extend(dp: list, a: int, lo: int, hi: int, r: int, p: Optional[int]) -> list:
+    """The DP ``dp`` extended by the element a, computed at every t in
+    lo..hi; the other t stay 0."""
+    return [_mask_at(dp, a, t, r, p) if lo <= t <= hi else 0 for t in range(len(dp))]
 
 
-def _remember(key: tuple, prefix: tuple, rows: list, bits: int) -> None:
-    """Keep ``prefix`` and its DP ``rows`` for ``key``, charged ``bits``,
-    clearing the store first if they would take it past either cap."""
+def _remember(key: tuple, entry: tuple) -> None:
+    """Keep ``entry`` for ``key``, clearing the store first if its charged
+    bits would take the store past either cap."""
     global _reuse_bits
     with _reuse_lock:
         old = _reuse.get(key)
-        held = _reuse_bits + bits - (old[2] if old else 0)
+        bits = entry[3]
+        held = _reuse_bits + bits - (old[3] if old else 0)
         if held > _REUSE_MAX_BITS or (old is None and len(_reuse) >= _REUSE_MAX_KEYS):
             _reuse.clear()
             held = bits
-        _reuse[key] = (prefix, tuple(rows), bits)
+        _reuse[key] = entry
         _reuse_bits = held
 
 
@@ -366,42 +381,59 @@ def generalized_sumset(ground: GroundSet, params: SumParams) -> SumsetResult:
     translated coordinates a - min(A); modulo p the shifts are reduced
     mod p and each new mask is folded back onto p bits.
 
-    The rows after each element but the last are kept for the next call
-    with the same (k, h, r, p), which steps only from its first element
-    that differs in translated coordinates.  Every kept row is exactly
-    the row this call would compute, so the result does not depend on
-    earlier calls.  The module docstring gives the store's bounds.
+    The rows after each element but the last are kept, up to a height
+    H >= h, for the next call with the same (k, r, p) and any h <= H,
+    which steps only from its first element that differs in translated
+    coordinates; the result is kept for the next call with the same set
+    and h.  Every kept row holds exactly the dp[t] this call would
+    compute at each t <= h, so the result does not depend on earlier
+    calls.  The module docstring gives the store's height rule and
+    bounds.
     """
-    _validate_params(ground, params)
     A = ground.elements
     h, r = params.h, params.r
     k = len(A)
     p = ground.modulus
+    key = (k, r, p)
+    entry = _reuse.get(key)
+    same_set = entry is not None and entry[4] == A
+    # A kept result passed the same validation when it was computed.
+    if same_set and h in entry[5]:
+        return entry[5][h]
+    _validate_params(ground, params)
+    # A mask at multiplicity t is w1 * t + w0 bits wide.
+    w1, w0 = (A[-1] - A[0], 1) if p is None else (0, p)
     base = A[0] if p is None else 0
     prefix = A[:-1] if p is not None else tuple([a - base for a in A[:-1]])
-    key = (k, h, r, p)
-    # kept[i] is the DP over kept_prefix[:i], so it holds for this call
-    # up to the first element where the two prefixes differ.
-    kept_prefix, kept, _ = _reuse.get(key) or ((), ((1,) + (0,) * h,), 0)
+    kept_prefix, kept, kept_height = entry[:3] if entry else ((), (), -1)
+    height = max(h, kept_height)
+    if (height + 1) * (w1 * height + w0) > _REUSE_MAX_DP_BITS:
+        height = h
+    dp_bits = (height + 1) * (w1 * height + w0)
     j = 0
-    for x, y in zip(prefix, kept_prefix):
-        if x != y:
-            break
-        j += 1
-    rows = list(kept[: j + 1])
+    if height != kept_height:
+        rows = [(1,) + (0,) * height]
+    else:
+        # kept[i] is the DP over kept_prefix[:i], so it holds for this
+        # call up to the first element where the two prefixes differ.
+        for x, y in zip(prefix, kept_prefix):
+            if x != y:
+                break
+            j += 1
+        rows = list(kept[: j + 1])
     for i in range(j, k - 1):
-        rows.append(tuple(_extend(rows[i], prefix[i], i, k, h, r, p)))
-    if j < k - 1:
-        dp_bits = (h + 1) * (h * (A[-1] - A[0]) + 1 if p is None else p)
-        if dp_bits <= _REUSE_MAX_DP_BITS and k * dp_bits <= _REUSE_MAX_BITS:
-            _remember(key, prefix, rows, k * dp_bits)
+        rows.append(tuple(_extend(rows[i], prefix[i], 0, min(height, (i + 1) * r), r, p)))
     # The last element is needed only at t = h.
     mask = _mask_at(rows[-1], A[-1] - base, h, r, p)
+    bits = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)  # lowest bit first
     offset = h * base
-    bits = bin(mask)[:1:-1]  # lowest bit first
-    return SumsetResult(
-        tuple(i + offset for i, b in enumerate(bits) if b == "1"), p
-    )
+    result = SumsetResult(tuple(compress(range(offset, offset + len(bits)), bits)), p)
+    if dp_bits <= _REUSE_MAX_DP_BITS:
+        results = {**entry[5], h: result} if same_set else {h: result}
+        charge = k * dp_bits + w1 * sum(results) + w0 * len(results)
+        if charge <= _REUSE_MAX_BITS:
+            _remember(key, (prefix, tuple(rows), height, charge, A, results))
+    return result
 
 
 def classical_sumset(ground: GroundSet, h: int) -> SumsetResult:

@@ -127,6 +127,9 @@ def _chunk(k, params, p, largest, bound, collect, prefix) -> Tuple[int, list]:
     Returns (evaluated, rows): the (candidate, cardinality) pairs of
     every candidate if ``collect``, else of those at or below ``bound``."""
     h, r = params.h, params.r
+    # The t that i + 1 elements reach and the other k - i - 1 can still
+    # complete to h.
+    windows = [(max(0, h - (k - i - 1) * r), min(h, (i + 1) * r)) for i in range(k)]
     evaluated = 0
     rows = []
 
@@ -139,7 +142,7 @@ def _chunk(k, params, p, largest, bound, collect, prefix) -> Tuple[int, list]:
             choices = range(cand[-1] + 1, largest - k + i + 2)
         if i < k - 1:
             for a in choices:
-                walk(cand + (a,), _extend(dp, a, i, k, h, r, p), math.gcd(g, a))
+                walk(cand + (a,), _extend(dp, a, *windows[i], r, p), math.gcd(g, a))
             return
         for a in choices:
             # Over Z a set with gcd > 1 is a dilate of a smaller candidate.

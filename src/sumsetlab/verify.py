@@ -176,9 +176,11 @@ def check_complement_identity(ground: GroundSet, params: SumParams) -> Complemen
 
     Replacing each multiplicity r_i by r - r_i is a bijection between
     the defining vectors for h and for rk - h, so the cardinalities
-    agree.  Requires 1 <= h <= rk - 1 so both sides are nonempty.  Each
-    side runs its own dynamic program under its own h, so the two share
-    no DP row; nothing inside the dynamic program assumes this identity.
+    agree.  Requires 1 <= h <= rk - 1 so both sides are nonempty.  The
+    two sides may read the same kept DP rows (see ``core``), but each
+    reads dp[t] only at t <= its own h, and dp[t] does not depend on the
+    height the rows were computed to, so each side equals a cold DP at
+    its own h; nothing inside the dynamic program assumes this identity.
     """
     k = ground.size
     hc = params.r * k - params.h

@@ -410,13 +410,13 @@ class TestClassicalBoundsHold:
         assert card >= bound_erdos_heilbronn(g.size, h, p)
 
 
-# ===================== cross-call prefix reuse =====================
+# ===================== cross-call reuse =====================
 
 
 @pytest.fixture
 def fresh_store(monkeypatch):
-    """An empty prefix store for this test; the process's own is put back
-    after it."""
+    """An empty store for this test; the process's own is put back after
+    it."""
     monkeypatch.setattr(core, "_reuse", {})
     monkeypatch.setattr(core, "_reuse_bits", 0)
 
@@ -432,8 +432,35 @@ def _pairs(k, max_r=3, max_h=6):
     return [(h, r) for r in range(1, max_r + 1) for h in range(1, min(r * k, max_h) + 1)]
 
 
+def _counting(monkeypatch, name):
+    """Count the calls of the engine function ``name``."""
+    calls = []
+    engine = getattr(core, name)
+    monkeypatch.setattr(core, name, lambda *a: calls.append(1) or engine(*a))
+    return calls
+
+
+def _check_store():
+    """Every entry is charged what it holds, and every kept result is the
+    oracle's value for the entry's set."""
+    for (k, r, p), (prefix, rows, height, bits, elements, results) in core._reuse.items():
+        span = elements[-1] - elements[0]
+
+        def width(t):
+            return t * span + 1 if p is None else p
+
+        assert len(elements) == k and len(prefix) == k - 1 and len(rows) == k
+        assert all(len(row) == height + 1 for row in rows)
+        assert bits == k * (height + 1) * width(height) + sum(map(width, results))
+        for h, result in results.items():
+            assert h <= height
+            ground = GroundSet(elements, p)
+            assert result == brute_force_sumset(ground, SumParams(h, r))
+    assert core._reuse_bits == sum(entry[3] for entry in core._reuse.values())
+
+
 # Sets of one size are listed next to the set they test against, so that
-# each (k, h, r) sees them one after the other in the listed order.
+# each (k, r) sees them one after the other in the listed order.
 _REUSE_SETS = (
     # k = 1 and k = 2, over Z and mod p
     GroundSet((5,)), GroundSet((-3,)), GroundSet((4,), 7), GroundSet((2,), 7),
@@ -453,6 +480,26 @@ _REUSE_SETS = (
 )
 
 
+def _h_orders(sets, rng):
+    """Each set's calls grouped by set and then by r, with the h of a group
+    ascending, descending, shuffled, or as mirrored pairs (h, rk - h)."""
+    orders = {}
+    for name in ("ascending", "descending", "shuffled", "mirrored"):
+        calls = []
+        for g in sets:
+            for r in range(1, 4):
+                hs = list(range(1, min(r * g.size, 6) + 1))
+                if name == "descending":
+                    hs.reverse()
+                elif name == "shuffled":
+                    rng.shuffle(hs)
+                elif name == "mirrored":
+                    hs = [x for h in hs if h < r * g.size for x in (h, r * g.size - h)]
+                calls.extend((g, h, r) for h in hs)
+        orders[name] = calls
+    return orders
+
+
 def test_prefix_reuse_never_shows_in_results(fresh_store, monkeypatch):
     rng = random.Random(20150126)
     sets = list(_REUSE_SETS)
@@ -464,34 +511,82 @@ def test_prefix_reuse_never_shows_in_results(fresh_store, monkeypatch):
     listed = [(g, h, r) for g in sets for h, r in _pairs(g.size)]
     shuffled = list(listed)
     rng.shuffle(shuffled)
-    calls = listed + shuffled
-    expected = [_cold(g, SumParams(h, r)).values for g, h, r in calls]
-    steps = []
-    engine_extend = core._extend
-    monkeypatch.setattr(core, "_extend", lambda *a: steps.append(1) or engine_extend(*a))
-    core._reuse.clear()
-    core._reuse_bits = 0
-    warm = [generalized_sumset(g, SumParams(h, r)).values for g, h, r in calls]
-    for (g, h, r), got, want in zip(calls, warm, expected):
-        assert got == want, (g, h, r)
-        assert got == brute_force_sumset(g, SumParams(h, r)).values, (g, h, r)
-    cold_steps = sum(g.size - 1 for g, _, _ in calls)
-    assert len(steps) < cold_steps  # the reuse really ran
+    orders = {"listed": listed, "shuffled across sets": shuffled, **_h_orders(sets, rng)}
+    steps = _counting(monkeypatch, "_extend")
+    for name, calls in orders.items():
+        expected = [_cold(g, SumParams(h, r)).values for g, h, r in calls]
+        core._reuse.clear()
+        core._reuse_bits = 0
+        del steps[:]
+        warm = []
+        for g, h, r in calls:
+            before = len(steps)
+            warm.append((generalized_sumset(g, SumParams(h, r)).values, len(steps) - before))
+        highest = {}
+        for (g, h, r), (got, ran), want in zip(calls, warm, expected):
+            assert got == want, (name, g, h, r)
+            assert got == brute_force_sumset(g, SumParams(h, r)).values, (name, g, h, r)
+            if name in ("listed", "shuffled across sets"):
+                continue
+            # Within a group, once the group's largest h has run, every
+            # further h reads the kept rows alone.
+            top = max(x for y, x, s in calls if (y, s) == (g, r))
+            if highest.get((g, r)) == top:
+                assert ran == 0, (name, g, h, r)
+            highest[g, r] = max(h, highest.get((g, r), 0))
+        cold_steps = sum(g.size - 1 for g, _, _ in calls)
+        assert len(steps) < cold_steps, name  # the reuse really ran
+        _check_store()
+
+
+def test_result_memo_is_keyed_by_set_and_h(fresh_store, monkeypatch):
+    """Translates share DP rows but each gets its own values; a repeated
+    (set, h) returns an equal result without a DP step."""
+    steps = _counting(monkeypatch, "_mask_at")
+    sets = (GroundSet((0, 1, 3, 7)), GroundSet((5, 6, 8, 12)), GroundSet((-9, -8, -6, -2)),
+            GroundSet((0, 1, 3, 7), 11), GroundSet((0, 1, 3, 7), 13))
+    for h in (3, 2, 3, 5):
+        for g in sets:
+            want = brute_force_sumset(g, SumParams(h, 2))
+            first = generalized_sumset(g, SumParams(h, 2))
+            before = len(steps)
+            again = generalized_sumset(g, SumParams(h, 2))
+            assert first == again == want, (g, h)
+            assert len(steps) == before, (g, h)  # read from the memo
+    for h in (2, 3, 5):
+        for g in sets:
+            assert generalized_sumset(g, SumParams(h, 2)) == brute_force_sumset(g, SumParams(h, 2))
+    _check_store()
+
+
+def test_height_falls_back_to_h_for_a_wider_set(fresh_store):
+    """A set too wide for its key's height runs, and is kept, at its own h."""
+    generalized_sumset(GroundSet((0, 1, 2)), SumParams(6, 2))
+    assert core._reuse[3, 2, None][2] == 6
+    wide = GroundSet((0, 1, 3000))  # 7 masks of 18 001 bits at height 6
+    assert generalized_sumset(wide, SumParams(2, 2)) == brute_force_sumset(wide, SumParams(2, 2))
+    assert core._reuse[3, 2, None][2] == 2
+    _check_store()
 
 
 def test_prefix_store_stays_within_its_caps(fresh_store, monkeypatch):
     monkeypatch.setattr(core, "_REUSE_MAX_KEYS", 6)
     monkeypatch.setattr(core, "_REUSE_MAX_BITS", 3000)
     rng = random.Random(7)
-    for _ in range(400):
-        k = rng.randint(1, 6)
-        ground = GroundSet.of(rng.sample(range(-8, 9), k))
-        h, r = rng.choice(_pairs(k, max_r=4, max_h=8))
+    # A small pool, so that sets and h repeat and the memo is read.
+    pool = [GroundSet.of(rng.sample(range(-8, 9), rng.randint(1, 6))) for _ in range(12)]
+    memo_reads = 0
+    for _ in range(600):
+        ground = rng.choice(pool)
+        h, r = rng.choice(_pairs(ground.size, max_r=4, max_h=8))
+        entry = core._reuse.get((ground.size, r, None))
+        memo_reads += entry is not None and entry[4] == ground.elements and h in entry[5]
         values = generalized_sumset(ground, SumParams(h, r)).values
         assert len(core._reuse) <= 6
         assert core._reuse_bits <= 3000
-        assert core._reuse_bits == sum(entry[2] for entry in core._reuse.values())
         assert values == brute_force_sumset(ground, SumParams(h, r)).values
+        _check_store()
+    assert memo_reads > 0
 
 
 @pytest.mark.parametrize(
@@ -505,12 +600,18 @@ def test_prefix_store_stays_within_its_caps(fresh_store, monkeypatch):
     ],
 )
 def test_wide_call_leaves_the_prefix_store_alone(fresh_store, elements, modulus, h, r):
+    """A wide call keeps neither rows nor a result, also under the key of
+    a narrow set whose entry is kept."""
     ground = GroundSet(elements, modulus)
     generalized_sumset(GroundSet((0, 1, 3)), SumParams(2, 1))
+    generalized_sumset(GroundSet(tuple(range(len(elements))), modulus), SumParams(2, r))
+    if modulus is None:  # mod 20 011 no set of 40 residues is narrow enough
+        assert (len(elements), r, modulus) in core._reuse
     before = dict(core._reuse), core._reuse_bits
     for _ in range(2):
-        generalized_sumset(ground, SumParams(h, r))
-    assert (dict(core._reuse), core._reuse_bits) == before
+        values = generalized_sumset(ground, SumParams(h, r)).values
+        assert (dict(core._reuse), core._reuse_bits) == before
+    assert values == brute_force_sumset(ground, SumParams(h, r)).values
 
 
 def test_prefix_reuse_across_threads(fresh_store):
@@ -519,9 +620,18 @@ def test_prefix_reuse_across_threads(fresh_store):
     calls = [(g, h, r) for g in sets for h, r in _pairs(g.size, max_h=4)]
     expected = {(g, h, r): _cold(g, SumParams(h, r)).values for g, h, r in calls}
     orders = []
-    for _ in range(4):
+    for _ in range(2):
         order = calls * 3
         rng.shuffle(order)
+        orders.append(order)
+    # Two threads run each set's calls together, every h twice, so that
+    # they read and extend the memo while the others replace entries.
+    for _ in range(2):
+        order = []
+        for g in rng.sample(sets, len(sets)):
+            group = [(g, h, r) for h, r in _pairs(g.size, max_h=4)] * 2
+            rng.shuffle(group)
+            order.extend(group)
         orders.append(order)
     wrong = []
 
@@ -542,4 +652,4 @@ def test_prefix_reuse_across_threads(fresh_store):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
-    assert core._reuse_bits == sum(entry[2] for entry in core._reuse.values())
+    _check_store()
