@@ -512,9 +512,12 @@ def test_prefix_reuse_never_shows_in_results(fresh_store, monkeypatch):
     shuffled = list(listed)
     rng.shuffle(shuffled)
     orders = {"listed": listed, "shuffled across sets": shuffled, **_h_orders(sets, rng)}
+    expected = {}
+    for g, h, r in {call for calls in orders.values() for call in calls}:
+        expected[g, h, r] = _cold(g, SumParams(h, r)).values
+        assert expected[g, h, r] == brute_force_sumset(g, SumParams(h, r)).values, (g, h, r)
     steps = _counting(monkeypatch, "_extend")
     for name, calls in orders.items():
-        expected = [_cold(g, SumParams(h, r)).values for g, h, r in calls]
         core._reuse.clear()
         core._reuse_bits = 0
         del steps[:]
@@ -522,16 +525,16 @@ def test_prefix_reuse_never_shows_in_results(fresh_store, monkeypatch):
         for g, h, r in calls:
             before = len(steps)
             warm.append((generalized_sumset(g, SumParams(h, r)).values, len(steps) - before))
-        highest = {}
-        for (g, h, r), (got, ran), want in zip(calls, warm, expected):
-            assert got == want, (name, g, h, r)
-            assert got == brute_force_sumset(g, SumParams(h, r)).values, (name, g, h, r)
+        top, highest = {}, {}
+        for g, h, r in calls:
+            top[g, r] = max(h, top.get((g, r), 0))
+        for (g, h, r), (got, ran) in zip(calls, warm):
+            assert got == expected[g, h, r], (name, g, h, r)
             if name in ("listed", "shuffled across sets"):
                 continue
             # Within a group, once the group's largest h has run, every
             # further h reads the kept rows alone.
-            top = max(x for y, x, s in calls if (y, s) == (g, r))
-            if highest.get((g, r)) == top:
+            if highest.get((g, r)) == top[g, r]:
                 assert ran == 0, (name, g, h, r)
             highest[g, r] = max(h, highest.get((g, r), 0))
         cold_steps = sum(g.size - 1 for g, _, _ in calls)
