@@ -21,6 +21,7 @@ import itertools
 import json
 import os
 import sys
+import warnings
 from concurrent.futures.process import BrokenProcessPool
 from typing import Optional, Sequence
 
@@ -165,7 +166,13 @@ def _resolve_ground(args: argparse.Namespace) -> GroundSet:
     literal = args.set_literal
     if args.p is not None and "mod" not in literal:
         literal = f"{literal} mod {args.p}"
-    ground = parse_ground_set(literal)
+    # Each warning about a canonicalized literal is one stderr line, also
+    # under -W error, which would otherwise raise it.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ground = parse_ground_set(literal)
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
     if args.p is not None and ground.modulus != args.p:
         raise DomainError(
             f"--p {args.p} conflicts with 'mod {ground.modulus}' in the set literal"

@@ -43,20 +43,23 @@ which depends on nothing but r, p, H and the translated elements before
 it, and dp[t] at t <= H is the same for every H >= t.  A call at h <= H
 therefore runs ``_extend`` only from its first element that differs from
 the kept prefix, and a kept row is exactly the row a cold call would
-compute for the t it reads.  The height is a high-water mark: a call
-runs at H' = max(h, H) when H' + 1 of its masks fit the per-call limit
-and at H' = h otherwise, and starts over from the first element when
-H' != H.  So a grid that runs h upwards pays one DP per set after the
-key's first set.  The entry also keeps the last set's elements and the
-results already read for it, one per h, so a repeated (A, h) skips the
-last step and the extraction.  No result can depend on which calls came
-before.  The store is bounded: it holds at most 4 096 keys and 2**18
-charged bits (each entry charged k * (H + 1) * W(H) for its rows plus
-W(h) for each kept result, W(t) = t * span + 1 over Z and p modulo p),
-it is cleared when a new entry would pass either cap, and a call whose
-h + 1 masks exceed 2**16 bits, or whose entry alone passes the bit cap,
-keeps nothing, so wide inputs run as before.  Entries are replaced under
-a lock, never mutated, so threads may share the engine.
+compute for the t it reads.  The entry also keeps the last set's
+elements and the results already read for it, one per h, so a repeated
+(A, h) skips the last step and the extraction.  No result can depend on
+which calls came before.
+
+One rule sizes the store.  An entry of height H is charged
+(k + 1) * (H + 1) * W(H) bits, W(t) = t * span + 1 over Z and p modulo
+p: its k rows of H + 1 masks, plus room for its results, at most one
+per t <= H and none wider than W(H).  An entry is kept only when its
+charge fits 2**18 bits.  The height is a high-water mark: a call runs at
+H' = max(h, H) when an entry of height H' fits and at H' = h otherwise,
+and starts over from the first element when H' != H.  So a grid that
+runs h upwards pays one DP per set after the key's first set, and a call
+that does not fit even at h keeps nothing and runs as before.  The store
+is cleared when a new entry would take it past 2**18 charged bits or
+4 096 keys.  Entries are replaced under a lock, never mutated, so
+threads may share the engine.
 
 Conventions: modular elements are residues in [0, p) and p must be
 prime; integer ground sets are kept sorted ascending; h = m*r + eps
@@ -82,16 +85,12 @@ from .errors import DomainError
 _MAX_MAGNITUDE = 2**63 - 1
 _MAX_MASK_BITS = 2**33
 
-# Cross-call reuse (see the module docstring).  Each entry is charged
-# k * (H + 1) * W(H) bits, the most its k rows of H + 1 masks of width
-# W(H) can hold, plus the mask width of each kept result.  Small masks
-# cost far more memory as Python objects than their bits, so the bit cap is set by peak RSS: on CPython 3.11 it
-# grew a verify-sweep benchmark process by 5-8 % at 2**20 and by 2 % at
-# 2**18, while clearing the store is cheap (a few hundred clears over an
-# acceptance grid).
+# The row store (see the module docstring).  Small masks cost far more
+# memory as Python objects than their bits, so the bit cap is set by peak
+# RSS: on CPython 3.11 it grew a verify-sweep benchmark process by 5-8 %
+# at 2**20 and by 2 % at 2**18.
 _REUSE_MAX_KEYS = 4096
 _REUSE_MAX_BITS = 2**18
-_REUSE_MAX_DP_BITS = 2**16
 # (k, r, p) -> (prefix, rows, H, bits, elements, {h: SumsetResult});
 # entries are never mutated.
 _reuse: dict = {}
@@ -301,37 +300,27 @@ def parse_ground_set(text: str) -> GroundSet:
     return gs
 
 
-def _guard_magnitude(h: int, span: int) -> None:
-    """Refuse integer sums whose magnitude h * span exceeds 64 bits."""
-    if h * span > _MAX_MAGNITUDE:
-        raise DomainError(f"h * max|a_i| = {h * span} exceeds the 64-bit guard")
-
-
-def _guard_mask_width(h: int, span: int, p: Optional[int]) -> None:
-    """Refuse a DP of h + 1 masks of width W = h * span + 1 over Z (span
-    = max A - min A), or W = p modulo p, above 2**33 bits in all."""
-    width = h * span + 1 if p is None else p
+def _validate_params(ground: GroundSet, params: SumParams) -> None:
+    """Every size check of a call, in this order: h <= r*k; integer sums
+    h * max|a_i| within 64 bits; and h + 1 masks of width W = h * span + 1
+    over Z (span = max A - min A), or W = p modulo p, at most 2**33 bits in
+    all, so that no oversized DP is allocated."""
+    A, h, p = ground.elements, params.h, ground.modulus
+    k = len(A)
+    if h > params.r * k:
+        raise DomainError(
+            f"h <= r*k required (no multiset of {h} draws fits "
+            f"{k} elements with cap {params.r}): h={h}, r*k={params.r * k}"
+        )
+    magnitude = h * max(abs(A[0]), abs(A[-1]))
+    if p is None and magnitude > _MAX_MAGNITUDE:
+        raise DomainError(f"h * max|a_i| = {magnitude} exceeds the 64-bit guard")
+    width = h * (A[-1] - A[0]) + 1 if p is None else p
     if (h + 1) * width > _MAX_MASK_BITS:
         raise DomainError(
             f"(h + 1) * mask width = {(h + 1) * width} bits exceeds the "
             f"2**33-bit guard"
         )
-
-
-def _validate_params(ground: GroundSet, params: SumParams) -> None:
-    k = ground.size
-    if params.h > params.r * k:
-        raise DomainError(
-            f"h <= r*k required (no multiset of {params.h} draws fits "
-            f"{k} elements with cap {params.r}): h={params.h}, r*k={params.r * k}"
-        )
-    if ground.modulus is None:
-        _guard_magnitude(
-            params.h, max(abs(ground.elements[0]), abs(ground.elements[-1]))
-        )
-    _guard_mask_width(
-        params.h, ground.elements[-1] - ground.elements[0], ground.modulus
-    )
 
 
 def _mask_at(dp: list, a: int, t: int, r: int, p: Optional[int]) -> int:
@@ -381,14 +370,9 @@ def generalized_sumset(ground: GroundSet, params: SumParams) -> SumsetResult:
     translated coordinates a - min(A); modulo p the shifts are reduced
     mod p and each new mask is folded back onto p bits.
 
-    The rows after each element but the last are kept, up to a height
-    H >= h, for the next call with the same (k, r, p) and any h <= H,
-    which steps only from its first element that differs in translated
-    coordinates; the result is kept for the next call with the same set
-    and h.  Every kept row holds exactly the dp[t] this call would
-    compute at each t <= h, so the result does not depend on earlier
-    calls.  The module docstring gives the store's height rule and
-    bounds.
+    The rows after each element but the last, and the result, are kept
+    for later calls with the same (k, r, p) under the one rule that the
+    module docstring states; no result depends on earlier calls.
     """
     A = ground.elements
     h, r = params.h, params.r
@@ -407,9 +391,9 @@ def generalized_sumset(ground: GroundSet, params: SumParams) -> SumsetResult:
     prefix = A[:-1] if p is not None else tuple([a - base for a in A[:-1]])
     kept_prefix, kept, kept_height = entry[:3] if entry else ((), (), -1)
     height = max(h, kept_height)
-    if (height + 1) * (w1 * height + w0) > _REUSE_MAX_DP_BITS:
+    if (k + 1) * (height + 1) * (w1 * height + w0) > _REUSE_MAX_BITS:
         height = h
-    dp_bits = (height + 1) * (w1 * height + w0)
+    charge = (k + 1) * (height + 1) * (w1 * height + w0)
     j = 0
     if height != kept_height:
         rows = [(1,) + (0,) * height]
@@ -428,11 +412,9 @@ def generalized_sumset(ground: GroundSet, params: SumParams) -> SumsetResult:
     bits = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)  # lowest bit first
     offset = h * base
     result = SumsetResult(tuple(compress(range(offset, offset + len(bits)), bits)), p)
-    if dp_bits <= _REUSE_MAX_DP_BITS:
+    if charge <= _REUSE_MAX_BITS:
         results = {**entry[5], h: result} if same_set else {h: result}
-        charge = k * dp_bits + w1 * sum(results) + w0 * len(results)
-        if charge <= _REUSE_MAX_BITS:
-            _remember(key, (prefix, tuple(rows), height, charge, A, results))
+        _remember(key, (prefix, tuple(rows), height, charge, A, results))
     return result
 
 

@@ -16,8 +16,8 @@ import sumsetlab
 from sumsetlab import (
     BoundReport,
     GroundSet,
+    InvariantViolationError,
     ScanReport,
-    SetLiteralWarning,
 )
 from sumsetlab.cli import build_parser, run
 
@@ -147,9 +147,9 @@ def test_help_exits_zero(capsys):
 
 def test_compute_records_round_trip(capsys):
     args = ("compute", "--set", "2,0,1", "--h", "3", "--r", "2", "--format", "records")
-    with pytest.warns(SetLiteralWarning):
-        code1, out1, _ = run_cli(capsys, *args)
+    code1, out1, err1 = run_cli(capsys, *args)
     assert code1 == 0
+    assert err1 == "warning: set literal was unsorted or contained duplicates; canonicalized\n"
     first, summary = records_of(out1)
     assert first["op"] == "compute" and summary["op"] == "summary"
     assert first["values"] == [1, 2, 3, 4, 5]
@@ -995,6 +995,11 @@ def test_exit1_modulus_above_64_bits(capsys):
     assert (code, out) == (0, "2\n")
 
 
+def test_exit1_bound_needs_k_at_least_1(capsys):
+    code, out, err = run_cli(capsys, "bound", "--k", "0", "--h", "1", "--r", "1")
+    assert (code, out, err) == (1, "", "error: k >= 1 required, got k=0\n")
+
+
 def test_exit1_bound_needs_k_or_set(capsys):
     code, _, err = run_cli(capsys, "bound", "--h", "3", "--r", "2")
     assert code == 1 and "--set or --k" in err
@@ -1052,6 +1057,19 @@ def test_exit2_scan_counterexample(capsys, monkeypatch):
         "--k", "5", "--h", "3", "--r", "2", "--max-diameter", "12",
     )
     assert code == 2 and "verdict fail" in out
+
+
+def test_exit2_invariant_violated(capsys, monkeypatch):
+    import sumsetlab.cli as cli_mod
+
+    def broken(ground, vector):
+        raise InvariantViolationError("planted")
+
+    monkeypatch.setattr(cli_mod, "greedy_decompose", broken)
+    code, out, err = run_cli(
+        capsys, "decompose", "--set", "0,1,2", "--counts", "2,1,1", "--r", "2"
+    )
+    assert (code, out, err) == (2, "", "invariant violated: planted\n")
 
 
 def test_exit3_cap(capsys):
@@ -1206,6 +1224,23 @@ def test_exit1_real_worker_killed():
     assert code == 1
     assert err.startswith("error: a worker process died: ")
     assert err.count("\n") == 1
+
+
+def test_set_literal_warnings_are_one_line_each_under_w_error():
+    """A canonicalized literal is reported as one stderr line per warning,
+    and the command still succeeds when Python turns warnings into
+    errors."""
+    src = str(Path(sumsetlab.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "sumsetlab",
+         "compute", "--set", "2,0,13 mod 11", "--h", "2", "--r", "1"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "{2} mod 11\ncardinality 1\n")
+    assert proc.stderr == (
+        "warning: set literal contained residues outside [0, p); reduced mod p\n"
+        "warning: set literal was unsorted or contained duplicates; canonicalized\n"
+    )
 
 
 # ===================== config =====================

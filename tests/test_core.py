@@ -32,7 +32,7 @@ from sumsetlab import (
     split_h,
 )
 from sumsetlab import core
-from sumsetlab.core import _guard_mask_width
+from sumsetlab.core import _validate_params
 
 
 # ===================== frozen examples =====================
@@ -130,6 +130,11 @@ def test_split_h():
 def test_is_prime():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert not is_prime(561)  # Carmichael
+    # No factor up to 37, so Miller-Rabin decides: 41 * 43, and a strong
+    # pseudoprime to the bases 2, 3, 5 and 7 that base 11 exposes.
+    assert not is_prime(1763)
+    assert not is_prime(3_215_031_751)
+    assert is_prime(1759) and is_prime(3_215_031_767)
     assert is_prime(2**61 - 1)
     assert not is_prime(2**61 + 1)
     assert is_prime(2**64 - 59)  # the largest 64-bit prime
@@ -194,6 +199,15 @@ def test_ground_set_of_canonicalizes():
     assert gm.elements == (1, 3, 6)
 
 
+def test_sets_iterate_in_ascending_order():
+    g = GroundSet.of([3, 1, 2], 7)
+    assert list(g) == [1, 2, 3]
+    assert 2 in g and 0 not in g
+    result = generalized_sumset(GroundSet.of([2, 0, 1]), SumParams(h=3, r=2))
+    assert list(result) == [1, 2, 3, 4, 5]
+    assert 5 in result and 0 not in result
+
+
 def test_sum_params_validation():
     with pytest.raises(DomainError):
         SumParams(h=0, r=2)
@@ -229,9 +243,10 @@ def test_mask_width_guard():
     ):
         with pytest.raises(DomainError, match="2\\*\\*33-bit guard"):
             generalized_sumset(ground, params)
-    _guard_mask_width(1, 2**32 - 1, None)  # 2 masks of 2**32 bits: at the limit
+    # 2 masks of 2**32 bits: at the limit; one bit wider each: refused
+    _validate_params(GroundSet((0, 2**32 - 1)), SumParams(h=1, r=1))
     with pytest.raises(DomainError, match="= 8589934594 bits"):
-        _guard_mask_width(1, 2**32, None)
+        _validate_params(GroundSet((0, 2**32)), SumParams(h=1, r=1))
 
 
 def test_restricted_needs_h_at_most_k():
@@ -242,6 +257,10 @@ def test_restricted_needs_h_at_most_k():
 def test_bound_hypothesis_errors():
     with pytest.raises(DomainError):
         bound_direct_integers(3, 7, 2)  # h > r*k
+    with pytest.raises(DomainError, match="^k >= 1 required, got k=0$"):
+        bound_direct_integers(0, 1, 1)
+    with pytest.raises(DomainError, match="^r >= 1 required, got r=0$"):
+        bound_direct_integers(1, 1, 0)
     with pytest.raises(DomainError):
         bound_direct_mod_p(3, 1, 2, 7)  # r > h
     with pytest.raises(DomainError):
@@ -441,7 +460,8 @@ def _counting(monkeypatch, name):
 
 
 def _check_store():
-    """Every entry is charged what it holds, and every kept result is the
+    """Every entry is charged the one rule's (k + 1) * (H + 1) * W(H) bits,
+    holds no result above its height, and every kept result is the
     oracle's value for the entry's set."""
     for (k, r, p), (prefix, rows, height, bits, elements, results) in core._reuse.items():
         span = elements[-1] - elements[0]
@@ -451,7 +471,7 @@ def _check_store():
 
         assert len(elements) == k and len(prefix) == k - 1 and len(rows) == k
         assert all(len(row) == height + 1 for row in rows)
-        assert bits == k * (height + 1) * width(height) + sum(map(width, results))
+        assert bits == (k + 1) * (height + 1) * width(height)
         for h, result in results.items():
             assert h <= height
             ground = GroundSet(elements, p)
@@ -595,10 +615,10 @@ def test_prefix_store_stays_within_its_caps(fresh_store, monkeypatch):
 @pytest.mark.parametrize(
     "elements, modulus, h, r",
     [
-        # (h + 1) * W above the per-call limit
+        # wide masks: the entry's charge is over ten times the bit cap
         (tuple(range(-500_000, -492_000, 200)) + (-492_000,), None, 3, 1),
         (tuple(range(0, 20_000, 500)), 20_011, 3, 1),
-        # under the per-call limit, but its k rows above the bit cap
+        # narrower masks, but (k + 1) rows of them above the bit cap
         (tuple(range(0, 2_400, 100)) + (2_500,), None, 4, 2),
     ],
 )
