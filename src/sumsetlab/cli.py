@@ -17,7 +17,6 @@ failed, 3 a scan refused by the resource cap, 130 interrupted.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -35,12 +34,7 @@ from .core import (
 )
 from .decompose import MultiplicityVector, check_sumset_factorization, greedy_decompose
 from .errors import DomainError, InvariantViolationError, ResourceCapError
-from .scan import (
-    DEFAULT_CAP,
-    parse_manifest,
-    scan_extremal_integers,
-    scan_inverse_eh_mod_p,
-)
+from .scan import DEFAULT_CAP, _SCANS, parse_manifest, scan_grid
 from .verify import (
     check_complement_identity,
     check_direct_bound,
@@ -52,17 +46,6 @@ EXIT_DOMAIN = 1
 EXIT_VERIFICATION = 2
 EXIT_CAP = 3
 EXIT_INTERRUPTED = 130
-
-# Each scan's help line and grid keys: those it requires, then those it
-# takes if given.  A manifest's other keys are ignored and never repeat
-# a scan.
-_SCANS = {
-    "extremal": ("normalized integer sets up to a diameter",
-                 ("k", "h", "r", "max_diameter"), ()),
-    "inverse-eh": ("k-subsets of Z/pZ, distinct-sum equality sets",
-                   ("p", "k"), ("h",)),
-}
-
 
 class _ParseError(Exception):
     pass
@@ -135,7 +118,7 @@ def build_parser() -> _Parser:
     s = sub.add_parser("scan", help="exhaustive equality-set scans")
     ssub = s.add_subparsers(dest="subcommand", required=True)
 
-    for name, (blurb, required, optional) in _SCANS.items():
+    for name, (blurb, required, optional, _) in _SCANS.items():
         sp = ssub.add_parser(name, help=blurb)
         for key in required + optional:
             sp.add_argument("--" + key.replace("_", "-"), type=int)
@@ -289,16 +272,12 @@ def _cmd_scan(args: argparse.Namespace) -> tuple:
     finishes; returns (instances, failures, verdict) over all of them."""
     if (args.jobs or 0) < 0:
         raise DomainError(f"--jobs must be >= 0, got {args.jobs}")
-    # looked up when called, so that a patched scan function is the one run
-    scan = {"extremal": scan_extremal_integers,
-            "inverse-eh": scan_inverse_eh_mod_p}[args.subcommand]
-    _, required, optional = _SCANS[args.subcommand]
-    keys = required + optional
+    _, required, optional, _ = _SCANS[args.subcommand]
     grid = {}
     if args.manifest:
         with open(args.manifest, "r", encoding="utf-8") as fh:
             grid = parse_manifest(fh.read())
-    for key in keys:
+    for key in required + optional:
         value = getattr(args, key)
         if value is None:
             continue
@@ -308,24 +287,13 @@ def _cmd_scan(args: argparse.Namespace) -> tuple:
                 f"by the manifest"
             )
         grid[key] = [value]
-    for key in required:
-        if key not in grid:
-            raise DomainError(
-                f"scan {args.subcommand} needs {key} (flag or manifest)"
-            )
-    # keys this scan does not take are left out, so they repeat no scan
-    names = [key for key in grid if key in keys]
     records = args.format == "records"
     on_records = (lambda lines: print("\n".join(lines))) if records else None
     instances = failures = 0
     failed = False
-    for values in itertools.product(*(grid[key] for key in names)):
-        report = scan(
-            **dict(zip(names, values)),
-            cap=args.cap,
-            jobs=args.jobs or _available_cores(),
-            on_records=on_records,
-        )
+
+    def on_report(report):
+        nonlocal instances, failures, failed
         instances += report.evaluated  # records mode prints one per candidate
         failures += len(report.violations)
         failed = failed or report.verdict == "fail"
@@ -333,6 +301,9 @@ def _cmd_scan(args: argparse.Namespace) -> tuple:
             print(_json_line(report.to_record()))
         else:
             _print_scan_plain(report, args.verbose)
+
+    scan_grid(args.subcommand, grid, args.cap, args.jobs or _available_cores(),
+              on_records, on_report)
     return instances, failures, "fail" if failed else "pass"
 
 

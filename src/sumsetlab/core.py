@@ -300,18 +300,22 @@ def parse_ground_set(text: str) -> GroundSet:
     return gs
 
 
-def _validate_params(ground: GroundSet, params: SumParams) -> None:
-    """Every size check of a call, in this order: h <= r*k; integer sums
-    h * max|a_i| within 64 bits; and h + 1 masks of width W = h * span + 1
-    over Z (span = max A - min A), or W = p modulo p, at most 2**33 bits in
-    all, so that no oversized DP is allocated."""
-    A, h, p = ground.elements, params.h, ground.modulus
-    k = len(A)
-    if h > params.r * k:
+def _check_draws(k: int, h: int, r: int) -> None:
+    """h <= r*k, the one check of a call that allocates no DP."""
+    if h > r * k:
         raise DomainError(
             f"h <= r*k required (no multiset of {h} draws fits "
-            f"{k} elements with cap {params.r}): h={h}, r*k={params.r * k}"
+            f"{k} elements with cap {r}): h={h}, r*k={r * k}"
         )
+
+
+def _validate_params(ground: GroundSet, params: SumParams) -> None:
+    """Every size check of a DP call, in this order: ``_check_draws``;
+    integer sums h * max|a_i| within 64 bits; and h + 1 masks of width
+    W = h * span + 1 over Z (span = max A - min A), or W = p modulo p, at
+    most 2**33 bits in all, so that no oversized DP is allocated."""
+    A, h, p = ground.elements, params.h, ground.modulus
+    _check_draws(len(A), h, params.r)
     magnitude = h * max(abs(A[0]), abs(A[-1]))
     if p is None and magnitude > _MAX_MAGNITUDE:
         raise DomainError(f"h * max|a_i| = {magnitude} exceeds the 64-bit guard")
@@ -490,7 +494,7 @@ def extremes_closed_form(ground: GroundSet, params: SumParams) -> Tuple[int, int
     """
     if ground.modulus is not None:
         raise DomainError("extremes are defined for integer ground sets only")
-    _validate_params(ground, params)
+    _check_draws(ground.size, params.h, params.r)
     A = ground.elements
     k = len(A)
     m, eps = params.m, params.epsilon

@@ -19,12 +19,13 @@ the progression {0, ..., k-1} must be one.  Over Z the normalization
 leaves {0, ..., k-1} as the only progression, so there the rule reads
 "{0, ..., k-1} only".
 
-Both are thin wrappers over one driver: candidates are the k-sets
-0 = a_1 < ... < a_k <= largest (max_diameter, or p - 1 in Z/pZ), the
-driver refuses up front if their count exceeds the cap, or if the
-engine's validation refuses the widest candidate, and it splits the
-enumeration into chunks by the prefix (0,) or (0, a_2), optionally over
-worker processes; chunk results are folded in prefix order as each
+Both run at each point of a grid through one driver, ``scan_grid``:
+candidates are the k-sets 0 = a_1 < ... < a_k <= largest (max_diameter,
+or p - 1 in Z/pZ), a point is refused up front if their count exceeds
+the cap, or if the engine's validation refuses the widest candidate,
+and its enumeration is split into chunks by the prefix (0,) or (0, a_2),
+optionally over the one pool of worker processes that the driver call
+shares across points; chunk results are folded in prefix order as each
 chunk arrives, so a serial scan holds one chunk's rows at a time and a
 parallel one at most 2 * jobs chunks submitted and not yet folded.  A
 chunk walks depth-first with the engine's DP steps, one ``core._extend``
@@ -37,6 +38,7 @@ scan, and a chunk's lines are handed over in one call.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import signal
@@ -44,7 +46,7 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Optional, Tuple
 
 from .core import (
@@ -191,13 +193,14 @@ def _scan(
     hypothesis: str,
     cap: int,
     jobs: int,
+    pool: Callable[[], ProcessPoolExecutor],
     on_records: Optional[RecordsCallback],
 ) -> ScanReport:
     """Scan the k-sets 0 = a_1 < ... < a_k <= largest, in Z/pZ when
-    ``p`` is given, against ``bound``.  Work is split by the smallest
-    nonzero element; chunks are folded in that order, as each arrives,
-    whatever ``jobs`` is.  ``on_records``, if given, is called once per
-    chunk that evaluated a candidate, with that chunk's record lines."""
+    ``p`` is given, against ``bound``, in chunks split by the smallest
+    nonzero element: run in ``pool()`` if jobs > 1 and there are several,
+    folded in that order as each arrives.  ``on_records``, if given, gets
+    the record lines of each chunk that evaluated a candidate."""
     count = math.comb(largest, k - 1)
     if count > cap:
         raise ResourceCapError(count, cap)
@@ -209,37 +212,28 @@ def _scan(
     prefixes = [(0,)] if k == 1 else [(0, f) for f in range(1, largest - k + 3)]
     evaluated = 0
     equality, violations = [], []
-    with ExitStack() as stack:
-        if jobs > 1 and len(prefixes) > 1:
-            # Workers die on SIGINT, so Ctrl-C breaks the pool at once; if
-            # the fold stops early, chunks not yet started are dropped.
-            pool = ProcessPoolExecutor(
-                max_workers=jobs,
-                initializer=signal.signal,
-                initargs=(signal.SIGINT, signal.SIG_DFL),
-            )
-            stack.callback(pool.shutdown, cancel_futures=True)
-            # Finished chunks wait for the fold, so a bounded window keeps
-            # memory at O(jobs) chunks while every worker has work queued.
-            results = _in_order(pool, chunk, prefixes, 2 * jobs)
-        else:
-            results = map(chunk, prefixes)
-        for chunk_evaluated, rows in results:
-            evaluated += chunk_evaluated
-            lines = []
-            for cand, card in rows:
-                # The engine is the authority for every set the report names.
-                if card <= bound:
-                    card = generalized_sumset(GroundSet(cand, p), params).cardinality
-                    if card < bound:
-                        violations.append(cand)
-                    elif card == bound:
-                        equality.append(cand)
-                if on_records is not None:
-                    lines.append(template % (card, "true" if card == bound else "false",
-                                             ",".join(map(str, cand)), card - bound))
-            if lines:
-                on_records(lines)
+    if jobs > 1 and len(prefixes) > 1:
+        # Finished chunks wait for the fold, so a bounded window keeps
+        # memory at O(jobs) chunks while every worker has work queued.
+        results = _in_order(pool(), chunk, prefixes, 2 * jobs)
+    else:
+        results = map(chunk, prefixes)
+    for chunk_evaluated, rows in results:
+        evaluated += chunk_evaluated
+        lines = []
+        for cand, card in rows:
+            # The engine is the authority for every set the report names.
+            if card <= bound:
+                card = generalized_sumset(GroundSet(cand, p), params).cardinality
+                if card < bound:
+                    violations.append(cand)
+                elif card == bound:
+                    equality.append(cand)
+            if on_records is not None:
+                lines.append(template % (card, "true" if card == bound else "false",
+                                         ",".join(map(str, cand)), card - bound))
+        if lines:
+            on_records(lines)
     non_ap = tuple(
         s for s in equality if not is_arithmetic_progression(GroundSet(s, p))
     )
@@ -261,6 +255,65 @@ def _scan(
     )
 
 
+def _extremal(k, h, r, max_diameter) -> tuple:
+    """``_scan``'s arguments from k to hypothesis at one extremal point
+    (``_inverse_eh``: at one inverse-eh point)."""
+    bound = bound_direct_integers(k, h, r)
+    if max_diameter < k - 1:
+        raise DomainError(
+            f"max_diameter >= k - 1 required to fit k distinct values: "
+            f"max_diameter={max_diameter}, k={k}"
+        )
+    return (k, SumParams(h=h, r=r), None, max_diameter, bound,
+            k >= 5 and 2 <= r <= h <= r * k - 2, "k >= 5 and 2 <= r <= h <= r*k - 2")
+
+
+def _inverse_eh(p, k, h=2) -> tuple:
+    return (k, SumParams(h=h, r=1), p, p - 1, bound_erdos_heilbronn(k, h, p),
+            h == 2 and k >= 5 and p > 2 * k - 3, "h == 2 and k >= 5 and p > 2*k - 3")
+
+
+# Each scan's help line, the grid keys it requires and those it takes if
+# given (a grid's other keys repeat no scan), and its point's arguments.
+_SCANS = {
+    "extremal": ("normalized integer sets up to a diameter",
+                 ("k", "h", "r", "max_diameter"), (), _extremal),
+    "inverse-eh": ("k-subsets of Z/pZ, distinct-sum equality sets",
+                   ("p", "k"), ("h",), _inverse_eh),
+}
+
+_MANIFEST_KEYS = tuple(dict.fromkeys(key for _, required, optional, _ in _SCANS.values()
+                                     for key in required + optional))
+
+
+def scan_grid(name, grid, cap, jobs, on_records, on_report) -> None:
+    """Run scan ``name`` at each point of ``grid`` (key -> values), the
+    product of the keys it takes in grid order, the last varying fastest,
+    and pass each report to ``on_report``.  All points share one pool of
+    ``jobs`` workers, started by the first scan with several chunks."""
+    _, required, optional, arguments = _SCANS[name]
+    for key in required:
+        if key not in grid:
+            raise DomainError(f"scan {name} needs {key} (flag or manifest)")
+    names = [key for key in grid if key in required + optional]
+    with ExitStack() as stack:
+        @cache
+        def pool():
+            # Workers die on SIGINT, so Ctrl-C breaks the pool at once; if
+            # a fold stops early, chunks not yet started are dropped.
+            executor = ProcessPoolExecutor(
+                max_workers=jobs,
+                initializer=signal.signal,
+                initargs=(signal.SIGINT, signal.SIG_DFL),
+            )
+            stack.callback(executor.shutdown, cancel_futures=True)
+            return executor
+
+        for values in itertools.product(*(grid[key] for key in names)):
+            point = arguments(**dict(zip(names, values)))
+            on_report(_scan(name, *point, cap, jobs, pool, on_records))
+
+
 def scan_extremal_integers(
     k: int,
     h: int,
@@ -275,25 +328,10 @@ def scan_extremal_integers(
     Every candidate's |h^(r)A| is compared with the closed-form bound;
     equality sets and (never expected) violations are collected.
     """
-    bound = bound_direct_integers(k, h, r)
-    if max_diameter < k - 1:
-        raise DomainError(
-            f"max_diameter >= k - 1 required to fit k distinct values: "
-            f"max_diameter={max_diameter}, k={k}"
-        )
-    return _scan(
-        kind="extremal",
-        k=k,
-        params=SumParams(h=h, r=r),
-        p=None,
-        largest=max_diameter,
-        bound=bound,
-        in_hypothesis=k >= 5 and 2 <= r <= h <= r * k - 2,
-        hypothesis="k >= 5 and 2 <= r <= h <= r*k - 2",
-        cap=cap,
-        jobs=jobs,
-        on_records=on_records,
-    )
+    reports = []
+    scan_grid("extremal", dict(k=[k], h=[h], r=[r], max_diameter=[max_diameter]),
+              cap, jobs, on_records, reports.append)
+    return reports[0]
 
 
 def scan_inverse_eh_mod_p(
@@ -310,23 +348,10 @@ def scan_inverse_eh_mod_p(
     modular progressions when k >= 5 and p > 2k - 3).  Other h values
     are exploratory: reported, asserted never.
     """
-    bound = bound_erdos_heilbronn(k, h, p)
-    return _scan(
-        kind="inverse-eh",
-        k=k,
-        params=SumParams(h=h, r=1),
-        p=p,
-        largest=p - 1,
-        bound=bound,
-        in_hypothesis=h == 2 and k >= 5 and p > 2 * k - 3,
-        hypothesis="h == 2 and k >= 5 and p > 2*k - 3",
-        cap=cap,
-        jobs=jobs,
-        on_records=on_records,
-    )
-
-
-_MANIFEST_KEYS = ("k", "h", "r", "max_diameter", "p")
+    reports = []
+    scan_grid("inverse-eh", dict(p=[p], k=[k], h=[h]), cap, jobs, on_records,
+              reports.append)
+    return reports[0]
 
 
 def parse_manifest(text: str) -> dict:

@@ -1030,9 +1030,9 @@ def test_exit2_verify_failure(capsys, monkeypatch):
 
 
 def test_exit2_scan_counterexample(capsys, monkeypatch):
-    import sumsetlab.cli as cli_mod
+    import sumsetlab.scan as scan_mod
 
-    def fake_scan(**kwargs):
+    def fake_scan(*args):
         return ScanReport(
             kind="extremal",
             k=5,
@@ -1050,7 +1050,7 @@ def test_exit2_scan_counterexample(capsys, monkeypatch):
             hypothesis="test",
         )
 
-    monkeypatch.setattr(cli_mod, "scan_extremal_integers", fake_scan)
+    monkeypatch.setattr(scan_mod, "_scan", fake_scan)
     code, out, _ = run_cli(
         capsys,
         "scan", "extremal",
@@ -1100,12 +1100,12 @@ def test_exit1_oversized_dp(capsys, argv):
 
 
 def test_exit130_interrupted(capsys, monkeypatch):
-    import sumsetlab.cli as cli_mod
+    import sumsetlab.scan as scan_mod
 
-    def interrupted(**kwargs):
+    def interrupted(*args):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(cli_mod, "scan_extremal_integers", interrupted)
+    monkeypatch.setattr(scan_mod, "_scan", interrupted)
     code, out, err = run_cli(
         capsys,
         "scan", "extremal",
@@ -1266,13 +1266,13 @@ def test_jobs_defaults_to_available_parallelism(monkeypatch):
     import sumsetlab.cli as cli_mod
 
     seen = []
-    real_scan = cli_mod.scan_extremal_integers
+    real_scan = cli_mod.scan_grid
 
-    def spy(**kwargs):
-        seen.append(kwargs["jobs"])
-        return real_scan(**kwargs)
+    def spy(name, grid, cap, jobs, on_records, on_report):
+        seen.append(jobs)
+        return real_scan(name, grid, cap, jobs, on_records, on_report)
 
-    monkeypatch.setattr(cli_mod, "scan_extremal_integers", spy)
+    monkeypatch.setattr(cli_mod, "scan_grid", spy)
     parser = build_parser()
     base = ["scan", "extremal", "--k", "3", "--h", "2", "--r", "2",
             "--max-diameter", "6"]

@@ -116,6 +116,17 @@ def test_extremes_closed_form_values():
     assert extremes_closed_form(GroundSet.of([0, 2, 5]), SumParams(6, 2)) == (14, 14)
 
 
+def test_extremes_refuse_only_h_above_rk():
+    """The closed form allocates no DP, so a set too wide for the
+    engine's mask guard still has extremes; h > r*k is refused."""
+    wide = GroundSet((0, 2**40))
+    with pytest.raises(DomainError, match=r"2\*\*33-bit guard"):
+        generalized_sumset(wide, SumParams(2, 1))
+    assert extremes_closed_form(wide, SumParams(2, 1)) == (2**40, 2**40)
+    with pytest.raises(DomainError, match=r"h <= r\*k required"):
+        extremes_closed_form(wide, SumParams(3, 1))
+
+
 def test_split_h():
     assert split_h(7, 3) == (2, 1)
     assert split_h(6, 3) == (2, 0)

@@ -7,7 +7,7 @@ independently of the package.
 
 import json
 import math
-from concurrent.futures import Future
+from concurrent.futures import Future, ProcessPoolExecutor
 from itertools import combinations
 
 import pytest
@@ -25,7 +25,7 @@ from sumsetlab import (
     scan_inverse_eh_mod_p,
 )
 from sumsetlab.cli import _json_line, run
-from sumsetlab.scan import _scan
+from sumsetlab.scan import _SCANS, _scan
 
 
 def _decoding(seen):
@@ -212,40 +212,41 @@ def _oracle_cardinality(cache, s, p, h, r):
 def test_scan_cardinalities_match_oracle():
     """Every record of both scans against the brute-force oracle: over Z
     every k <= 5, max_diameter <= 7, r <= 3, 1 <= h <= r*k; in Z/p for p
-    in {5, 7, 11}, k <= 4, 1 <= h <= k with r = 1 through the public
-    scan, and r in {2, 3}, h <= r*k through the driver.  Records at
-    jobs 2 must equal those at jobs 1."""
+    in {5, 7, 11}, k <= 4, 1 <= h <= k with r = 1 at the public scan's
+    arguments, and r in {2, 3}, h <= r*k at bound 0.  Records at jobs 2,
+    all run in one shared pool, must equal those at jobs 1."""
     cache = {}
-    runs = []
+    runs = []  # (scan name, _scan's arguments after the name)
     for k in range(1, 6):
         for d in range(k - 1, 8):
             for r in range(1, 4):
                 for h in range(1, r * k + 1):
-                    runs.append((None, k, h, r, d))
+                    runs.append(("extremal", _SCANS["extremal"][3](k, h, r, d)))
     for p in (5, 7, 11):
         for k in range(1, 5):
             for r in range(1, 4):
                 for h in range(1, (k if r == 1 else r * k) + 1):
-                    runs.append((p, k, h, r, p - 1))
+                    if r == 1:
+                        args = _SCANS["inverse-eh"][3](p, k, h)
+                    else:
+                        args = (k, SumParams(h=h, r=r), p, p - 1, 0, False, "")
+                    runs.append(("inverse-eh", args))
     checked = 0
-    for p, k, h, r, largest in runs:
-        outputs = []
-        # A smaller max_diameter over Z scans a subset of the d = 7 sets.
-        for jobs in (1, 2) if p is not None or largest == 7 else (1,):
-            seen = []
-            if p is None:
-                scan_extremal_integers(k, h, r, largest, jobs=jobs, on_records=_decoding(seen))
-            elif r == 1:
-                scan_inverse_eh_mod_p(p, k, h, jobs=jobs, on_records=_decoding(seen))
-            else:
-                _scan("inverse-eh", k, SumParams(h=h, r=r), p, largest, 0,
-                      False, "", 10**8, jobs, _decoding(seen))
-            for rec in seen:
-                want = _oracle_cardinality(cache, tuple(rec["set"]), p, h, r)
-                assert rec["cardinality"] == want, (rec, h, r)
-                checked += 1
-            outputs.append(seen)
-        assert all(out == outputs[0] for out in outputs)
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        for name, args in runs:
+            _, params, p, largest = args[:4]
+            outputs = []
+            # A smaller max_diameter over Z scans a subset of the d = 7 sets.
+            for jobs in (1, 2) if p is not None or largest == 7 else (1,):
+                seen = []
+                _scan(name, *args, 10**8, jobs, lambda: pool, _decoding(seen))
+                for rec in seen:
+                    want = _oracle_cardinality(cache, tuple(rec["set"]), p,
+                                               params.h, params.r)
+                    assert rec["cardinality"] == want, (rec, params)
+                    checked += 1
+                outputs.append(seen)
+            assert all(out == outputs[0] for out in outputs)
     assert checked > 10_000
 
 
@@ -383,6 +384,37 @@ def test_parallel_scan_window(monkeypatch, capsys, jobs):
     assert state["submitted"] == 10 and state["open"] == 0
     assert state["peak"] == 2 * jobs
     assert state["cancel"] is True
+
+
+@pytest.mark.parametrize(
+    "grid, extra, code, pools",
+    [
+        ("k = 4\nh = 2..5\nr = 2\nmax_diameter = 8", [], 0, 1),  # 4 points, 7 chunks each
+        ("k = 1\nh = 1\nr = 1..3\nmax_diameter = 0..2", [], 0, 0),  # 1 chunk each
+        ("k = 4\nh = 3\nr = 2\nmax_diameter = 12, 8", ["--cap", "100"], 3, 0),
+        (f"k = 3\nh = {2**30}, 3\nr = {2**30}\nmax_diameter = 10", [], 1, 0),
+    ],
+)
+def test_one_pool_per_invocation(monkeypatch, capsys, tmp_path, grid, extra, code, pools):
+    """A --jobs 2 scan starts at most one pool, shared by every grid
+    point, and only once a point with more than one chunk has passed its
+    cap and size checks; it prints the --jobs 1 bytes and exit code."""
+    manifest = tmp_path / "grid.txt"
+    manifest.write_text(grid + "\n", encoding="utf-8")
+    argv = ["scan", "extremal", "--manifest", str(manifest), "--format", "records"]
+    assert run(argv + extra + ["--jobs", "1"]) == code
+    serial = capsys.readouterr()
+    started = []
+
+    class Counting(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(sumsetlab.scan, "ProcessPoolExecutor", Counting)
+    assert run(argv + extra + ["--jobs", "2"]) == code
+    assert capsys.readouterr() == serial
+    assert len(started) == pools
 
 
 # ===================== mod-p scans =====================
