@@ -103,14 +103,14 @@ def build_parser() -> _Parser:
     vsub = v.add_subparsers(dest="subcommand", required=True)
     for name, blurb in (
         ("direct", "computed cardinality against the closed-form bound"),
-        ("factorization", "h^(r)A against the r-fold sumset of m^A (needs r | h)"),
+        ("factorization", "h^(r)A against eps-fold (m+1)^A + (r-eps)-fold m^A"),
         ("complement", "|h^(r)A| against |(rk-h)^(r)A|"),
         ("inclusions", "split inclusion, case bundles, witness chains"),
     ):
         vp = vsub.add_parser(name, help=blurb)
         add_common(vp, verbose=name == "inclusions")
 
-    d = sub.add_parser("decompose", help="greedy rewrite into r parts of m distinct elements")
+    d = sub.add_parser("decompose", help="greedy rewrite into r parts of distinct elements")
     add_common(d, with_hr=False)
     d.add_argument("--counts", required=True, help='multiplicities, e.g. "2,1,1"')
     d.add_argument("--r", type=int, required=True, help="per-element cap")

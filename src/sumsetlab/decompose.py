@@ -1,20 +1,21 @@
-"""Greedy rewriting of h^(r)A elements when r divides h.
+"""Greedy rewriting of h^(r)A elements into restricted-sumset parts.
 
-If h = m*r, every element of h^(r)A is a sum of r elements of the
-restricted sumset m^A: given a multiplicity vector (r_1, ..., r_k) with
-sum h and each r_i <= r, repeatedly take the m largest remaining
-multiplicities (lowest index on ties), emit the sum of those m distinct
-elements, and decrement.  Two conditions make the greedy step sound,
-and both are asserted at every step rather than trusted:
+Write h = m*r + eps with 0 <= eps < r.  Every element of h^(r)A is a
+sum of eps elements of (m+1)^A and r - eps elements of m^A: given a
+multiplicity vector (r_1, ..., r_k) with sum h and each r_i <= r, step
+j = 1..r takes the s_j = m + (j <= eps) largest remaining multiplicities
+(lowest index on ties), emits the sum of those s_j distinct elements,
+and decrements.  Two conditions make the greedy step sound, and both
+are asserted at every step rather than trusted:
 
-    (1) before step j, at least m multiplicities are still positive;
+    (1) before step j, at least s_j multiplicities are still positive;
     (2) after step j, every multiplicity is at most r - j.
 
 Violating either would be a counterexample to the rewriting claim (or a
 bug), so it raises InvariantViolationError instead of returning junk.
 
-The same split is checked set-wise by :func:`check_sumset_factorization`:
-h^(r)A equals the r-fold sumset of m^A, in Z and in Z/pZ.
+The same split is checked set-wise by :func:`check_sumset_factorization`,
+in Z and in Z/pZ.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .core import (
     restricted_sumset,
 )
 from .errors import DomainError, InvariantViolationError
-from .verify import _Report
+from .verify import _minkowski, _Report
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,7 @@ class GreedyStep:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Result of the greedy rewriting: r parts of m distinct indices each."""
+    """Result of the greedy rewriting: r parts of distinct indices."""
 
     ground: GroundSet
     vector: MultiplicityVector
@@ -117,12 +118,12 @@ class Decomposition:
 
 
 def greedy_decompose(ground: GroundSet, vector: MultiplicityVector) -> Decomposition:
-    """Rewrite the sum described by ``vector`` as cap-many m-element parts.
+    """Rewrite the sum described by ``vector`` as cap-many parts.
 
-    Requires cap | total (i.e. eps = 0).  Each returned part is a tuple
-    of m distinct indices into the ground set, and part_sums[j] is the
-    corresponding element of m^A.  Ties in the greedy choice go to the
-    lowest index, so the output is deterministic.
+    Part j holds m + (j <= eps) distinct indices into the ground set
+    (none when m = 0); its sum is an element of (m+1)^A or m^A.  Ties
+    in the greedy choice go to the lowest index, so the output is
+    deterministic.
     """
     k = ground.size
     if len(vector.counts) != k:
@@ -131,23 +132,20 @@ def greedy_decompose(ground: GroundSet, vector: MultiplicityVector) -> Decomposi
         )
     h, r = vector.total, vector.cap
     m, eps = divmod(h, r)
-    if eps != 0:
-        raise DomainError(
-            f"cap | total required for the rewriting: total={h}, cap={r}"
-        )
     counts = list(vector.counts)
     parts = []
     part_sums = []
     trace = []
     for j in range(1, r + 1):
+        size = m + (j <= eps)
         active = sum(1 for c in counts if c >= 1)
-        if active < m:
+        if active < size:
             raise InvariantViolationError(
-                f"step {j}: only {active} positive multiplicities, need {m} "
+                f"step {j}: only {active} positive multiplicities, need {size} "
                 f"(counts={tuple(counts)})"
             )
         order = sorted(range(k), key=lambda i: (-counts[i], i))
-        chosen = tuple(sorted(order[:m]))
+        chosen = tuple(sorted(order[:size]))
         for i in chosen:
             counts[i] -= 1
         max_after = max(counts)
@@ -181,7 +179,7 @@ def greedy_decompose(ground: GroundSet, vector: MultiplicityVector) -> Decomposi
 
 @dataclass(frozen=True)
 class FactorizationReport(_Report):
-    """Set-wise form of the rewriting: h^(r)A versus r-fold of m^A."""
+    """Set-wise form of the rewriting: h^(r)A versus the sum of its parts."""
 
     left: SumsetResult
     right: SumsetResult
@@ -210,20 +208,22 @@ class FactorizationReport(_Report):
 def check_sumset_factorization(
     ground: GroundSet, params: SumParams
 ) -> FactorizationReport:
-    """Check h^(r)A == r-fold sumset of m^A (requires r | h).
+    """Check h^(r)A == eps-fold (m+1)^A + (r - eps)-fold m^A.
 
-    Both sides run the one engine, with different parameters: the left
-    side is h^(r)A directly, the right side the restricted sumset m^A
-    followed by its r-fold classical sumset, which goes through the
-    intermediate set m^A.
+    Both sides run the one engine: the left side is h^(r)A directly;
+    each part of the right side is a restricted sumset j^A followed by
+    its classical sumset.  An empty part (eps = 0, or m = 0) is skipped;
+    two parts are added as one Minkowski sum, reduced mod p.
     """
-    if params.epsilon != 0:
-        raise DomainError(
-            f"r | h required for the factorization: h={params.h}, r={params.r}"
-        )
     left = generalized_sumset(ground, params)
-    m = params.m
-    block = restricted_sumset(ground, m)
-    block_ground = GroundSet.of(block.values, ground.modulus)
-    right = classical_sumset(block_ground, params.r)
+    m, eps, p = params.m, params.epsilon, ground.modulus
+    parts = []
+    for size, times in ((m + 1, eps), (m, params.r - eps)):
+        if size and times:
+            block = restricted_sumset(ground, size)
+            parts.append(classical_sumset(GroundSet.of(block.values, p), times))
+    right = parts[0]
+    if len(parts) == 2:
+        both = GroundSet.of(_minkowski(parts[0].values, parts[1].values), p)
+        right = SumsetResult(both.elements, p)
     return FactorizationReport(ground=ground, params=params, left=left, right=right)

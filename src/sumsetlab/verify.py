@@ -39,6 +39,7 @@ from .core import (
     GroundSet,
     SumParams,
     SumsetResult,
+    _check_draws,
     bound_direct_integers,
     bound_direct_mod_p,
     generalized_sumset,
@@ -288,8 +289,7 @@ def check_inclusions_and_witnesses(ground: GroundSet, params: SumParams) -> Witn
     A = ground.elements
     k = len(A)
     h, r = params.h, params.r
-    if h > r * k:
-        raise DomainError(f"h <= r*k required: h={h}, r*k={r * k}")
+    _check_draws(k, h, r)
     m, eps = params.m, params.epsilon
     names = (
         "split-inclusion",

@@ -5,8 +5,9 @@ Eight criteria, one test each, run against exhaustive grids:
   1  engine equals the independent brute-force oracle (integer grid)
   2  integer bound never violated; tight exactly on progressions
   3  mod-p bound never violated (all subsets of Z/pZ, p in {5,7,11,13})
-  4  factorization identity on every r | h instance; greedy rewriting
-     succeeds on every valid multiplicity vector (exhaustive)
+  4  factorization h^(r)A = eps-fold (m+1)^A + (r-eps)-fold m^A on
+     every grid instance; greedy rewriting succeeds on every valid
+     multiplicity vector (exhaustive)
   5  diameter-capped scans find {0,1,2,3,4} as the only equality set
   6  every distinct-pair equality set in Z/11 and Z/13 is a modular AP
   7  mirrored-parameter cardinality identity on every grid instance
@@ -164,8 +165,6 @@ def test_criterion_4_factorization_and_greedy():
     for elements in integer_grid_sets():
         ground = GroundSet(elements)
         for r, h in integer_grid_pairs(len(elements)):
-            if h % r:
-                continue
             fact_instances += 1
             if not check_sumset_factorization(ground, SumParams(h=h, r=r)).equal:
                 fact_failures += 1
@@ -173,8 +172,6 @@ def test_criterion_4_factorization_and_greedy():
         for elements in mod_grid_sets(p):
             ground = GroundSet(elements, p)
             for r, h in mod_grid_pairs(len(elements)):
-                if h % r:
-                    continue
                 fact_instances += 1
                 if not check_sumset_factorization(ground, SumParams(h=h, r=r)).equal:
                     fact_failures += 1
@@ -183,14 +180,18 @@ def test_criterion_4_factorization_and_greedy():
     base = (0, 1, 3, 7, 12, 20)
     for k in range(1, 7):
         ground = GroundSet(base[:k])
+        members = [{0}] + [
+            set(restricted_sumset(ground, t).values) for t in range(1, k + 1)
+        ]
         for r in range(1, 5):
-            for m in range(1, min(k, 4) + 1):
-                members = set(restricted_sumset(ground, m).values)
-                for counts in _vectors(k, r, m * r):
+            for h in range(1, r * k + 1):
+                m, eps = divmod(h, r)
+                sizes = [m + 1] * eps + [m] * (r - eps)
+                for counts in _vectors(k, r, h):
                     greedy_instances += 1
                     d = greedy_decompose(ground, MultiplicityVector(counts, r))
-                    good = len(d.parts) == r and all(
-                        len(part) == m and s in members
+                    good = [len(part) for part in d.parts] == sizes and all(
+                        s in members[len(part)]
                         for part, s in zip(d.parts, d.part_sums)
                     )
                     total = sum(c * a for c, a in zip(counts, base))

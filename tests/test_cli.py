@@ -269,7 +269,12 @@ def test_scan_output_golden(capsys, command):
 # --set and --k, and a negative --jobs.  --verbose was then dropped from
 # the six commands that never read it: their --help pages lost its line,
 # and the two verify direct --verbose entries now exit 1 on
-# "unrecognized arguments: --verbose".
+# "unrecognized arguments: --verbose".  When the factorization and the
+# greedy rewriting were extended to h not divisible by r, the --help and
+# verify --help digests changed for the new decompose and factorization
+# blurbs, and six entries were added: three commands at h = 3, r = 2
+# (decompose: counts summing to 3 with cap 2), each in both formats,
+# which exited 1 on the refusal before that change.
 CLI_MANIFESTS = {
     "grid": "k = 3\nh = 2..3\nr = 2\nmax_diameter = 5\np = 7\n",
     "partial": "k = 3\nh = 2\nr = 2\n",
@@ -315,6 +320,16 @@ CLI_GOLDEN = {
         "2f82b7ab8d6200ec7739653c7ac7b53bb7f3da1562960f7fa91ed18a5872dcf0",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
+    'verify factorization --set 0,1,3,7 --h 3 --r 2': (
+        0,
+        "1df95052660cf3cd2ac7c63fd746b9fd6c76b6a0a1e4a0a47d09c0f5a6118fc9",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    'verify factorization --set 0,1,3,7 --h 3 --r 2 --format records': (
+        0,
+        "fed6897137207ee7adf736ebf06aca0875554abe2499d8b70440fb923f9504b9",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
     'verify complement --set 0,1,3,7 --h 5 --r 2': (
         0,
         "5d5e9586e30203ac37c485477a3339143728ff8fddd8d9785583c26a8eb40a9e",
@@ -333,6 +348,16 @@ CLI_GOLDEN = {
     'decompose --set 0,1,3,7 --counts 2,1,1,0 --r 2 --format records': (
         0,
         "feb8ce2326ec1e1539e42123914069573855a106dbc8988311e5b3311f63bee6",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    'decompose --set 0,1,3,7 --counts 2,1,0,0 --r 2': (
+        0,
+        "154ec0001307962c124cedfea30a88033a8cfc3c831288d53741e267042b534c",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    'decompose --set 0,1,3,7 --counts 2,1,0,0 --r 2 --format records': (
+        0,
+        "b70250ff47920aeee85d713d60b327ad9876bdce5b3c315d26a6ea766a0d9700",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "compute --set '0,1,3,7 mod 11' --h 3 --r 2": (
@@ -433,6 +458,16 @@ CLI_GOLDEN = {
     'verify factorization --set 0,1,3,7 --p 11 --h 4 --r 2 --format records': (
         0,
         "a1afd78d4a7834c5b2e8e333b3e0d8a7345856ea9b1b117ab66bec766e22f9c5",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    'verify factorization --set 0,1,3,7 --p 11 --h 3 --r 2': (
+        0,
+        "ec1f4e6f874aa1ada8fee5472c47e9449d750945b82334940fc748d86b47da00",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    'verify factorization --set 0,1,3,7 --p 11 --h 3 --r 2 --format records': (
+        0,
+        "45a1230a8d1e66fd22ef70a8447ea44233b7279fe699b34b1634e923bfea6197",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     'verify complement --set 0,1,3,7 --p 11 --h 5 --r 2': (
@@ -767,7 +802,7 @@ CLI_GOLDEN = {
     ),
     '--help': (
         0,
-        "c2934fa8a601734aa3cb3d3e5f1b5a859f2bef09f6b5eff8623f924d5fb231b7",
+        "2a2e551d260fc9ee7e8e4d407d28b5765daefd9c7cb664a00c55f49c05d9115a",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     'compute --help': (
@@ -782,7 +817,7 @@ CLI_GOLDEN = {
     ),
     'verify --help': (
         0,
-        "7ae583b9019d8ce145821aed415096243cfb9d5b1747145669fa36f3c37a38d8",
+        "a2663f1074c2d7bb6386ec34780c0a40c92ea45d2008f098fcb028e651dfb65e",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     'verify direct --help': (

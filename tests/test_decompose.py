@@ -14,6 +14,7 @@ from sumsetlab import (
     GroundSet,
     MultiplicityVector,
     SumParams,
+    brute_force_sumset,
     check_sumset_factorization,
     generalized_sumset,
     greedy_decompose,
@@ -58,10 +59,21 @@ def test_modular_part_sums_reduced():
 
 def test_rejections():
     g = GroundSet.of([0, 1, 2])
-    with pytest.raises(DomainError, match="cap \\| total"):
-        greedy_decompose(g, MultiplicityVector((2, 1, 0), 2))
     with pytest.raises(DomainError, match="len\\(counts\\)"):
         greedy_decompose(g, MultiplicityVector((1, 1), 2))
+
+
+def test_worked_examples_cap_not_dividing_total():
+    g = GroundSet.of([0, 1, 2])
+    # total 3 = 1*2 + 1: one part of m + 1 = 2 elements, then one of m = 1
+    d = greedy_decompose(g, MultiplicityVector((2, 1, 0), 2))
+    assert d.parts == ((0, 1), (0,))
+    assert d.part_sums == (1, 0)
+    # total 2 = 0*3 + 2 (m = 0): two singleton parts, then an empty one
+    d = greedy_decompose(g, MultiplicityVector((1, 1, 0), 3))
+    assert d.parts == ((0,), (1,), ())
+    assert d.part_sums == (0, 1, 0)
+    assert d.total_sum == 1
 
 
 def test_vector_validation():
@@ -79,12 +91,13 @@ def test_vector_validation():
 
 def _validate(g: GroundSet, vector: MultiplicityVector, d: Decomposition):
     r = vector.cap
-    m = vector.total // r
+    m, eps = divmod(vector.total, r)
     assert len(d.parts) == r
-    allowed = set(restricted_sumset(g, m).values) if m <= g.size else set()
     used = [0] * g.size
-    for part, value in zip(d.parts, d.part_sums):
-        assert len(part) == m and len(set(part)) == m
+    for j, (part, value) in enumerate(zip(d.parts, d.part_sums), start=1):
+        size = m + 1 if j <= eps else m
+        allowed = set(restricted_sumset(g, size).values) if size else {0}
+        assert len(part) == size and len(set(part)) == size
         assert part == tuple(sorted(part))
         expected = sum(g.elements[i] for i in part)
         if g.modulus:
@@ -100,7 +113,7 @@ def _validate(g: GroundSet, vector: MultiplicityVector, d: Decomposition):
     assert d.total_sum == total
     for j, step in enumerate(d.trace, start=1):
         assert step.step == j
-        assert step.active_before >= m
+        assert step.active_before >= (m + 1 if j <= eps else m)
         assert step.max_after <= r - j
 
 
@@ -127,11 +140,11 @@ class TestGreedyProperties:
     def test_valid_on_random_vectors(self, data):
         k = data.draw(st.integers(1, 6), label="k")
         r = data.draw(st.integers(1, 4), label="r")
-        m = data.draw(st.integers(1, min(k, 4)), label="m")
+        h = data.draw(st.integers(1, r * k), label="h")
         free = data.draw(
             st.lists(st.integers(0, r), min_size=k, max_size=k), label="free"
         )
-        counts = _repair_counts(free, r, m * r)
+        counts = _repair_counts(free, r, h)
         g = GroundSet.of([0, 1, 3, 7, 12, 20][:k])
         vector = MultiplicityVector(counts, r)
         _validate(g, vector, greedy_decompose(g, vector))
@@ -156,9 +169,16 @@ def test_factorization_mod_p():
     assert report.equal
 
 
-def test_factorization_needs_divisibility():
-    with pytest.raises(DomainError, match="r \\| h"):
-        check_sumset_factorization(GroundSet.of([0, 1, 2]), SumParams(5, 2))
+def test_factorization_when_r_does_not_divide_h():
+    # 5 = 2*2 + 1 and 3 = 1*2 + 1: one copy of (m+1)^A plus one of m^A
+    for g, params in (
+        (GroundSet.of([0, 1, 2]), SumParams(5, 2)),
+        (GroundSet.of([0, 1, 5], 11), SumParams(3, 2)),
+    ):
+        report = check_sumset_factorization(g, params)
+        expected = brute_force_sumset(g, params).values
+        assert report.equal
+        assert report.left.values == report.right.values == expected
 
 
 class TestFactorizationProperties:
@@ -170,8 +190,8 @@ class TestFactorizationProperties:
     def test_integers(self, xs, data):
         g = GroundSet.of(xs)
         r = data.draw(st.integers(1, 4), label="r")
-        m = data.draw(st.integers(1, g.size), label="m")
-        report = check_sumset_factorization(g, SumParams(m * r, r))
+        h = data.draw(st.integers(1, r * g.size), label="h")
+        report = check_sumset_factorization(g, SumParams(h, r))
         assert report.equal
 
     @settings(max_examples=80, deadline=None)
@@ -183,8 +203,8 @@ class TestFactorizationProperties:
     def test_mod_p(self, xs, p, data):
         g = GroundSet.of(xs, p)
         r = data.draw(st.integers(1, 4), label="r")
-        m = data.draw(st.integers(1, g.size), label="m")
-        report = check_sumset_factorization(g, SumParams(m * r, r))
+        h = data.draw(st.integers(1, r * g.size), label="h")
+        report = check_sumset_factorization(g, SumParams(h, r))
         assert report.equal
 
 
@@ -195,12 +215,12 @@ class TestRoundTrip:
         # the rewritten parts really do express a member of h^(r)A
         k = data.draw(st.integers(1, 5), label="k")
         r = data.draw(st.integers(1, 4), label="r")
-        m = data.draw(st.integers(1, k), label="m")
+        h = data.draw(st.integers(1, r * k), label="h")
         free = data.draw(
             st.lists(st.integers(0, r), min_size=k, max_size=k), label="free"
         )
-        counts = _repair_counts(free, r, m * r)
+        counts = _repair_counts(free, r, h)
         g = GroundSet.of([0, 2, 3, 8, 13][:k])
         d = greedy_decompose(g, MultiplicityVector(counts, r))
         member = sum(d.part_sums)
-        assert member in generalized_sumset(g, SumParams(m * r, r)).as_set()
+        assert member in generalized_sumset(g, SumParams(h, r)).as_set()

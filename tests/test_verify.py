@@ -261,6 +261,19 @@ def test_witnesses_reject_modular_and_oversized():
         check_inclusions_and_witnesses(GroundSet.of([0, 1]), SumParams(9, 2))
 
 
+@pytest.mark.parametrize("h", [5, 6])
+def test_witnesses_refuse_h_above_rk_with_the_engine_message(h):
+    # h = 6 has eps = 0, h = 5 does not; both refusals must read as the
+    # engine's, whichever branch of the checker the instance would take
+    g, params = GroundSet.of([0, 1]), SumParams(h, 2)
+    with pytest.raises(DomainError) as engine:
+        generalized_sumset(g, params)
+    with pytest.raises(DomainError) as checker:
+        check_inclusions_and_witnesses(g, params)
+    assert str(checker.value) == str(engine.value)
+    assert str(engine.value).startswith("h <= r*k required (no multiset")
+
+
 
 # h^(r)A with one value dropped drives each checker down its fail
 # paths; the expected items were taken before the wide and narrow
