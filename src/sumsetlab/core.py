@@ -25,8 +25,10 @@ is exact because every shift is below p.  Folding commutes with OR, so
 this equals OR-ing rotations.  ``_extend`` scans one element by taking
 ``_mask_at`` at every t of a window its caller gives.  ``generalized_sumset``
 validates, runs ``_extend`` on every element but the last, takes the last
-element's mask at t = h alone and reads it in one pass over its binary
-string, translated back by h * min(A).  The exhaustive scans
+element's mask at t = h alone and reads it (``_read``) in one pass over
+its binary string, translated back by h * min(A).  ``_add_part`` is the
+same shift-and-fold for a sum of two sets: it adds a set, given by its
+shifts, to a mask.  The exhaustive scans
 (``scan.py``) run the same steps depth-first over their candidates,
 sharing each prefix's DP, with the window cut to the t that the
 remaining elements can still complete to h, and read only the popcount
@@ -343,6 +345,24 @@ def _mask_at(dp: list, a: int, t: int, r: int, p: Optional[int]) -> int:
     return acc
 
 
+def _add_part(mask: int, shifts: Iterable[int], p: Optional[int]) -> int:
+    """The mask of X + B from the mask of X and the shifts b of B (over Z,
+    translated by -min B; residues mod p): the OR of mask << b, folded
+    once onto p bits mod p as in :func:`_mask_at`."""
+    acc = 0
+    for b in shifts:
+        acc |= mask << b
+    if p is not None:
+        acc = (acc & ((1 << p) - 1)) | (acc >> p)
+    return acc
+
+
+def _read(mask: int, offset: int, p: Optional[int]) -> SumsetResult:
+    """The values of a mask whose bit i stands for offset + i."""
+    bits = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)  # lowest bit first
+    return SumsetResult(tuple(compress(range(offset, offset + len(bits)), bits)), p)
+
+
 def _extend(dp: list, a: int, lo: int, hi: int, r: int, p: Optional[int]) -> list:
     """The DP ``dp`` extended by the element a, computed at every t in
     lo..hi; the other t stay 0."""
@@ -412,10 +432,7 @@ def generalized_sumset(ground: GroundSet, params: SumParams) -> SumsetResult:
     for i in range(j, k - 1):
         rows.append(tuple(_extend(rows[i], prefix[i], 0, min(height, (i + 1) * r), r, p)))
     # The last element is needed only at t = h.
-    mask = _mask_at(rows[-1], A[-1] - base, h, r, p)
-    bits = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)  # lowest bit first
-    offset = h * base
-    result = SumsetResult(tuple(compress(range(offset, offset + len(bits)), bits)), p)
+    result = _read(_mask_at(rows[-1], A[-1] - base, h, r, p), h * base, p)
     if charge <= _REUSE_MAX_BITS:
         results = {**entry[5], h: result} if same_set else {h: result}
         _remember(key, (prefix, tuple(rows), height, charge, A, results))
@@ -453,19 +470,17 @@ def bound_direct_integers(k: int, h: int, r: int) -> int:
 def bound_direct_mod_p(k: int, h: int, r: int, p: int) -> int:
     """Lower bound for |h^(r)A| in Z/pZ: min(p, integer bound).
 
-    Hypotheses: p prime, 1 <= k <= p, and 1 <= r <= h <= r*k.  Note the
-    extra r <= h requirement, absent in the integer case.  The classical
-    bounds are its two ends: r = h gives Cauchy-Davenport, r = 1 gives
-    Erdos-Heilbronn.
+    Hypotheses: p prime, 1 <= k <= p, r >= 1 and 1 <= h <= r*k, as in the
+    integer case.  The classical bounds are its two ends: r = h gives
+    Cauchy-Davenport, r = 1 gives Erdos-Heilbronn.  At h <= r the cap
+    never binds, h^(r)A = hA, and the formula is Cauchy-Davenport's
+    min(p, h*k - h + 1).
     """
     if not is_prime(p):
         raise DomainError(f"p must be prime, got p={p}")
     if not 1 <= k <= p:
         raise DomainError(f"1 <= k <= p required: k={k}, p={p}")
-    if r < 1:
-        raise DomainError(f"r >= 1 required, got r={r}")
-    if not r <= h <= r * k:
-        raise DomainError(f"r <= h <= r*k required: r={r}, h={h}, r*k={r * k}")
+    # bound_direct_integers checks r and h.
     return min(p, bound_direct_integers(k, h, r))
 
 

@@ -15,7 +15,8 @@ Violating either would be a counterexample to the rewriting claim (or a
 bug), so it raises InvariantViolationError instead of returning junk.
 
 The same split is checked set-wise by :func:`check_sumset_factorization`,
-in Z and in Z/pZ.
+in Z and in Z/pZ, with the same r steps: h^(r)A against the sum of the
+parts s_1^A, ..., s_r^A, added one at a time to a bit mask.
 """
 
 from __future__ import annotations
@@ -27,12 +28,13 @@ from .core import (
     GroundSet,
     SumParams,
     SumsetResult,
-    classical_sumset,
+    _add_part,
+    _read,
     generalized_sumset,
     restricted_sumset,
 )
 from .errors import DomainError, InvariantViolationError
-from .verify import _minkowski, _Report
+from .verify import _Report
 
 
 @dataclass(frozen=True)
@@ -208,22 +210,23 @@ class FactorizationReport(_Report):
 def check_sumset_factorization(
     ground: GroundSet, params: SumParams
 ) -> FactorizationReport:
-    """Check h^(r)A == eps-fold (m+1)^A + (r - eps)-fold m^A.
+    """Check h^(r)A == s_1^A + ... + s_r^A, s_j = m + (j <= eps).
 
-    Both sides run the one engine: the left side is h^(r)A directly;
-    each part of the right side is a restricted sumset j^A followed by
-    its classical sumset.  An empty part (eps = 0, or m = 0) is skipped;
-    two parts are added as one Minkowski sum, reduced mod p.
+    The left side is h^(r)A from the engine.  The right side follows the
+    greedy rewriting step by step: it starts from the mask of {0} and, for
+    j = 1..r, adds the part s_j^A (``restricted_sumset``, with 0^A = {0})
+    by ``core._add_part``.  Over Z each part is taken in the engine's
+    coordinates v - s_j * min A, so the right side's offset is h * min A,
+    as the left side's; mod p the mask is folded onto p bits at each step.
+    The right mask is read by the engine's own extraction.
     """
     left = generalized_sumset(ground, params)
     m, eps, p = params.m, params.epsilon, ground.modulus
-    parts = []
-    for size, times in ((m + 1, eps), (m, params.r - eps)):
-        if size and times:
-            block = restricted_sumset(ground, size)
-            parts.append(classical_sumset(GroundSet.of(block.values, p), times))
-    right = parts[0]
-    if len(parts) == 2:
-        both = GroundSet.of(_minkowski(parts[0].values, parts[1].values), p)
-        right = SumsetResult(both.elements, p)
+    base = ground.elements[0] if p is None else 0
+    mask = 1
+    for j in range(1, params.r + 1):
+        size = m + (j <= eps)
+        part = restricted_sumset(ground, size).values if size else (0,)
+        mask = _add_part(mask, [v - size * base for v in part], p)
+    right = _read(mask, params.h * base, p)
     return FactorizationReport(ground=ground, params=params, left=left, right=right)

@@ -134,8 +134,8 @@ def check_direct_bound(ground: GroundSet, params: SumParams) -> BoundReport:
     """Compare |h^(r)A| against its closed-form lower bound.
 
     Integer and mod-p ground sets use their respective bound, and each
-    bound's own hypotheses are enforced (the mod-p form needs r <= h,
-    the integer form does not).
+    bound's own hypotheses are enforced: 1 <= h <= r*k for both, and
+    mod p also 1 <= k <= p.
     """
     k = ground.size
     if ground.modulus is None:

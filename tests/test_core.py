@@ -85,6 +85,9 @@ def test_bound_direct_integers_values():
 def test_bound_mod_p_values():
     assert bound_direct_mod_p(5, 3, 2, 5) == 5
     assert bound_direct_mod_p(5, 3, 2, 13) == 11
+    # h < r: the cap never binds and the bound is min(p, h*k - h + 1)
+    assert bound_direct_mod_p(3, 1, 2, 7) == 3
+    assert bound_direct_mod_p(5, 3, 4, 17) == bound_cauchy_davenport(5, 3, 17) == 13
     assert bound_cauchy_davenport(3, 2, 7) == 5
     assert bound_erdos_heilbronn(5, 2, 13) == 7
     assert bound_erdos_heilbronn(5, 2, 5) == 5
@@ -273,7 +276,7 @@ def test_bound_hypothesis_errors():
     with pytest.raises(DomainError, match="^r >= 1 required, got r=0$"):
         bound_direct_integers(1, 1, 0)
     with pytest.raises(DomainError):
-        bound_direct_mod_p(3, 1, 2, 7)  # r > h
+        bound_direct_mod_p(3, 7, 2, 7)  # h > r*k
     with pytest.raises(DomainError):
         bound_direct_mod_p(8, 3, 2, 7)  # k > p
     with pytest.raises(DomainError):

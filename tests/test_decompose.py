@@ -20,6 +20,7 @@ from sumsetlab import (
     greedy_decompose,
     restricted_sumset,
 )
+from sumsetlab.verify import _fold, _minkowski, _restricted_values
 
 
 def test_worked_example():
@@ -181,6 +182,39 @@ def test_factorization_when_r_does_not_divide_h():
         assert report.left.values == report.right.values == expected
 
 
+def _oracle_right(g: GroundSet, params: SumParams) -> tuple:
+    """eps-fold (m+1)^A + (r - eps)-fold m^A from the brute-force oracle's
+    set helpers alone, reduced mod p."""
+    A, m, eps = g.elements, params.m, params.epsilon
+    upper = _fold(_restricted_values(A, m + 1), eps) if eps else {0}
+    lower = _fold(_restricted_values(A, m), params.r - eps)
+    values = _minkowski(upper, lower)
+    if g.modulus:
+        values = {v % g.modulus for v in values}
+    return tuple(sorted(values))
+
+
+def _check_both_sides(g: GroundSet, params: SumParams):
+    report = check_sumset_factorization(g, params)
+    assert report.equal
+    assert report.right.values == _oracle_right(g, params)
+    return report
+
+
+def test_factorization_m_zero_wraps_mod_p():
+    # 2 = 0*3 + 2: two parts 1^A and one 0^A = {0}; 8..12 wrap past 7
+    report = _check_both_sides(GroundSet.of([4, 5, 6], 7), SumParams(2, 3))
+    assert report.right.values == (1, 2, 3, 4, 5)
+
+
+def test_factorization_h_equals_rk():
+    # h = r*k: every element r times, the r-fold sum of k^A = {sum A}
+    report = _check_both_sides(GroundSet.of([0, 1, 3]), SumParams(6, 2))
+    assert report.right.values == (8,)
+    report = _check_both_sides(GroundSet.of([1, 2, 4], 5), SumParams(6, 2))
+    assert report.right.values == (4,)
+
+
 class TestFactorizationProperties:
     @settings(max_examples=80, deadline=None)
     @given(
@@ -191,8 +225,7 @@ class TestFactorizationProperties:
         g = GroundSet.of(xs)
         r = data.draw(st.integers(1, 4), label="r")
         h = data.draw(st.integers(1, r * g.size), label="h")
-        report = check_sumset_factorization(g, SumParams(h, r))
-        assert report.equal
+        _check_both_sides(g, SumParams(h, r))
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -204,8 +237,7 @@ class TestFactorizationProperties:
         g = GroundSet.of(xs, p)
         r = data.draw(st.integers(1, 4), label="r")
         h = data.draw(st.integers(1, r * g.size), label="h")
-        report = check_sumset_factorization(g, SumParams(h, r))
-        assert report.equal
+        _check_both_sides(g, SumParams(h, r))
 
 
 class TestRoundTrip:

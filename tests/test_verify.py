@@ -131,9 +131,10 @@ def test_direct_bound_hypotheses_per_variant():
     # r > h is fine over the integers (extra cap is never exercised) ...
     report = check_direct_bound(GroundSet.of([0, 1, 4]), SumParams(2, 3))
     assert report.slack >= 0
-    # ... but the mod-p statement requires r <= h
-    with pytest.raises(DomainError, match="r <= h"):
-        check_direct_bound(GroundSet.of([0, 1, 4], 7), SumParams(2, 3))
+    # ... and mod p, where h^(r)A = hA and the bound is Cauchy-Davenport's:
+    # 2{0, 1, 4} = {0, 1, 2, 4, 5} in Z/7Z, and min(7, 2*3 - 2 + 1) = 5
+    report = check_direct_bound(GroundSet.of([0, 1, 4], 7), SumParams(2, 3))
+    assert (report.cardinality, report.bound) == (5, 5)
 
 
 def test_bound_report_record():
