@@ -13,55 +13,65 @@ restricted sumset h^A of sums of h distinct elements.
 Everything here is exact integer arithmetic.  Sumsets are computed by a
 dynamic program over big-int bit vectors: dp[t] is the bitmask of sums
 achievable using the elements scanned so far with total multiplicity
-exactly t.  One step function, ``_mask_at``, gives the new mask at one t
-when element a is scanned:
+exactly t.  The masks of one DP are packed into one integer, its row: the
+mask at t sits in the slot of ``stride`` bits from bit t * stride on.
+One step function, ``_step``, scans the element a:
 
-    dp'[t] = OR over c in 0..min(r, t) of  dp[t - c] << (c * a')
+    row' = OR over c in 0..r of  row << c * (stride + a')
 
-where a' = a - min(A), so shifts stay non-negative.  Modulo a prime p
-the same step runs with a' = a and shifts c * a mod p on p-bit masks;
-each new dp'[t] is folded once, (mask & (2^p - 1)) | (mask >> p), which
-is exact because every shift is below p.  Folding commutes with OR, so
-this equals OR-ing rotations.  ``_extend`` scans one element by taking
-``_mask_at`` at every t of a window its caller gives.  ``generalized_sumset``
-validates, runs ``_extend`` on every element but the last, takes the last
-element's mask at t = h alone and reads it (``_read``) in one pass over
-its binary string, translated back by h * min(A).  ``_add_part`` is the
-same shift-and-fold for a sum of two sets: it adds a set, given by its
-shifts, to a mask.  The exhaustive scans
-(``scan.py``) run the same steps depth-first over their candidates,
-sharing each prefix's DP, with the window cut to the t that the
-remaining elements can still complete to h, and read only the popcount
-of each candidate's ``_mask_at`` at t = h.
+where a' = a - min(A), so shifts stay non-negative; a shift by c slots
+moves dp[t - c] to t, and c * a' within the slot adds c copies of a'.
+The step builds the c in O(log r) doublings, the shifts {0..n-1} OR-ed
+with themselves shifted by d to give {0..n-1+d}, d = min(n, r + 1 - n),
+so it runs a few big-int operations and no loop over t.  Over Z a slot
+must hold the mask at the largest t read, t * span + 1 bits.  Modulo a
+prime p a slot holds p bits and room for shifts below p, stride = 2p:
+the step shifts by d * a mod p within a slot and then folds every slot
+once, (row | row >> p) & keep, with ``keep`` (``_keep``) the low p bits
+of each slot; the fold is exact because every shift is below p, and
+folding commutes with OR, so this equals OR-ing rotations.  A row keeps
+the slots up to its height and drops the rest, and the cap r is cut to
+the height, since no larger c reaches a kept slot.  ``generalized_sumset``
+validates, steps every element but the last, and reads the last element
+at t = h alone with ``_last``: only slots h - min(r, h)..h reach t = h,
+so it shifts the row down to them, steps with cap min(r, h) and reads
+one slot (``_read``), in one pass over its binary string, translated back
+by h * min(A).  ``_add_part`` is the same shift-and-fold for a sum of two
+sets: it adds a set, given by its shifts, to a mask.  The exhaustive
+scans (``scan.py``) run the same two steps depth-first over their
+candidates, sharing each prefix's row: ``_step`` per prefix element and
+``_last`` and a popcount per candidate.
 
 Callers such as the checkers and the acceptance grids call the engine
 many times with one (k, r, p), running every h of a set and then moving
 to a set that shares a prefix with it.  So ``generalized_sumset`` keeps,
 for each (k, r, p), the last call's translated prefix (every element but
-the last, minus min A over Z), a height H, and the DP row after each
-prefix element, as one immutable tuple.  The rows skip the lower
-completability cut: row i holds dp[t] for every t <= min(H, (i+1)*r),
-which depends on nothing but r, p, H and the translated elements before
-it, and dp[t] at t <= H is the same for every H >= t.  A call at h <= H
-therefore runs ``_extend`` only from its first element that differs from
-the kept prefix, and a kept row is exactly the row a cold call would
-compute for the t it reads.  The entry also keeps the last set's
-elements and the results already read for it, one per h, so a repeated
-(A, h) skips the last step and the extraction.  No result can depend on
-which calls came before.
+the last, minus min A over Z), a height H, a stride, and the row after
+each prefix element, one int each, as one immutable tuple.  Row i
+depends on nothing but r, p, H, the stride and the translated elements
+before it, and its slot t is exact wherever the stride holds t times the
+largest element, whatever the slots above it hold, since a step moves
+bits only upwards.  A call whose stride and height equal the kept ones
+therefore steps only from its first element that differs from the kept
+prefix, and a kept row is exactly the row a cold call at that height and
+stride would compute.  The entry also keeps the last set's elements and
+the results already read for it, one per h, so a repeated (A, h) skips
+the last step and the extraction.  No result can depend on which calls
+came before.
 
-One rule sizes the store.  An entry of height H is charged
-(k + 1) * (H + 1) * W(H) bits, W(t) = t * span + 1 over Z and p modulo
-p: its k rows of H + 1 masks, plus room for its results, at most one
-per t <= H and none wider than W(H).  An entry is kept only when its
-charge fits 2**18 bits.  The height is a high-water mark: a call runs at
-H' = max(h, H) when an entry of height H' fits and at H' = h otherwise,
-and starts over from the first element when H' != H.  So a grid that
-runs h upwards pays one DP per set after the key's first set, and a call
-that does not fit even at h keeps nothing and runs as before.  The store
-is cleared when a new entry would take it past 2**18 charged bits or
-4 096 keys.  Entries are replaced under a lock, never mutated, so
-threads may share the engine.
+One rule sizes the store.  An entry of height H and stride S is charged
+(k + 1) * (H + 1) * S bits: its k rows of H + 1 slots, plus room for its
+results, at most one per t <= H and none wider than a slot.  An entry is
+kept only when its charge fits 2**18 bits.  The height and the stride
+are high-water marks: a call needs the stride h * span + 1 over Z and 2p
+modulo p, runs at H' = max(h, H) and S' = max(need, S) when an entry of
+that size fits and at (h, need) otherwise, and starts over from the
+first element when (H', S') != (H, S).  So a grid that runs h upwards
+pays one DP per set after the key's first sets, and a call that does not
+fit even at (h, need) keeps nothing and runs as before.  The store is
+cleared when a new entry would take it past 2**18 charged bits or 4 096
+keys.  Entries are replaced under a lock, never mutated, so threads may
+share the engine.
 
 Conventions: modular elements are residues in [0, p) and p must be
 prime; integer ground sets are kept sorted ascending; h = m*r + eps
@@ -83,7 +93,8 @@ from .errors import DomainError
 # Resource guards, not correctness limits: sums are exact bigints, but a
 # ground set whose span overflows 64 bits signals an unreasonable input,
 # and h + 1 masks of more than 2**33 bits in all (1 GiB) are refused
-# before the DP allocates them.
+# before the DP allocates them.  A row packs those masks one per slot;
+# mod p a slot holds 2p bits, so a mod-p row holds twice the masks' bits.
 _MAX_MAGNITUDE = 2**63 - 1
 _MAX_MASK_BITS = 2**33
 
@@ -93,7 +104,7 @@ _MAX_MASK_BITS = 2**33
 # at 2**20 and by 2 % at 2**18.
 _REUSE_MAX_KEYS = 4096
 _REUSE_MAX_BITS = 2**18
-# (k, r, p) -> (prefix, rows, H, bits, elements, {h: SumsetResult});
+# (k, r, p) -> (prefix, rows, H, stride, bits, elements, {h: SumsetResult});
 # entries are never mutated.
 _reuse: dict = {}
 _reuse_bits = 0
@@ -329,26 +340,49 @@ def _validate_params(ground: GroundSet, params: SumParams) -> None:
         )
 
 
-def _mask_at(dp: list, a: int, t: int, r: int, p: Optional[int]) -> int:
-    """The one DP step: the mask at multiplicity t after the element a (over
-    Z, translated by -min A) joins the elements behind ``dp``, i.e. the OR
-    of dp[t - c] << c*a over c = 0..min(r, t), folded onto p bits mod p."""
-    acc = 0
-    for c in range(min(r, t) + 1):
-        x = dp[t - c]
-        if x:
-            acc |= x << (c * a if p is None else c * a % p)
-    if p is not None:
-        # Every mask has p bits and every shift is below p, so one fold
-        # turns the shifts into rotations.
-        acc = (acc & ((1 << p) - 1)) | (acc >> p)
-    return acc
+def _keep(height: int, stride: int, p: Optional[int]) -> int:
+    """The bits of a row of slots 0..height that a step keeps: all of them
+    over Z, and mod p the low p bits of each slot, built by doubling
+    shifts."""
+    if p is None:
+        return (1 << (height + 1) * stride) - 1
+    keep, n = (1 << p) - 1, 1
+    while n <= height:
+        keep |= keep << n * stride
+        n *= 2
+    return keep & ((1 << (height + 1) * stride) - 1)
+
+
+def _step(row: int, a: int, r: int, stride: int, p: Optional[int], keep: int) -> int:
+    """The one DP step: the row after the element a (over Z, translated by
+    -min A) joins the elements behind ``row``, i.e. the OR of
+    row << c * (stride + a) over c = 0..r, with c * a reduced mod p, cut to
+    ``keep`` (:func:`_keep`).  The shifts {0..n-1} double to
+    {0..n-1+d}, d = min(n, r + 1 - n); mod p each doubling folds every
+    slot once, exact because every shift within a slot is below p."""
+    n = 1
+    while n <= r:
+        d = min(n, r + 1 - n)
+        row |= row << d * stride + (d * a if p is None else d * a % p)
+        if p is not None:
+            row = (row | row >> p) & keep
+        n += d
+    return row & keep if p is None else row
+
+
+def _last(row: int, a: int, h: int, r: int, stride: int, p: Optional[int], keep: int) -> int:
+    """The mask at t = h after the last element a joins ``row``.  Only slots
+    h - min(r, h)..h reach t = h, so the row is shifted down to them first
+    and stepped with cap min(r, h)."""
+    m = min(r, h)
+    row = _step(row >> (h - m) * stride, a, m, stride, p, keep)
+    return (row >> m * stride) & ((1 << stride) - 1)
 
 
 def _add_part(mask: int, shifts: Iterable[int], p: Optional[int]) -> int:
     """The mask of X + B from the mask of X and the shifts b of B (over Z,
     translated by -min B; residues mod p): the OR of mask << b, folded
-    once onto p bits mod p as in :func:`_mask_at`."""
+    once onto p bits mod p, exact because every shift is below p."""
     acc = 0
     for b in shifts:
         acc |= mask << b
@@ -363,20 +397,14 @@ def _read(mask: int, offset: int, p: Optional[int]) -> SumsetResult:
     return SumsetResult(tuple(compress(range(offset, offset + len(bits)), bits)), p)
 
 
-def _extend(dp: list, a: int, lo: int, hi: int, r: int, p: Optional[int]) -> list:
-    """The DP ``dp`` extended by the element a, computed at every t in
-    lo..hi; the other t stay 0."""
-    return [_mask_at(dp, a, t, r, p) if lo <= t <= hi else 0 for t in range(len(dp))]
-
-
 def _remember(key: tuple, entry: tuple) -> None:
     """Keep ``entry`` for ``key``, clearing the store first if its charged
     bits would take the store past either cap."""
     global _reuse_bits
     with _reuse_lock:
         old = _reuse.get(key)
-        bits = entry[3]
-        held = _reuse_bits + bits - (old[3] if old else 0)
+        bits = entry[4]
+        held = _reuse_bits + bits - (old[4] if old else 0)
         if held > _REUSE_MAX_BITS or (old is None and len(_reuse) >= _REUSE_MAX_KEYS):
             _reuse.clear()
             held = bits
@@ -387,12 +415,12 @@ def _remember(key: tuple, entry: tuple) -> None:
 def generalized_sumset(ground: GroundSet, params: SumParams) -> SumsetResult:
     """Compute h^(r)A exactly.
 
-    Bit-vector dynamic program over exact multiplicity: one
-    :func:`_extend` step per element but the last, tracking for each
-    total multiplicity t the bitmask of achievable sums, and for the last
-    element one :func:`_mask_at` at t = h.  Integers run in the
-    translated coordinates a - min(A); modulo p the shifts are reduced
-    mod p and each new mask is folded back onto p bits.
+    Bit-vector dynamic program over exact multiplicity, one packed row
+    of masks, one per total multiplicity t: one :func:`_step` per element
+    but the last, and for the last element :func:`_last`, which reads
+    t = h alone.  Integers run in the translated coordinates a - min(A);
+    modulo p the shifts are reduced mod p and every slot is folded back
+    onto p bits.
 
     The rows after each element but the last, and the result, are kept
     for later calls with the same (k, r, p) under the one rule that the
@@ -404,23 +432,24 @@ def generalized_sumset(ground: GroundSet, params: SumParams) -> SumsetResult:
     p = ground.modulus
     key = (k, r, p)
     entry = _reuse.get(key)
-    same_set = entry is not None and entry[4] == A
+    same_set = entry is not None and entry[5] == A
     # A kept result passed the same validation when it was computed.
-    if same_set and h in entry[5]:
-        return entry[5][h]
+    if same_set and h in entry[6]:
+        return entry[6][h]
     _validate_params(ground, params)
-    # A mask at multiplicity t is w1 * t + w0 bits wide.
-    w1, w0 = (A[-1] - A[0], 1) if p is None else (0, p)
     base = A[0] if p is None else 0
+    # The slot this call reads, t = h, holds h * span + 1 bits over Z; mod p
+    # a slot holds p bits and room for shifts below p.
+    need = h * (A[-1] - A[0]) + 1 if p is None else 2 * p
     prefix = A[:-1] if p is not None else tuple([a - base for a in A[:-1]])
-    kept_prefix, kept, kept_height = entry[:3] if entry else ((), (), -1)
-    height = max(h, kept_height)
-    if (k + 1) * (height + 1) * (w1 * height + w0) > _REUSE_MAX_BITS:
-        height = h
-    charge = (k + 1) * (height + 1) * (w1 * height + w0)
+    kept_prefix, kept, kept_height, kept_stride = entry[:4] if entry else ((), (), -1, 0)
+    height, stride = max(h, kept_height), max(need, kept_stride)
+    if (k + 1) * (height + 1) * stride > _REUSE_MAX_BITS:
+        height, stride = h, need
+    charge = (k + 1) * (height + 1) * stride
     j = 0
-    if height != kept_height:
-        rows = [(1,) + (0,) * height]
+    if (height, stride) != (kept_height, kept_stride):
+        rows = [1]
     else:
         # kept[i] is the DP over kept_prefix[:i], so it holds for this
         # call up to the first element where the two prefixes differ.
@@ -429,13 +458,13 @@ def generalized_sumset(ground: GroundSet, params: SumParams) -> SumsetResult:
                 break
             j += 1
         rows = list(kept[: j + 1])
+    keep = _keep(height, stride, p)
     for i in range(j, k - 1):
-        rows.append(tuple(_extend(rows[i], prefix[i], 0, min(height, (i + 1) * r), r, p)))
-    # The last element is needed only at t = h.
-    result = _read(_mask_at(rows[-1], A[-1] - base, h, r, p), h * base, p)
+        rows.append(_step(rows[i], prefix[i], min(r, height), stride, p, keep))
+    result = _read(_last(rows[-1], A[-1] - base, h, r, stride, p, keep), h * base, p)
     if charge <= _REUSE_MAX_BITS:
-        results = {**entry[5], h: result} if same_set else {h: result}
-        _remember(key, (prefix, tuple(rows), height, charge, A, results))
+        results = {**entry[6], h: result} if same_set else {h: result}
+        _remember(key, (prefix, tuple(rows), height, stride, charge, A, results))
     return result
 
 

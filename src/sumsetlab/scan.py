@@ -26,14 +26,17 @@ the cap, or if the engine's validation refuses the widest candidate,
 and its enumeration is split into chunks by the prefix (0,) or (0, a_2),
 optionally over the one pool of worker processes that the driver call
 shares across points; chunk results are folded in prefix order as each
-chunk arrives, so a serial scan holds one chunk's rows at a time and a
-parallel one at most 2 * jobs chunks submitted and not yet folded.  A
-chunk walks depth-first with the engine's DP steps, one ``core._extend``
-DP per prefix depth, so a candidate costs one ``core._mask_at`` at t = h
-and a popcount.  ``generalized_sumset`` recomputes every set found at or
-below the bound, and its cardinality is the one reported.  In records
-mode each candidate's line is one %-format of a template built once per
-scan, and a chunk's lines are handed over in one call.
+chunk arrives, so a serial scan holds one chunk's results at a time and
+a parallel one at most 2 * jobs chunks submitted and not yet folded.  A
+chunk walks depth-first with the engine's DP steps on packed rows of
+slots t = 0..h, all laid out with the widest candidate's stride: one
+``core._step`` per prefix element, so each prefix's row is shared by
+every candidate that extends it, and per candidate one ``core._last``,
+the trimmed step that reads t = h alone, and a popcount.
+``generalized_sumset`` recomputes every set found at or below the bound,
+and its cardinality is the one reported.  In records mode each
+candidate's line is one %-format of a template built once per scan, and
+a chunk's lines are handed over in one call.
 """
 
 from __future__ import annotations
@@ -55,8 +58,9 @@ from .core import (
     bound_direct_integers,
     bound_erdos_heilbronn,
     generalized_sumset,
-    _extend,
-    _mask_at,
+    _keep,
+    _last,
+    _step,
     _validate_params,
 )
 from .errors import DomainError, ResourceCapError
@@ -125,17 +129,17 @@ class ScanReport:
 
 def _chunk(k, params, p, largest, bound, collect, prefix) -> Tuple[int, list]:
     """Evaluate all normalized candidates that start with ``prefix``, in
-    ``combinations`` order, extending each prefix's DP by one element.
+    ``combinations`` order, extending each prefix's DP row by one element.
     Returns (evaluated, rows): the (candidate, cardinality) pairs of
     every candidate if ``collect``, else of those at or below ``bound``."""
     h, r = params.h, params.r
-    # The t that i + 1 elements reach and the other k - i - 1 can still
-    # complete to h.
-    windows = [(max(0, h - (k - i - 1) * r), min(h, (i + 1) * r)) for i in range(k)]
+    # Every candidate's rows share the widest candidate's stride.
+    stride = h * largest + 1 if p is None else 2 * p
+    keep, cap = _keep(h, stride, p), min(r, h)
     evaluated = 0
     rows = []
 
-    def walk(cand, dp, g):
+    def walk(cand, row, g):
         nonlocal evaluated
         i = len(cand)
         if i < len(prefix):
@@ -144,18 +148,18 @@ def _chunk(k, params, p, largest, bound, collect, prefix) -> Tuple[int, list]:
             choices = range(cand[-1] + 1, largest - k + i + 2)
         if i < k - 1:
             for a in choices:
-                walk(cand + (a,), _extend(dp, a, *windows[i], r, p), math.gcd(g, a))
+                walk(cand + (a,), _step(row, a, cap, stride, p, keep), math.gcd(g, a))
             return
         for a in choices:
             # Over Z a set with gcd > 1 is a dilate of a smaller candidate.
             if p is None and math.gcd(g, a) > 1:
                 continue
             evaluated += 1
-            card = _mask_at(dp, a, h, r, p).bit_count()
+            card = _last(row, a, h, r, stride, p, keep).bit_count()
             if collect or card <= bound:
                 rows.append((cand + (a,), card))
 
-    walk((), [1] + [0] * h, 0)
+    walk((), 1, 0)
     return evaluated, rows
 
 

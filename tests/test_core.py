@@ -443,6 +443,56 @@ class TestClassicalBoundsHold:
         assert card >= bound_erdos_heilbronn(g.size, h, p)
 
 
+# ===================== the packed step =====================
+
+
+def _slotwise(dp, a, t, r, p):
+    """The mask at t after the element a joins the masks ``dp``, one slot
+    at a time: the OR of dp[t - c] << c*a over c = 0..min(r, t), folded
+    once onto p bits mod p."""
+    acc = 0
+    for c in range(min(r, t) + 1):
+        acc |= dp[t - c] << (c * a if p is None else c * a % p)
+    if p is not None:
+        acc = (acc & ((1 << p) - 1)) | (acc >> p)
+    return acc
+
+
+def _slot(row, t, stride):
+    return (row >> t * stride) & ((1 << stride) - 1)
+
+
+@pytest.mark.parametrize("p", [None, 2, 3, 5, 13])
+@pytest.mark.parametrize("r", [0, 1, 2, 3, 4, 7, 8])  # r + 1 at the doubling boundaries
+@settings(max_examples=25, deadline=None)
+@given(height=st.integers(0, 7), slack=st.integers(0, 9), data=st.data())
+def test_packed_step_matches_the_slotwise_step(p, r, height, slack, data):
+    """``_step`` on a packed row equals the slot-by-slot step at every
+    t <= height, for any masks in the slots, also when r exceeds the
+    height; the cap min(r, height) changes no bit; nothing is kept above
+    the height; and ``_last`` reads the slot-by-slot mask at every t."""
+    if p is None:
+        a = data.draw(st.integers(0, 9), label="a")
+        dp = data.draw(st.lists(st.integers(0, 63), min_size=height + 1, max_size=height + 1))
+        stride = 6 + height * a + slack  # the widest slot after the step
+    else:
+        a = data.draw(st.integers(0, p - 1), label="a")
+        dp = data.draw(st.lists(st.integers(0, 2**p - 1), min_size=height + 1,
+                                max_size=height + 1))
+        stride = 2 * p
+    width = stride if p is None else p
+    keep = core._keep(height, stride, p)
+    assert keep == sum(((1 << width) - 1) << t * stride for t in range(height + 1))
+    row = sum(mask << t * stride for t, mask in enumerate(dp))
+    stepped = core._step(row, a, r, stride, p, keep)
+    assert stepped == core._step(row, a, min(r, height), stride, p, keep)
+    assert stepped >> (height + 1) * stride == 0
+    for t in range(height + 1):
+        want = _slotwise(dp, a, t, r, p)
+        assert _slot(stepped, t, stride) == want, t
+        assert core._last(row, a, t, r, stride, p, keep) == want, t
+
+
 # ===================== cross-call reuse =====================
 
 
@@ -474,23 +524,26 @@ def _counting(monkeypatch, name):
 
 
 def _check_store():
-    """Every entry is charged the one rule's (k + 1) * (H + 1) * W(H) bits,
-    holds no result above its height, and every kept result is the
-    oracle's value for the entry's set."""
-    for (k, r, p), (prefix, rows, height, bits, elements, results) in core._reuse.items():
-        span = elements[-1] - elements[0]
-
-        def width(t):
-            return t * span + 1 if p is None else p
-
+    """Every entry is charged the one rule's (k + 1) * (H + 1) * stride bits,
+    with a stride wide enough for every result it holds and no result above
+    its height; every kept row equals the row a cold DP computes at the
+    entry's height and stride, and every kept result is the oracle's value
+    for the entry's set."""
+    for (k, r, p), entry in core._reuse.items():
+        prefix, rows, height, stride, bits, elements, results = entry
         assert len(elements) == k and len(prefix) == k - 1 and len(rows) == k
-        assert all(len(row) == height + 1 for row in rows)
-        assert bits == (k + 1) * (height + 1) * width(height)
+        assert bits == (k + 1) * (height + 1) * stride
+        keep = core._keep(height, stride, p)
+        cold = [1]
+        for a in prefix:
+            cold.append(core._step(cold[-1], a, min(r, height), stride, p, keep))
+        assert rows == tuple(cold)
         for h, result in results.items():
             assert h <= height
+            assert stride >= (h * (elements[-1] - elements[0]) + 1 if p is None else 2 * p)
             ground = GroundSet(elements, p)
             assert result == brute_force_sumset(ground, SumParams(h, r))
-    assert core._reuse_bits == sum(entry[3] for entry in core._reuse.values())
+    assert core._reuse_bits == sum(entry[4] for entry in core._reuse.values())
 
 
 # Sets of one size are listed next to the set they test against, so that
@@ -550,15 +603,18 @@ def test_prefix_reuse_never_shows_in_results(fresh_store, monkeypatch):
     for g, h, r in {call for calls in orders.values() for call in calls}:
         expected[g, h, r] = _cold(g, SumParams(h, r)).values
         assert expected[g, h, r] == brute_force_sumset(g, SumParams(h, r)).values, (g, h, r)
-    steps = _counting(monkeypatch, "_extend")
+    # Prefix steps: every step but those that the last element's makes.
+    steps = _counting(monkeypatch, "_step")
+    lasts = _counting(monkeypatch, "_last")
     for name, calls in orders.items():
         core._reuse.clear()
         core._reuse_bits = 0
-        del steps[:]
+        del steps[:], lasts[:]
         warm = []
         for g, h, r in calls:
-            before = len(steps)
-            warm.append((generalized_sumset(g, SumParams(h, r)).values, len(steps) - before))
+            before = len(steps) - len(lasts)
+            values = generalized_sumset(g, SumParams(h, r)).values
+            warm.append((values, len(steps) - len(lasts) - before))
         top, highest = {}, {}
         for g, h, r in calls:
             top[g, r] = max(h, top.get((g, r), 0))
@@ -572,14 +628,14 @@ def test_prefix_reuse_never_shows_in_results(fresh_store, monkeypatch):
                 assert ran == 0, (name, g, h, r)
             highest[g, r] = max(h, highest.get((g, r), 0))
         cold_steps = sum(g.size - 1 for g, _, _ in calls)
-        assert len(steps) < cold_steps, name  # the reuse really ran
+        assert len(steps) - len(lasts) < cold_steps, name  # the reuse really ran
         _check_store()
 
 
 def test_result_memo_is_keyed_by_set_and_h(fresh_store, monkeypatch):
     """Translates share DP rows but each gets its own values; a repeated
     (set, h) returns an equal result without a DP step."""
-    steps = _counting(monkeypatch, "_mask_at")
+    steps = _counting(monkeypatch, "_step")
     sets = (GroundSet((0, 1, 3, 7)), GroundSet((5, 6, 8, 12)), GroundSet((-9, -8, -6, -2)),
             GroundSet((0, 1, 3, 7), 11), GroundSet((0, 1, 3, 7), 13))
     for h in (3, 2, 3, 5):
@@ -597,12 +653,17 @@ def test_result_memo_is_keyed_by_set_and_h(fresh_store, monkeypatch):
 
 
 def test_height_falls_back_to_h_for_a_wider_set(fresh_store):
-    """A set too wide for its key's height runs, and is kept, at its own h."""
+    """A wider set raises the kept stride while the key's height still fits;
+    a set too wide for the height runs, and is kept, at its own h and
+    stride."""
     generalized_sumset(GroundSet((0, 1, 2)), SumParams(6, 2))
-    assert core._reuse[3, 2, None][2] == 6
-    wide = GroundSet((0, 1, 3000))  # 7 masks of 18 001 bits at height 6
-    assert generalized_sumset(wide, SumParams(2, 2)) == brute_force_sumset(wide, SumParams(2, 2))
-    assert core._reuse[3, 2, None][2] == 2
+    assert core._reuse[3, 2, None][2:4] == (6, 13)
+    for elements, layout in (((0, 1, 3000), (6, 6001)),  # 7 slots of 6 001 bits fit
+                             ((0, 1, 6000), (2, 12001))):  # 7 slots of 12 001 do not
+        ground = GroundSet(elements)
+        assert generalized_sumset(ground, SumParams(2, 2)) == brute_force_sumset(
+            ground, SumParams(2, 2))
+        assert core._reuse[3, 2, None][2:4] == layout
     _check_store()
 
 
@@ -617,7 +678,7 @@ def test_prefix_store_stays_within_its_caps(fresh_store, monkeypatch):
         ground = rng.choice(pool)
         h, r = rng.choice(_pairs(ground.size, max_r=4, max_h=8))
         entry = core._reuse.get((ground.size, r, None))
-        memo_reads += entry is not None and entry[4] == ground.elements and h in entry[5]
+        memo_reads += entry is not None and entry[5] == ground.elements and h in entry[6]
         values = generalized_sumset(ground, SumParams(h, r)).values
         assert len(core._reuse) <= 6
         assert core._reuse_bits <= 3000

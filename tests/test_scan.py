@@ -120,7 +120,7 @@ def test_extremal_64_bit_guard_refuses_before_any_dp(monkeypatch, capsys):
         raise AssertionError("DP started")
 
     monkeypatch.setattr(sumsetlab.scan, "_chunk", no_dp)
-    monkeypatch.setattr(sumsetlab.scan, "_extend", no_dp)
+    monkeypatch.setattr(sumsetlab.scan, "_step", no_dp)
     monkeypatch.setattr(sumsetlab.scan, "ProcessPoolExecutor", no_dp)
     h, r = 2**62, 2**61
     for jobs in ("1", "2"):
@@ -140,7 +140,7 @@ def test_mask_width_guard_refuses_before_any_dp(monkeypatch, capsys):
         raise AssertionError("DP started")
 
     monkeypatch.setattr(sumsetlab.scan, "_chunk", no_dp)
-    monkeypatch.setattr(sumsetlab.scan, "_extend", no_dp)
+    monkeypatch.setattr(sumsetlab.scan, "_step", no_dp)
     monkeypatch.setattr(sumsetlab.scan, "ProcessPoolExecutor", no_dp)
     h, p = 2**30, 2**61 - 1
     for jobs in ("1", "2"):
