@@ -63,12 +63,12 @@ One rule sizes the store.  An entry of height H and stride S is charged
 (k + 1) * (H + 1) * S bits: its k rows of H + 1 slots, plus room for its
 results, at most one per t <= H and none wider than a slot.  An entry is
 kept only when its charge fits 2**18 bits.  The height and the stride
-are high-water marks: a call needs the stride h * span + 1 over Z and 2p
-modulo p, runs at H' = max(h, H) and S' = max(need, S) when an entry of
-that size fits and at (h, need) otherwise, and starts over from the
+are high-water marks: a call needs a stride of W = h * span + 1 bits over
+Z and 2p modulo p, runs at H' = max(h, H) and S' = max(W, S) when an
+entry of that size fits and at (h, W) otherwise, and starts over from the
 first element when (H', S') != (H, S).  So a grid that runs h upwards
 pays one DP per set after the key's first sets, and a call that does not
-fit even at (h, need) keeps nothing and runs as before.  The store is
+fit even at (h, W) keeps nothing and runs as before.  The store is
 cleared when a new entry would take it past 2**18 charged bits or 4 096
 keys.  Entries are replaced under a lock, never mutated, so threads may
 share the engine.
@@ -359,7 +359,8 @@ def _step(row: int, a: int, r: int, stride: int, p: Optional[int], keep: int) ->
     row << c * (stride + a) over c = 0..r, with c * a reduced mod p, cut to
     ``keep`` (:func:`_keep`).  The shifts {0..n-1} double to
     {0..n-1+d}, d = min(n, r + 1 - n); mod p each doubling folds every
-    slot once, exact because every shift within a slot is below p."""
+    slot once, exact because every shift within a slot is below p, and
+    the fold also cuts the row to ``keep``."""
     n = 1
     while n <= r:
         d = min(n, r + 1 - n)

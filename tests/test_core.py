@@ -603,7 +603,7 @@ def test_prefix_reuse_never_shows_in_results(fresh_store, monkeypatch):
     for g, h, r in {call for calls in orders.values() for call in calls}:
         expected[g, h, r] = _cold(g, SumParams(h, r)).values
         assert expected[g, h, r] == brute_force_sumset(g, SumParams(h, r)).values, (g, h, r)
-    # Prefix steps: every step but those that the last element's makes.
+    # Prefix steps: every _step call but the one inside each _last.
     steps = _counting(monkeypatch, "_step")
     lasts = _counting(monkeypatch, "_last")
     for name, calls in orders.items():
