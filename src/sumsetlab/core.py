@@ -13,65 +13,85 @@ restricted sumset h^A of sums of h distinct elements.
 Everything here is exact integer arithmetic.  Sumsets are computed by a
 dynamic program over big-int bit vectors: dp[t] is the bitmask of sums
 achievable using the elements scanned so far with total multiplicity
-exactly t.  The masks of one DP are packed into one integer, its row: the
-mask at t sits in the slot of ``stride`` bits from bit t * stride on.
-One step function, ``_step``, scans the element a:
+exactly t.  Scanning the element a gives
 
-    row' = OR over c in 0..r of  row << c * (stride + a')
+    dp'[t] = OR over c in 0..min(r, t) of  dp[t - c] << (c * a')
 
-where a' = a - min(A), so shifts stay non-negative; a shift by c slots
-moves dp[t - c] to t, and c * a' within the slot adds c copies of a'.
-The step builds the c in O(log r) doublings, the shifts {0..n-1} OR-ed
-with themselves shifted by d to give {0..n-1+d}, d = min(n, r + 1 - n),
-so it runs a few big-int operations and no loop over t.  Over Z a slot
-must hold the mask at the largest t read, t * span + 1 bits.  Modulo a
-prime p a slot holds p bits and room for shifts below p, stride = 2p:
-the step shifts by d * a mod p within a slot and then folds every slot
-once, (row | row >> p) & keep, with ``keep`` (``_keep``) the low p bits
-of each slot; the fold is exact because every shift is below p, and
-folding commutes with OR, so this equals OR-ing rotations.  A row keeps
-the slots up to its height and drops the rest, and the cap r is cut to
-the height, since no larger c reaches a kept slot.  ``generalized_sumset``
-validates, steps every element but the last, and reads the last element
-at t = h alone with ``_last``: only slots h - min(r, h)..h reach t = h,
-so it shifts the row down to them, steps with cap min(r, h) and reads
-one slot (``_read``), in one pass over its binary string, translated back
-by h * min(A).  ``_add_part`` is the same shift-and-fold for a sum of two
-sets: it adds a set, given by its shifts, to a mask.  The exhaustive
-scans (``scan.py``) run the same two steps depth-first over their
-candidates, sharing each prefix's row: ``_step`` per prefix element and
-``_last`` and a popcount per candidate.
+where a' = a - min(A), so shifts stay non-negative.  Modulo a prime p
+the shifts are c * a mod p on p-bit masks, and each mask is folded once,
+(mask & (2^p - 1)) | (mask >> p), which is exact because every shift is
+below p; folding commutes with OR, so this equals OR-ing rotations.
+
+The DP runs in one of two layouts.  Per t, ``_mask_at`` computes one
+dp'[t] with min(r, t) + 1 shifts, and ``_extend`` runs it at every t of
+a window; each mask is only as wide as the sums it holds.  Packed, the
+masks are one integer, a row, with the mask at t in the slot of
+``stride`` bits from bit t * stride on, and ``_step`` scans an element
+as the OR of row << c * (stride + a') over c = 0..r: a shift by c slots
+moves dp[t - c] to t.  It builds the c in O(log r) doublings, the shifts
+{0..n-1} OR-ed with themselves shifted by d to give {0..n-1+d},
+d = min(n, r + 1 - n), so it runs a few big-int operations and no loop
+over t.  Over Z a slot must hold the mask at the largest t read,
+t * span + 1 bits.  Modulo p a slot holds p bits and room for shifts
+below p, stride = 2p, and each doubling folds every slot once,
+(row | row >> p) & keep, with ``keep`` (``_keep``) the low p bits of
+each slot.  A row keeps the slots up to its height and drops the rest,
+and the cap r is cut to the height, since no larger c reaches a kept
+slot.  Every slot is as wide as the widest, so a packed row holds up to
+twice the bits of the per-t masks over Z, more when the sums are sparse,
+and twice the p-bit masks mod p; in exchange its interpreter cost does
+not grow with r * h.
+
+One cost rule, ``_packs``, picks the layout for a call or a scan from
+numbers known before any DP: counted in per-t shifts, a per-t mask costs
+one more, and a packed doubling costs two plus one per 2**12 bits of row
+it passes over; a row must also be within the mask guard.  Small rows, the exhaustive grids' traffic, run packed;
+wide rows, from a large span, a far element or a large p, run per t.
+``generalized_sumset`` validates, steps every element but the last, and
+reads the last element at t = h alone: per t with one ``_mask_at``, and
+packed with ``_last``, which shifts the row down to slots
+h - min(r, h)..h, the only ones that reach t = h, steps with cap
+min(r, h) and reads one slot.  ``_read`` lists the mask's values in one
+pass over its binary string, translated back by h * min(A).
+``_add_part`` is the same shift-and-fold for a sum of two sets: it adds
+a set, given by its shifts, to a mask.  The exhaustive scans
+(``scan.py``) walk their candidates depth-first through ``_walker``,
+which gives either layout's steps, sharing each prefix's DP, and read
+the popcount of each candidate's mask at t = h.
 
 Callers such as the checkers and the acceptance grids call the engine
 many times with one (k, r, p), running every h of a set and then moving
-to a set that shares a prefix with it.  So ``generalized_sumset`` keeps,
-for each (k, r, p), the last call's translated prefix (every element but
-the last, minus min A over Z), a height H, a stride, and the row after
-each prefix element, one int each, as one immutable tuple.  Row i
-depends on nothing but r, p, H, the stride and the translated elements
-before it, and its slot t is exact wherever the stride holds t times the
-largest element, whatever the slots above it hold, since a step moves
-bits only upwards.  A call whose stride and height equal the kept ones
-therefore steps only from its first element that differs from the kept
-prefix, and a kept row is exactly the row a cold call at that height and
-stride would compute.  The entry also keeps the last set's elements and
-the results already read for it, one per h, so a repeated (A, h) skips
-the last step and the extraction.  No result can depend on which calls
-came before.
+to a set that shares a prefix with it.  So a packed call keeps, for each
+(k, r, p), the last call's translated prefix (every element but the
+last, minus min A over Z), a height H, a stride, its ``keep``, and the
+row after each prefix element, one int each, as one immutable tuple.
+Row i depends on nothing but r, p, H, the stride and the translated
+elements before it, and its slot t is exact wherever the stride holds t
+times the largest element, whatever the slots above it hold, since a
+step moves bits only upwards.  A call whose stride and height equal the
+kept ones therefore steps only from its first element that differs from
+the kept prefix, and a kept row is exactly the row a cold call at that
+height and stride would compute.  Such a call, and any call whose rows
+the store will keep, runs packed without asking the cost rule: its rows
+are small, and reading them spares later calls their prefix steps.  The entry also keeps the last set's elements and the results
+already read for it, one per h, so a repeated (A, h) skips the last step
+and the extraction.  A per-t call keeps nothing.  No result can depend
+on which calls came before.
 
 One rule sizes the store.  An entry of height H and stride S is charged
-(k + 1) * (H + 1) * S bits: its k rows of H + 1 slots, plus room for its
-results, at most one per t <= H and none wider than a slot.  An entry is
+(k + 2) * (H + 1) * S bits: its k rows of H + 1 slots and its keep, plus
+room for its results, at most one per t <= H and none wider than a slot.  An entry is
 kept only when its charge fits 2**18 bits.  The height and the stride
 are high-water marks: a call needs a stride of W = h * span + 1 bits over
 Z and 2p modulo p, runs at H' = max(h, H) and S' = max(W, S) when an
-entry of that size fits and at (h, W) otherwise, and starts over from the
-first element when (H', S') != (H, S).  So a grid that runs h upwards
-pays one DP per set after the key's first sets, and a call that does not
-fit even at (h, W) keeps nothing and runs as before.  The store is
-cleared when a new entry would take it past 2**18 charged bits or 4 096
-keys.  Entries are replaced under a lock, never mutated, so threads may
-share the engine.
+entry of that size fits and S is at most 2W or the set is the kept one,
+and at (h, W) otherwise, and starts over from the first element when
+(H', S') != (H, S).  So a grid that runs h upwards pays one DP per set
+after the key's first sets, a narrow set after a wide one does not step
+the wide one's rows, and a call that does not fit even at (h, W) keeps
+nothing.  The store is cleared when a new entry would take it past
+2**18 charged bits or 4 096 keys.  Entries are replaced under a lock,
+never mutated, so threads may share the engine.
 
 Conventions: modular elements are residues in [0, p) and p must be
 prime; integer ground sets are kept sorted ascending; h = m*r + eps
@@ -84,7 +104,7 @@ from __future__ import annotations
 import threading
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import compress
 from typing import Iterable, Optional, Tuple
 
@@ -93,10 +113,15 @@ from .errors import DomainError
 # Resource guards, not correctness limits: sums are exact bigints, but a
 # ground set whose span overflows 64 bits signals an unreasonable input,
 # and h + 1 masks of more than 2**33 bits in all (1 GiB) are refused
-# before the DP allocates them.  A row packs those masks one per slot;
-# mod p a slot holds 2p bits, so a mod-p row holds twice the masks' bits.
+# before the DP allocates them.  A packed row holds those masks one per
+# slot, and mod p a slot has 2p bits, so the cost rule also keeps every
+# packed row within 2**33 bits; wider DPs run per t.
 _MAX_MAGNITUDE = 2**63 - 1
 _MAX_MASK_BITS = 2**33
+# The cost rule (:func:`_packs`): a doubling of the packed step costs about
+# two shifts of the per-t step plus one per 2**12 bits of the row it passes
+# over, fitted to cold timings of both steps (``tools/rowwidth.py``).
+_DOUBLING_BITS = 2**12
 
 # The row store (see the module docstring).  Small masks cost far more
 # memory as Python objects than their bits, so the bit cap is set by peak
@@ -104,8 +129,8 @@ _MAX_MASK_BITS = 2**33
 # at 2**20 and by 2 % at 2**18.
 _REUSE_MAX_KEYS = 4096
 _REUSE_MAX_BITS = 2**18
-# (k, r, p) -> (prefix, rows, H, stride, bits, elements, {h: SumsetResult});
-# entries are never mutated.
+# (k, r, p) -> (prefix, rows, H, stride, keep, bits, elements,
+# {h: SumsetResult}); entries are never mutated.
 _reuse: dict = {}
 _reuse_bits = 0
 _reuse_lock = threading.Lock()
@@ -340,6 +365,22 @@ def _validate_params(ground: GroundSet, params: SumParams) -> None:
         )
 
 
+def _packs(steps: int, leaves: int, h: int, r: int, stride: int) -> bool:
+    """The cost rule: True when ``steps`` DP steps and ``leaves`` last steps
+    read at t = h cost less packed in slots of ``stride`` bits than per t,
+    and a row is within the mask guard.  In units of one per-t shift: per
+    t, a step computes h + 1 masks, each for one unit plus min(r, t) + 1
+    shifts, and a last step one mask; packed, a step makes
+    min(r, h).bit_length() doublings and a last step one more, each for
+    two units plus one per ``_DOUBLING_BITS`` bits of row it passes over."""
+    m = min(r, h)
+    doublings = m.bit_length()
+    per_t = steps * (2 * (h + 1) + m * (m + 1) // 2 + (h - m) * m) + leaves * (m + 2)
+    bits = doublings * stride * (steps * (h + 1) + leaves * (m + 1))
+    packed = 2 * (steps * doublings + leaves * (doublings + 1)) * _DOUBLING_BITS + bits
+    return (h + 1) * stride <= _MAX_MASK_BITS and packed <= per_t * _DOUBLING_BITS
+
+
 def _keep(height: int, stride: int, p: Optional[int]) -> int:
     """The bits of a row of slots 0..height that a step keeps: all of them
     over Z, and mod p the low p bits of each slot, built by doubling
@@ -353,14 +394,15 @@ def _keep(height: int, stride: int, p: Optional[int]) -> int:
     return keep & ((1 << (height + 1) * stride) - 1)
 
 
-def _step(row: int, a: int, r: int, stride: int, p: Optional[int], keep: int) -> int:
-    """The one DP step: the row after the element a (over Z, translated by
+def _step(r: int, stride: int, p: Optional[int], keep: int, row: int, a: int) -> int:
+    """The packed step: the row after the element a (over Z, translated by
     -min A) joins the elements behind ``row``, i.e. the OR of
     row << c * (stride + a) over c = 0..r, with c * a reduced mod p, cut to
     ``keep`` (:func:`_keep`).  The shifts {0..n-1} double to
     {0..n-1+d}, d = min(n, r + 1 - n); mod p each doubling folds every
     slot once, exact because every shift within a slot is below p, and
-    the fold also cuts the row to ``keep``."""
+    the fold also cuts the row to ``keep``.  The layout comes first here
+    and below, for ``functools.partial``."""
     n = 1
     while n <= r:
         d = min(n, r + 1 - n)
@@ -371,13 +413,57 @@ def _step(row: int, a: int, r: int, stride: int, p: Optional[int], keep: int) ->
     return row & keep if p is None else row
 
 
-def _last(row: int, a: int, h: int, r: int, stride: int, p: Optional[int], keep: int) -> int:
+def _last(h: int, r: int, stride: int, p: Optional[int], keep: int, row: int, a: int) -> int:
     """The mask at t = h after the last element a joins ``row``.  Only slots
     h - min(r, h)..h reach t = h, so the row is shifted down to them first
     and stepped with cap min(r, h)."""
     m = min(r, h)
-    row = _step(row >> (h - m) * stride, a, m, stride, p, keep)
+    row = _step(m, stride, p, keep, row >> (h - m) * stride, a)
     return (row >> m * stride) & ((1 << stride) - 1)
+
+
+def _mask_at(t: int, r: int, p: Optional[int], dp: list, a: int) -> int:
+    """The per-t step: the mask at multiplicity t after the element a (over
+    Z, translated by -min A) joins the elements behind the masks ``dp``,
+    i.e. the OR of dp[t - c] << c*a over c = 0..min(r, t), folded onto p
+    bits mod p."""
+    acc = 0
+    for c in range(min(r, t) + 1):
+        x = dp[t - c]
+        if x:
+            acc |= x << (c * a if p is None else c * a % p)
+    if p is not None:
+        # Every mask has p bits and every shift is below p, so one fold
+        # turns the shifts into rotations.
+        acc = (acc & ((1 << p) - 1)) | (acc >> p)
+    return acc
+
+
+def _extend(r: int, p: Optional[int], window: range, dp: list, a: int) -> list:
+    """The per-t masks ``dp`` extended by the element a, computed at every
+    t in ``window``; the other t are 0."""
+    tail = [0] * (len(dp) - window.stop)
+    return [0] * window.start + [_mask_at(t, r, p, dp, a) for t in window] + tail
+
+
+def _window(k: int, h: int, r: int, i: int) -> range:
+    """The t that the first i + 1 of k elements reach and the other
+    k - i - 1 can still complete to h: the per-t masks a DP read at t = h
+    needs after its i-th element."""
+    return range(max(0, h - (k - i - 1) * r), min(h, (i + 1) * r) + 1)
+
+
+def _walker(k: int, h: int, r: int, p: Optional[int], stride: int, packed: bool) -> tuple:
+    """The DP of a k-set read at t = h alone, packed in slots of ``stride``
+    bits or per t: (start, grows, last), where grows[i](state, a) scans
+    the element a as the i-th and last(state, a) is the mask at t = h
+    after the last element a.  Per t, the masks after the i-th element
+    are computed only in its :func:`_window`."""
+    if packed:
+        keep = _keep(h, stride, p)
+        return 1, [partial(_step, min(r, h), stride, p, keep)] * k, partial(_last, h, r, stride, p, keep)
+    grows = [partial(_extend, r, p, _window(k, h, r, i)) for i in range(k)]
+    return [1] + [0] * h, grows, partial(_mask_at, h, r, p)
 
 
 def _add_part(mask: int, shifts: Iterable[int], p: Optional[int]) -> int:
@@ -404,8 +490,8 @@ def _remember(key: tuple, entry: tuple) -> None:
     global _reuse_bits
     with _reuse_lock:
         old = _reuse.get(key)
-        bits = entry[4]
-        held = _reuse_bits + bits - (old[4] if old else 0)
+        bits = entry[5]
+        held = _reuse_bits + bits - (old[5] if old else 0)
         if held > _REUSE_MAX_BITS or (old is None and len(_reuse) >= _REUSE_MAX_KEYS):
             _reuse.clear()
             held = bits
@@ -416,16 +502,16 @@ def _remember(key: tuple, entry: tuple) -> None:
 def generalized_sumset(ground: GroundSet, params: SumParams) -> SumsetResult:
     """Compute h^(r)A exactly.
 
-    Bit-vector dynamic program over exact multiplicity, one packed row
-    of masks, one per total multiplicity t: one :func:`_step` per element
-    but the last, and for the last element :func:`_last`, which reads
+    Bit-vector dynamic program over exact multiplicity, one mask per
+    total multiplicity t, in the layout that :func:`_packs` picks: a step
+    per element but the last, and for the last element the mask at
     t = h alone.  Integers run in the translated coordinates a - min(A);
-    modulo p the shifts are reduced mod p and every slot is folded back
+    modulo p the shifts are reduced mod p and every mask is folded back
     onto p bits.
 
-    The rows after each element but the last, and the result, are kept
-    for later calls with the same (k, r, p) under the one rule that the
-    module docstring states; no result depends on earlier calls.
+    Packed, the rows after each element but the last, and the result,
+    are kept for later calls with the same (k, r, p) under the one rule
+    that the module docstring states; no result depends on earlier calls.
     """
     A = ground.elements
     h, r = params.h, params.r
@@ -433,39 +519,47 @@ def generalized_sumset(ground: GroundSet, params: SumParams) -> SumsetResult:
     p = ground.modulus
     key = (k, r, p)
     entry = _reuse.get(key)
-    same_set = entry is not None and entry[5] == A
+    same_set = entry is not None and entry[6] == A
     # A kept result passed the same validation when it was computed.
-    if same_set and h in entry[6]:
-        return entry[6][h]
+    if same_set and h in entry[7]:
+        return entry[7][h]
     _validate_params(ground, params)
     base = A[0] if p is None else 0
     # The slot this call reads, t = h, holds h * span + 1 bits over Z; mod p
     # a slot holds p bits and room for shifts below p.
     need = h * (A[-1] - A[0]) + 1 if p is None else 2 * p
     prefix = A[:-1] if p is not None else tuple([a - base for a in A[:-1]])
-    kept_prefix, kept, kept_height, kept_stride = entry[:4] if entry else ((), (), -1, 0)
+    kept_prefix, kept, kept_height, kept_stride, keep = entry[:5] if entry else ((), (), -1, 0, 0)
     height, stride = max(h, kept_height), max(need, kept_stride)
-    if (k + 1) * (height + 1) * stride > _REUSE_MAX_BITS:
+    if (stride > 2 * need and not same_set) or (k + 2) * (height + 1) * stride > _REUSE_MAX_BITS:
         height, stride = h, need
-    charge = (k + 1) * (height + 1) * stride
+    charge = (k + 2) * (height + 1) * stride
     j = 0
-    if (height, stride) != (kept_height, kept_stride):
-        rows = [1]
-    else:
-        # kept[i] is the DP over kept_prefix[:i], so it holds for this
-        # call up to the first element where the two prefixes differ.
+    if (height, stride) == (kept_height, kept_stride):
+        # Kept rows are small and spare the prefix's steps, so the cost
+        # rule is asked only when the layout starts over.  kept[i] is the
+        # DP over kept_prefix[:i], so it holds for this call up to the
+        # first element where the two prefixes differ.
         for x, y in zip(prefix, kept_prefix):
             if x != y:
                 break
             j += 1
         rows = list(kept[: j + 1])
-    keep = _keep(height, stride, p)
+    elif charge <= _REUSE_MAX_BITS or _packs(k - 1, 1, h, r, need):
+        rows = [1]
+        keep = _keep(height, stride, p)
+    else:
+        # Per-t masks, as wide as what they hold; nothing is kept.
+        dp = [1] + [0] * h
+        for i, a in enumerate(prefix):
+            dp = _extend(r, p, _window(k, h, r, i), dp, a)
+        return _read(_mask_at(h, r, p, dp, A[-1] - base), h * base, p)
     for i in range(j, k - 1):
-        rows.append(_step(rows[i], prefix[i], min(r, height), stride, p, keep))
-    result = _read(_last(rows[-1], A[-1] - base, h, r, stride, p, keep), h * base, p)
+        rows.append(_step(min(r, height), stride, p, keep, rows[i], prefix[i]))
+    result = _read(_last(h, r, stride, p, keep, rows[-1], A[-1] - base), h * base, p)
     if charge <= _REUSE_MAX_BITS:
-        results = {**entry[6], h: result} if same_set else {h: result}
-        _remember(key, (prefix, tuple(rows), height, stride, charge, A, results))
+        results = {**entry[7], h: result} if same_set else {h: result}
+        _remember(key, (prefix, tuple(rows), height, stride, keep, charge, A, results))
     return result
 
 

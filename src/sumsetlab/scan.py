@@ -28,12 +28,15 @@ optionally over the one pool of worker processes that the driver call
 shares across points; chunk results are folded in prefix order as each
 chunk arrives, so a serial scan holds one chunk's results at a time and
 a parallel one at most 2 * jobs chunks submitted and not yet folded.  A
-chunk walks depth-first with the engine's DP steps on packed rows of
-slots t = 0..h, all laid out with the widest candidate's stride: one
-``core._step`` per prefix element, so each prefix's row is shared by
-every candidate that extends it, and per candidate one ``core._last``,
-the trimmed step that reads t = h alone, and a popcount.
-``generalized_sumset`` recomputes every set found at or below the bound,
+chunk walks depth-first with the engine's DP steps from ``core._walker``,
+one step per prefix element, so each prefix's DP is shared by every
+candidate that extends it, and per candidate one last step that reads
+t = h alone, and a popcount.  The engine's cost rule, ``core._packs``,
+picks the layout once per chunk from the scan's size: packed rows of
+slots t = 0..h, laid out with the widest candidate's stride, when they
+are small, and per-t masks, cut to the t that the remaining elements
+can still complete to h, when they are wide.  ``generalized_sumset``
+recomputes every set found at or below the bound,
 and its cardinality is the one reported.  In records mode each
 candidate's line is one %-format of a template built once per scan, and
 a chunk's lines are handed over in one call.
@@ -58,10 +61,9 @@ from .core import (
     bound_direct_integers,
     bound_erdos_heilbronn,
     generalized_sumset,
-    _keep,
-    _last,
-    _step,
+    _packs,
     _validate_params,
+    _walker,
 )
 from .errors import DomainError, ResourceCapError
 from .verify import is_arithmetic_progression
@@ -133,9 +135,12 @@ def _chunk(k, params, p, largest, bound, collect, prefix) -> Tuple[int, list]:
     Returns (evaluated, rows): the (candidate, cardinality) pairs of
     every candidate if ``collect``, else of those at or below ``bound``."""
     h, r = params.h, params.r
-    # Every candidate's rows share the widest candidate's stride.
+    # Every candidate's DP is laid out for the widest candidate.  A scan
+    # steps about one row per k - 1 elements and reads a row per candidate.
     stride = h * largest + 1 if p is None else 2 * p
-    keep, cap = _keep(h, stride, p), min(r, h)
+    steps = math.comb(largest, k - 2) if k > 1 else 0
+    packed = _packs(steps, math.comb(largest, k - 1), h, r, stride)
+    start, grows, last = _walker(k, h, r, p, stride, packed)
     evaluated = 0
     rows = []
 
@@ -147,19 +152,20 @@ def _chunk(k, params, p, largest, bound, collect, prefix) -> Tuple[int, list]:
         else:
             choices = range(cand[-1] + 1, largest - k + i + 2)
         if i < k - 1:
+            grow = grows[i]
             for a in choices:
-                walk(cand + (a,), _step(row, a, cap, stride, p, keep), math.gcd(g, a))
+                walk(cand + (a,), grow(row, a), math.gcd(g, a))
             return
         for a in choices:
             # Over Z a set with gcd > 1 is a dilate of a smaller candidate.
             if p is None and math.gcd(g, a) > 1:
                 continue
             evaluated += 1
-            card = _last(row, a, h, r, stride, p, keep).bit_count()
+            card = last(row, a).bit_count()
             if collect or card <= bound:
                 rows.append((cand + (a,), card))
 
-    walk((), 1, 0)
+    walk((), start, 0)
     return evaluated, rows
 
 

@@ -5,6 +5,7 @@ of multiplicity vectors (itertools.product over 0..r per element),
 independently of the package, and frozen here.
 """
 
+import itertools
 import random
 import sys
 import threading
@@ -484,13 +485,13 @@ def test_packed_step_matches_the_slotwise_step(p, r, height, slack, data):
     keep = core._keep(height, stride, p)
     assert keep == sum(((1 << width) - 1) << t * stride for t in range(height + 1))
     row = sum(mask << t * stride for t, mask in enumerate(dp))
-    stepped = core._step(row, a, r, stride, p, keep)
-    assert stepped == core._step(row, a, min(r, height), stride, p, keep)
+    stepped = core._step(r, stride, p, keep, row, a)
+    assert stepped == core._step(min(r, height), stride, p, keep, row, a)
     assert stepped >> (height + 1) * stride == 0
     for t in range(height + 1):
         want = _slotwise(dp, a, t, r, p)
         assert _slot(stepped, t, stride) == want, t
-        assert core._last(row, a, t, r, stride, p, keep) == want, t
+        assert core._last(t, r, stride, p, keep, row, a) == want, t
 
 
 # ===================== cross-call reuse =====================
@@ -524,26 +525,26 @@ def _counting(monkeypatch, name):
 
 
 def _check_store():
-    """Every entry is charged the one rule's (k + 1) * (H + 1) * stride bits,
+    """Every entry is charged the one rule's (k + 2) * (H + 1) * stride bits,
     with a stride wide enough for every result it holds and no result above
     its height; every kept row equals the row a cold DP computes at the
     entry's height and stride, and every kept result is the oracle's value
     for the entry's set."""
     for (k, r, p), entry in core._reuse.items():
-        prefix, rows, height, stride, bits, elements, results = entry
+        prefix, rows, height, stride, keep, bits, elements, results = entry
         assert len(elements) == k and len(prefix) == k - 1 and len(rows) == k
-        assert bits == (k + 1) * (height + 1) * stride
-        keep = core._keep(height, stride, p)
+        assert bits == (k + 2) * (height + 1) * stride
+        assert keep == core._keep(height, stride, p)
         cold = [1]
         for a in prefix:
-            cold.append(core._step(cold[-1], a, min(r, height), stride, p, keep))
+            cold.append(core._step(min(r, height), stride, p, keep, cold[-1], a))
         assert rows == tuple(cold)
         for h, result in results.items():
             assert h <= height
             assert stride >= (h * (elements[-1] - elements[0]) + 1 if p is None else 2 * p)
             ground = GroundSet(elements, p)
             assert result == brute_force_sumset(ground, SumParams(h, r))
-    assert core._reuse_bits == sum(entry[4] for entry in core._reuse.values())
+    assert core._reuse_bits == sum(entry[5] for entry in core._reuse.values())
 
 
 # Sets of one size are listed next to the set they test against, so that
@@ -652,14 +653,17 @@ def test_result_memo_is_keyed_by_set_and_h(fresh_store, monkeypatch):
     _check_store()
 
 
-def test_height_falls_back_to_h_for_a_wider_set(fresh_store):
+def test_height_falls_back_to_h_for_a_wider_set(fresh_store, monkeypatch):
     """A wider set raises the kept stride while the key's height still fits;
     a set too wide for the height runs, and is kept, at its own h and
-    stride."""
+    stride; and a set whose stride is under half the kept one starts over
+    at its own."""
+    monkeypatch.setattr(core, "_REUSE_MAX_BITS", 2**15)
     generalized_sumset(GroundSet((0, 1, 2)), SumParams(6, 2))
     assert core._reuse[3, 2, None][2:4] == (6, 13)
-    for elements, layout in (((0, 1, 3000), (6, 6001)),  # 7 slots of 6 001 bits fit
-                             ((0, 1, 6000), (2, 12001))):  # 7 slots of 12 001 do not
+    for elements, layout in (((0, 1, 300), (6, 601)),  # 7 slots of 601 bits fit
+                             ((0, 1, 600), (2, 1201)),  # 7 slots of 1 201 do not
+                             ((0, 1, 2), (2, 5))):  # 5 bits are under half of 1 201
         ground = GroundSet(elements)
         assert generalized_sumset(ground, SumParams(2, 2)) == brute_force_sumset(
             ground, SumParams(2, 2))
@@ -678,7 +682,7 @@ def test_prefix_store_stays_within_its_caps(fresh_store, monkeypatch):
         ground = rng.choice(pool)
         h, r = rng.choice(_pairs(ground.size, max_r=4, max_h=8))
         entry = core._reuse.get((ground.size, r, None))
-        memo_reads += entry is not None and entry[5] == ground.elements and h in entry[6]
+        memo_reads += entry is not None and entry[6] == ground.elements and h in entry[7]
         values = generalized_sumset(ground, SumParams(h, r)).values
         assert len(core._reuse) <= 6
         assert core._reuse_bits <= 3000
@@ -693,8 +697,10 @@ def test_prefix_store_stays_within_its_caps(fresh_store, monkeypatch):
         # wide masks: the entry's charge is over ten times the bit cap
         (tuple(range(-500_000, -492_000, 200)) + (-492_000,), None, 3, 1),
         (tuple(range(0, 20_000, 500)), 20_011, 3, 1),
-        # narrower masks, but (k + 1) rows of them above the bit cap
+        # narrower masks, but (k + 2) rows of them above the bit cap
         (tuple(range(0, 2_400, 100)) + (2_500,), None, 4, 2),
+        # packed, but 7 rows of 17 slots of 3 201 bits are above the bit cap
+        ((0, 37, 90, 151, 200), None, 16, 16),
     ],
 )
 def test_wide_call_leaves_the_prefix_store_alone(fresh_store, elements, modulus, h, r):
@@ -710,6 +716,62 @@ def test_wide_call_leaves_the_prefix_store_alone(fresh_store, elements, modulus,
         values = generalized_sumset(ground, SumParams(h, r)).values
         assert (dict(core._reuse), core._reuse_bits) == before
     assert values == brute_force_sumset(ground, SumParams(h, r)).values
+
+
+@pytest.mark.parametrize(
+    "elements, modulus, h, r, packed",
+    [
+        ((0, 1, 2, 3, 40_000), None, 6, 6, False),  # one far element sets a wide stride
+        ((0, 1, 2, 3), 20_011, 8, 8, False),  # 2p-bit slots around a few sums
+        (tuple(range(0, 2_000, 100)), None, 4, 2, False),
+        ((0, 1, 2, 3, 7), None, 6, 6, True),
+        ((0, 1, 3, 7), 101, 8, 8, True),
+        ((0, 2, 3, 7, 11, 12), None, 8, 4, True),
+    ],
+)
+def test_cost_rule_picks_the_step(fresh_store, monkeypatch, elements, modulus, h, r, packed):
+    """Wide rows run per t and keep nothing, narrow rows run packed; both
+    give the oracle's values."""
+    ground = GroundSet.of(elements, modulus)
+    steps = _counting(monkeypatch, "_step")
+    per_t = _counting(monkeypatch, "_mask_at")
+    got = generalized_sumset(ground, SumParams(h, r))
+    assert got == brute_force_sumset(ground, SumParams(h, r))
+    assert (len(steps) > 0, len(per_t) > 0) == (packed, not packed)
+    assert bool(core._reuse) == packed
+
+
+@pytest.mark.parametrize("packed", [True, False])
+def test_both_layouts_match_the_oracle(fresh_store, monkeypatch, packed):
+    """The engine with its DP packed and per t, whichever the cost rule
+    would choose, against the oracle: every set of up to 4 elements of
+    {-2, ..., 3} and mod 2, 3, 5 and 7, r <= 3, h <= min(r*k, 6)."""
+    monkeypatch.setattr(core, "_packs", lambda *args: packed)
+    if not packed:  # a call whose rows the store keeps runs packed
+        monkeypatch.setattr(core, "_REUSE_MAX_BITS", -1)
+    sets = [GroundSet(c) for k in range(1, 5) for c in itertools.combinations(range(-2, 4), k)]
+    sets += [GroundSet(c, p) for p in (2, 3, 5, 7) for k in range(1, min(p, 4) + 1)
+             for c in itertools.combinations(range(p), k)]
+    for g in sets:
+        for h, r in _pairs(g.size):
+            want = brute_force_sumset(g, SumParams(h, r))
+            assert generalized_sumset(g, SumParams(h, r)) == want, (g, h, r)
+    if packed:
+        _check_store()
+    else:
+        assert core._reuse == {}
+
+
+def test_cost_rule_bounds_the_packed_row():
+    """The rule prices a doubling at two per-t shifts plus one per 2**12
+    bits, and never packs a row above the mask guard."""
+    # One step at h = r = 1: one doubling over 2 slots against 2 masks of
+    # 1 and 2 shifts.
+    assert core._packs(1, 0, 1, 1, 6144) and not core._packs(1, 0, 1, 1, 6145)
+    # A last step costs a doubling more than a step.
+    assert not core._packs(0, 1, 1, 1, 1)
+    assert core._packs(1, 0, 10**4, 10**4, 5 * 10**5)
+    assert not core._packs(1, 0, 10**4, 10**4, 10**6)  # 10 001 slots > 2**33 bits
 
 
 def test_prefix_reuse_across_threads(fresh_store):

@@ -120,7 +120,7 @@ def test_extremal_64_bit_guard_refuses_before_any_dp(monkeypatch, capsys):
         raise AssertionError("DP started")
 
     monkeypatch.setattr(sumsetlab.scan, "_chunk", no_dp)
-    monkeypatch.setattr(sumsetlab.scan, "_step", no_dp)
+    monkeypatch.setattr(sumsetlab.scan, "_walker", no_dp)
     monkeypatch.setattr(sumsetlab.scan, "ProcessPoolExecutor", no_dp)
     h, r = 2**62, 2**61
     for jobs in ("1", "2"):
@@ -140,7 +140,7 @@ def test_mask_width_guard_refuses_before_any_dp(monkeypatch, capsys):
         raise AssertionError("DP started")
 
     monkeypatch.setattr(sumsetlab.scan, "_chunk", no_dp)
-    monkeypatch.setattr(sumsetlab.scan, "_step", no_dp)
+    monkeypatch.setattr(sumsetlab.scan, "_walker", no_dp)
     monkeypatch.setattr(sumsetlab.scan, "ProcessPoolExecutor", no_dp)
     h, p = 2**30, 2**61 - 1
     for jobs in ("1", "2"):
@@ -248,6 +248,28 @@ def test_scan_cardinalities_match_oracle():
                 outputs.append(seen)
             assert all(out == outputs[0] for out in outputs)
     assert checked > 10_000
+
+
+@pytest.mark.parametrize("packed", [True, False])
+def test_both_layouts_match_the_oracle(monkeypatch, packed):
+    """The walk gives the oracle's cardinality for every candidate with its
+    DP packed and per t, whichever the cost rule would choose: over Z every
+    k <= 4, max_diameter 6, r <= 3, h <= r*k; mod 5 and 7 every k <= 4."""
+    monkeypatch.setattr(sumsetlab.scan, "_packs", lambda *args: packed)
+    cache = {}
+    checked = 0
+    points = [(k, h, r, None, 6) for k in range(1, 5) for r in range(1, 4)
+              for h in range(1, r * k + 1)]
+    points += [(k, h, r, p, p - 1) for p in (5, 7) for k in range(1, 5)
+               for r in range(1, 4) for h in range(1, r * k + 1)]
+    for k, h, r, p, largest in points:
+        params = SumParams(h=h, r=r)
+        for prefix in [(0,)] if k == 1 else [(0, f) for f in range(1, largest - k + 3)]:
+            _, rows = sumsetlab.scan._chunk(k, params, p, largest, 0, True, prefix)
+            for cand, card in rows:
+                assert card == _oracle_cardinality(cache, cand, p, h, r), (cand, p, h, r)
+                checked += 1
+    assert checked > 1_500
 
 
 def test_scan_claims_are_the_engines(monkeypatch):
