@@ -12,7 +12,8 @@ step and narrow ones that it packs, once per source tree and round,
 alternating the trees, each shape in a fresh interpreter that imports
 ``sumsetlab`` from ``SRC`` (a checkout's ``src`` directory).  A shape's
 time is the fastest of its repeats, each with the engine's row store
-emptied first, and ``peak_mb`` is the interpreter's peak RSS.
+emptied first, and ``peak_mb`` is the interpreter's peak RSS.  Each
+shape's ``packed`` is the layout that the last ``--src`` tree's rule picks.
 
     python3 tools/rowwidth.py calibrate --src A [--out F]
 
