@@ -56,8 +56,9 @@ pass over its binary string, translated back by h * min(A).
 ``_add_part`` is the same shift-and-fold for a sum of two sets: it adds
 a set, given by its shifts, to a mask.  The exhaustive scans
 (``scan.py``) walk their candidates depth-first through ``_walker``,
-which gives either layout's steps, sharing each prefix's DP, and read
-the popcount of each candidate's mask at t = h.
+which gives either layout's steps, sharing each prefix's DP, and the
+masks at t = h - min(r, h)..h of a row, from which the scan reads every
+candidate that ends the row.
 
 Callers such as the checkers and the acceptance grids call the engine
 many times with one (k, r, p), running every h of a set and then moving
@@ -106,6 +107,7 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import compress
+from operator import itemgetter
 from typing import Iterable, Optional, Tuple
 
 from .errors import DomainError
@@ -453,17 +455,26 @@ def _window(k: int, h: int, r: int, i: int) -> range:
     return range(max(0, h - (k - i - 1) * r), min(h, (i + 1) * r) + 1)
 
 
+def _slots(low: int, m: int, stride: int, row: int) -> list:
+    """The masks in slots low..low + m of a packed row."""
+    row >>= low * stride
+    cut = (1 << stride) - 1
+    return [row >> j * stride & cut for j in range(m + 1)]
+
+
 def _walker(k: int, h: int, r: int, p: Optional[int], stride: int, packed: bool) -> tuple:
     """The DP of a k-set read at t = h alone, packed in slots of ``stride``
-    bits or per t: (start, grows, last), where grows[i](state, a) scans
-    the element a as the i-th and last(state, a) is the mask at t = h
-    after the last element a.  Per t, the masks after the i-th element
-    are computed only in its :func:`_window`."""
+    bits or per t: (start, grows, read), where grows[i](state, a) scans
+    the element a as the i-th, and read(state) lists the masks at
+    t = h - m..h, m = min(r, h), the only ones that a last element's
+    step carries to t = h.  Per t, the masks after the i-th element are
+    computed only in its :func:`_window`."""
+    m = min(r, h)
     if packed:
         keep = _keep(h, stride, p)
-        return 1, [partial(_step, min(r, h), stride, p, keep)] * k, partial(_last, h, r, stride, p, keep)
+        return 1, [partial(_step, m, stride, p, keep)] * k, partial(_slots, h - m, m, stride)
     grows = [partial(_extend, r, p, _window(k, h, r, i)) for i in range(k)]
-    return [1] + [0] * h, grows, partial(_mask_at, h, r, p)
+    return [1] + [0] * h, grows, itemgetter(slice(h - m, h + 1))
 
 
 def _add_part(mask: int, shifts: Iterable[int], p: Optional[int]) -> int:

@@ -28,18 +28,24 @@ optionally over the one pool of worker processes that the driver call
 shares across points; chunk results are folded in prefix order as each
 chunk arrives, so a serial scan holds one chunk's results at a time and
 a parallel one at most 2 * jobs chunks submitted and not yet folded.  A
-chunk walks depth-first with the engine's DP steps from ``core._walker``,
-one step per prefix element, so each prefix's DP is shared by every
-candidate that extends it, and per candidate one last step that reads
-t = h alone, and a popcount.  The engine's cost rule, ``core._packs``,
+chunk walks depth-first, on an explicit stack, with the engine's DP
+steps from ``core._walker``, one step per prefix element, so each
+prefix's DP is shared by every candidate that extends it.  Each row of
+k - 1 elements has its masks at t = h - min(r, h)..h read once, and
+every candidate that ends it costs min(r, h) shift-ORs of those masks,
+a fold mod p, and a popcount.  The engine's cost rule, ``core._packs``,
 picks the layout once per chunk from the scan's size: packed rows of
 slots t = 0..h, laid out with the widest candidate's stride, when they
 are small, and per-t masks, cut to the t that the remaining elements
 can still complete to h, when they are wide.  ``generalized_sumset``
-recomputes every set found at or below the bound,
-and its cardinality is the one reported.  In records mode each
-candidate's line is one %-format of a template built once per scan, and
-a chunk's lines are handed over in one call.
+recomputes every set found at or below the bound, and its cardinality
+is the one reported.  In records mode each node of the walk carries its
+prefix's text, and a candidate above the bound gets its line as one
+string build: the head and tail for its cardinality, cut once per scan
+from the record template, around that text and its last element.  A
+candidate at or below the bound leaves a placeholder that the fold
+fills from the engine's cardinality, and a chunk's lines are handed
+over in one call.
 """
 
 from __future__ import annotations
@@ -129,23 +135,46 @@ class ScanReport:
         }
 
 
-def _chunk(k, params, p, largest, bound, collect, prefix) -> Tuple[int, list]:
+class _LineParts(dict):
+    """cardinality -> the (head, tail) of a record line around its set's
+    comma-joined elements, cut from the template's line on first use."""
+
+    def __init__(self, kind: str, p: Optional[int], bound: int):
+        super().__init__()
+        self.template, self.bound = _record_template(kind, p, bound), bound
+
+    def __missing__(self, card):
+        # A compact JSON line holds no raw newline, so it marks the set.
+        line = self.template % (card, "true" if card == self.bound else "false",
+                                "\n", card - self.bound)
+        parts = self[card] = tuple(line.split("\n"))
+        return parts
+
+
+def _chunk(k, params, p, largest, bound, parts, prefix) -> Tuple[int, list, list]:
     """Evaluate all normalized candidates that start with ``prefix``, in
-    ``combinations`` order, extending each prefix's DP row by one element.
-    Returns (evaluated, rows): the (candidate, cardinality) pairs of
-    every candidate if ``collect``, else of those at or below ``bound``."""
+    ``combinations`` order, extending each prefix's DP state by one
+    element, and reading the candidates that end a row of k - 1 elements
+    from the masks at t = h - min(r, h)..h that the row's state holds.
+    Returns (evaluated, lines, low): with ``parts`` (:class:`_LineParts`),
+    every candidate's record line, None for one at or below ``bound``, and
+    without, no lines; and the candidates at or below ``bound``."""
     h, r = params.h, params.r
     # Every candidate's DP is laid out for the widest candidate.  A scan
     # steps about one row per k - 1 elements and reads a row per candidate.
     stride = h * largest + 1 if p is None else 2 * p
     steps = math.comb(largest, k - 2) if k > 1 else 0
     packed = _packs(steps, math.comb(largest, k - 1), h, r, stride)
-    start, grows, last = _walker(k, h, r, p, stride, packed)
+    start, grows, read = _walker(k, h, r, p, stride, packed)
+    m = min(r, h)
+    cut = (1 << p) - 1 if p is not None else 0
     evaluated = 0
-    rows = []
-
-    def walk(cand, row, g):
-        nonlocal evaluated
+    lines, low = [], []
+    # Depth-first, each node a prefix with its DP state, the gcd of its
+    # elements and their text as a record writes it ("0,3,5,").
+    stack = [((), start, 0, "")]
+    while stack:
+        cand, state, g, text = stack.pop()
         i = len(cand)
         if i < len(prefix):
             choices = (prefix[i],)
@@ -153,20 +182,30 @@ def _chunk(k, params, p, largest, bound, collect, prefix) -> Tuple[int, list]:
             choices = range(cand[-1] + 1, largest - k + i + 2)
         if i < k - 1:
             grow = grows[i]
-            for a in choices:
-                walk(cand + (a,), grow(row, a), math.gcd(g, a))
-            return
-        for a in choices:
+            stack += [(cand + (a,), grow(state, a), math.gcd(g, a), f"{text}{a},")
+                      for a in reversed(choices)]
+            continue
+        if p is None and g != 1:
             # Over Z a set with gcd > 1 is a dilate of a smaller candidate.
-            if p is None and math.gcd(g, a) > 1:
-                continue
-            evaluated += 1
-            card = last(row, a).bit_count()
-            if collect or card <= bound:
-                rows.append((cand + (a,), card))
-
-    walk((), start, 0)
-    return evaluated, rows
+            choices = [a for a in choices if math.gcd(g, a) < 2]
+        # Each leaf's mask at t = h is the OR of dp[h - c] << c*a over
+        # c = 0..m, folded mod p, from the row's masks read once.
+        masks = read(state)
+        terms = [(masks[m - c], c) for c in range(1, m + 1) if masks[m - c]]
+        evaluated += len(choices)
+        for a in choices:
+            acc = masks[m]
+            for x, c in terms:
+                acc |= x << (c * a if p is None else c * a % p)
+            if p is not None:
+                acc = acc & cut | acc >> p
+            card = acc.bit_count()
+            if card <= bound:
+                low.append(cand + (a,))
+            if parts is not None:
+                head, tail = parts[card]
+                lines.append(f"{head}{text}{a}{tail}" if card > bound else None)
+    return evaluated, lines, low
 
 
 def _record_template(kind: str, p: Optional[int], bound: int) -> str:
@@ -217,8 +256,8 @@ def _scan(
     # The engine's validation, once, on the widest candidate.
     widest = tuple(range(k - 1)) + (largest,) if k > 1 else (0,)
     _validate_params(GroundSet(widest, p), params)
-    chunk = partial(_chunk, k, params, p, largest, bound, on_records is not None)
-    template = _record_template(kind, p, bound)
+    parts = _LineParts(kind, p, bound) if on_records is not None else None
+    chunk = partial(_chunk, k, params, p, largest, bound, parts)
     prefixes = [(0,)] if k == 1 else [(0, f) for f in range(1, largest - k + 3)]
     evaluated = 0
     equality, violations = [], []
@@ -228,20 +267,20 @@ def _scan(
         results = _in_order(pool(), chunk, prefixes, 2 * jobs)
     else:
         results = map(chunk, prefixes)
-    for chunk_evaluated, rows in results:
+    for chunk_evaluated, lines, low in results:
         evaluated += chunk_evaluated
-        lines = []
-        for cand, card in rows:
+        spot = -1
+        for cand in low:
             # The engine is the authority for every set the report names.
-            if card <= bound:
-                card = generalized_sumset(GroundSet(cand, p), params).cardinality
-                if card < bound:
-                    violations.append(cand)
-                elif card == bound:
-                    equality.append(cand)
-            if on_records is not None:
-                lines.append(template % (card, "true" if card == bound else "false",
-                                         ",".join(map(str, cand)), card - bound))
+            card = generalized_sumset(GroundSet(cand, p), params).cardinality
+            if card < bound:
+                violations.append(cand)
+            elif card == bound:
+                equality.append(cand)
+            if lines:
+                spot = lines.index(None, spot + 1)
+                head, tail = parts[card]
+                lines[spot] = f"{head}{','.join(map(str, cand))}{tail}"
         if lines:
             on_records(lines)
     non_ap = tuple(

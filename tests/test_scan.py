@@ -5,6 +5,7 @@ enumeration of multiplicity vectors over all normalized candidate sets,
 independently of the package.
 """
 
+import gc
 import json
 import math
 from concurrent.futures import Future, ProcessPoolExecutor
@@ -20,12 +21,13 @@ from sumsetlab import (
     ScanReport,
     SumParams,
     brute_force_sumset,
+    generalized_sumset,
     parse_manifest,
     scan_extremal_integers,
     scan_inverse_eh_mod_p,
 )
 from sumsetlab.cli import _json_line, run
-from sumsetlab.scan import _SCANS, _scan
+from sumsetlab.scan import _SCANS, _LineParts, _chunk, _scan
 
 
 def _decoding(seen):
@@ -264,12 +266,75 @@ def test_both_layouts_match_the_oracle(monkeypatch, packed):
                for r in range(1, 4) for h in range(1, r * k + 1)]
     for k, h, r, p, largest in points:
         params = SumParams(h=h, r=r)
-        for prefix in [(0,)] if k == 1 else [(0, f) for f in range(1, largest - k + 3)]:
-            _, rows = sumsetlab.scan._chunk(k, params, p, largest, 0, True, prefix)
-            for cand, card in rows:
-                assert card == _oracle_cardinality(cache, cand, p, h, r), (cand, p, h, r)
+        # At bound 0 every candidate is above it and gets its line.
+        parts = _LineParts("extremal", p, 0)
+        for prefix in _prefixes(k, largest):
+            evaluated, lines, low = _chunk(k, params, p, largest, 0, parts, prefix)
+            assert len(lines) == evaluated and low == []
+            for rec in map(json.loads, lines):
+                want = _oracle_cardinality(cache, tuple(rec["set"]), p, h, r)
+                assert rec["cardinality"] == want, (rec, p, h, r)
                 checked += 1
     assert checked > 1_500
+
+
+def _prefixes(k, largest):
+    return [(0,)] if k == 1 else [(0, f) for f in range(1, largest - k + 3)]
+
+
+@pytest.mark.parametrize("p", [None, 7])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_chunk_line_table(p, k):
+    """A chunk's lines are the encoder's lines of its candidates above the
+    bound, with None in the place of each candidate at or below it, which
+    it also returns; a plain chunk returns those candidates and no lines.
+    The scan fills each None from the engine, so every line it hands over,
+    below, at and above the bound, is the encoder's.  k = 1 and k = 2 are
+    the chunks whose leaves have the prefix text "" and "0,"."""
+    params = SumParams(h=2, r=2)
+    largest = 5 if p is None else p - 1
+    slacks = set()
+    for bound in range(0, 12):
+        parts = _LineParts("extremal", p, bound)
+        for prefix in _prefixes(k, largest):
+            evaluated, lines, low = _chunk(k, params, p, largest, bound, parts, prefix)
+            assert _chunk(k, params, p, largest, bound, None, prefix) == (evaluated, [], low)
+            assert len(lines) == evaluated
+            sets = [tuple(json.loads(line)["set"]) if line else low.pop(0) for line in lines]
+            assert low == [] and sets == [s for s in _normalized(k, largest, p)
+                                          if s[:len(prefix)] == prefix]
+            for line, s in zip(lines, sets):
+                card = generalized_sumset(GroundSet(s, p), params).cardinality
+                assert (line is None) == (card <= bound)
+                if line is not None:
+                    rec = json.loads(line)
+                    assert line == _json_line(rec)
+                    assert (rec["cardinality"], rec["slack"], rec["p"]) == (card, card - bound, p)
+        seen = []
+        _scan("extremal", k, params, p, largest, bound, False, "", 10**8, 1, None,
+              lambda lines: seen.extend(lines))
+        assert seen
+        for line in seen:
+            rec = json.loads(line)
+            assert line == _json_line(rec) and rec["p"] == p
+            slacks.add((rec["slack"] > 0) - (rec["slack"] < 0))
+    assert slacks == {-1, 0, 1}
+
+
+@pytest.mark.parametrize("packed", [True, False])
+@pytest.mark.parametrize("records", [True, False])
+def test_chunk_leaves_no_garbage(monkeypatch, packed, records):
+    """A chunk's walk holds no reference cycle, so what it leaves is freed
+    without the cyclic collector."""
+    monkeypatch.setattr(sumsetlab.scan, "_packs", lambda *args: packed)
+    parts = _LineParts("extremal", None, 7) if records else None
+    gc.collect()
+    gc.disable()
+    try:
+        _chunk(5, SumParams(3, 2), None, 8, 7, parts, (0, 1))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_scan_claims_are_the_engines(monkeypatch):
@@ -327,9 +392,9 @@ def test_serial_records_stream_per_chunk(monkeypatch, capsys):
         out = capsys.readouterr().out
         printed.append(sum(json.loads(line)["op"] == "scan"
                            for line in out.splitlines()))
-        evaluated, rows = real(*args)
-        sizes.append(len(rows))
-        return evaluated, rows
+        evaluated, lines, low = real(*args)
+        sizes.append(len(lines))
+        return evaluated, lines, low
 
     monkeypatch.setattr(sumsetlab.scan, "_chunk", counting)
     code = run(["scan", "extremal", "--k", "4", "--h", "3", "--r", "2",

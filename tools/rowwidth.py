@@ -10,10 +10,11 @@ that rule, in two modes:
 runs a fixed list of shapes, wide ones that the rule sends to the per-t
 step and narrow ones that it packs, once per source tree and round,
 alternating the trees, each shape in a fresh interpreter that imports
-``sumsetlab`` from ``SRC`` (a checkout's ``src`` directory).  A shape's
-time is the fastest of its repeats, each with the engine's row store
-emptied first, and ``peak_mb`` is the interpreter's peak RSS.  Each
-shape's ``packed`` is the layout that the last ``--src`` tree's rule picks.
+``sumsetlab`` from ``SRC`` (a checkout's ``src`` directory).  A shape
+runs at least its repeats and until 0.2 s have passed, each run with the
+engine's row store emptied first; its time is the fastest run, and
+``peak_mb`` is the interpreter's peak RSS.  Each shape's ``packed`` is
+the layout that the last ``--src`` tree's rule picks.
 
     python3 tools/rowwidth.py calibrate --src A [--out F]
 
@@ -39,6 +40,7 @@ import sys
 
 CHILD = r"""
 import json, resource, sys, time
+MIN_SECONDS = 0.2
 spec = json.loads(sys.argv[1])
 sys.path.insert(0, spec["src"])
 from sumsetlab import core, scan
@@ -56,11 +58,12 @@ def once():
     else:
         report = scan.scan_inverse_eh_mod_p(spec["p"], spec["k"], spec["h"])
     return [report.evaluated, [list(s) for s in report.equality_sets]]
-best = float("inf")
-for _ in range(spec["repeats"]):
+best, began, runs = float("inf"), time.perf_counter(), 0
+while runs < spec["repeats"] or time.perf_counter() - began < MIN_SECONDS:
     start = time.perf_counter()
     value = once()
     best = min(best, time.perf_counter() - start)
+    runs += 1
 print(json.dumps({"s": best, "digest": hash(json.dumps(value)),
                   "peak_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
 """
