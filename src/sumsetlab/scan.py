@@ -41,11 +41,10 @@ can still complete to h, when they are wide.  ``generalized_sumset``
 recomputes every set found at or below the bound, and its cardinality
 is the one reported.  In records mode each node of the walk carries its
 prefix's text, and a candidate above the bound gets its line as one
-string build: the head and tail for its cardinality, cut once per scan
-from the record template, around that text and its last element.  A
-candidate at or below the bound leaves a placeholder that the fold
-fills from the engine's cardinality, and a chunk's lines are handed
-over in one call.
+string build: the head and tail for its cardinality, encoded on first
+use, around that text and its last element.  A candidate at or below
+the bound leaves a placeholder that the fold fills from the engine's
+cardinality, and a chunk's lines are handed over in one call.
 """
 
 from __future__ import annotations
@@ -137,17 +136,19 @@ class ScanReport:
 
 class _LineParts(dict):
     """cardinality -> the (head, tail) of a record line around its set's
-    comma-joined elements, cut from the template's line on first use."""
+    comma-joined elements, encoded on first use as the CLI's encoder
+    writes the record (compact, keys sorted)."""
 
     def __init__(self, kind: str, p: Optional[int], bound: int):
         super().__init__()
-        self.template, self.bound = _record_template(kind, p, bound), bound
+        self.record = {"bound": bound, "kind": kind, "op": "scan", "p": p, "set": []}
 
     def __missing__(self, card):
-        # A compact JSON line holds no raw newline, so it marks the set.
-        line = self.template % (card, "true" if card == self.bound else "false",
-                                "\n", card - self.bound)
-        parts = self[card] = tuple(line.split("\n"))
+        bound = self.record["bound"]
+        line = json.dumps({**self.record, "cardinality": card, "equality": card == bound,
+                           "slack": card - bound}, sort_keys=True, separators=(",", ":"))
+        head, tail = line.split('"set":[]')
+        parts = self[card] = (head + '"set":[', "]" + tail)
         return parts
 
 
@@ -206,17 +207,6 @@ def _chunk(k, params, p, largest, bound, parts, prefix) -> Tuple[int, list, list
                 head, tail = parts[card]
                 lines.append(f"{head}{text}{a}{tail}" if card > bound else None)
     return evaluated, lines, low
-
-
-def _record_template(kind: str, p: Optional[int], bound: int) -> str:
-    """The %-template of a candidate's record line, as the CLI's encoder
-    writes the record (compact, keys sorted), with the constant fields
-    encoded once.  It takes (cardinality, "true" | "false" for equality,
-    the comma-joined set, slack)."""
-    fields = {key: json.dumps(value).replace("%", "%%") for key, value in
-              (("bound", bound), ("kind", kind), ("op", "scan"), ("p", p))}
-    fields.update(cardinality="%d", equality="%s", set="[%s]", slack="%d")
-    return "{" + ",".join(f'"{key}":{fields[key]}' for key in sorted(fields)) + "}"
 
 
 def _in_order(pool, fn, items, window: int):
