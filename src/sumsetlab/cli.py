@@ -22,6 +22,7 @@ import os
 import sys
 import warnings
 from concurrent.futures.process import BrokenProcessPool
+from functools import cache
 from typing import Optional, Sequence
 
 from .core import (
@@ -47,17 +48,14 @@ EXIT_VERIFICATION = 2
 EXIT_CAP = 3
 EXIT_INTERRUPTED = 130
 
-class _ParseError(Exception):
-    pass
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse maps usage errors to exit code 2; this CLI reserves 2
-    for verification failures, so usage errors surface as exceptions
+    for verification failures, so usage errors surface as DomainError
     and run() turns them into exit code 1."""
 
     def error(self, message):
-        raise _ParseError(message)
+        raise DomainError(message)
 
 
 # One encoder for every record line (json.dumps with options builds a new
@@ -71,6 +69,7 @@ def _fmt_set(values, modulus=None) -> str:
     return f"{body} mod {modulus}" if modulus else body
 
 
+@cache  # built on the first run(), not at import, and reused after
 def build_parser() -> _Parser:
     parser = _Parser(prog="sumsetlab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -335,16 +334,9 @@ def _print_scan_plain(report, verbose: bool) -> None:
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
-    records = args.format == "records"
-    try:
+        args = build_parser().parse_args(argv)
+        records = args.format == "records"
         if args.command == "scan":
             instances, failures, verdict = _cmd_scan(args)
         else:
@@ -356,7 +348,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         if records:
             print(_json_line({"op": "summary", "instances": instances,
                               "failures": failures, "verdict": verdict}))
-    except DomainError as exc:
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except InvariantViolationError as exc:
@@ -367,9 +361,6 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_CAP
     except BrokenProcessPool as exc:
         print(f"error: a worker process died: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)

@@ -345,7 +345,11 @@ def scan_grid(name, grid, cap, jobs, on_records, on_report) -> None:
                 initializer=signal.signal,
                 initargs=(signal.SIGINT, signal.SIG_DFL),
             )
-            stack.callback(executor.shutdown, cancel_futures=True)
+            @stack.push
+            def stop(failed, *_):  # on an exception, stop the running chunks
+                for worker in executor._processes.values() if failed else ():
+                    worker.terminate()  # shutdown would wait for them
+                executor.shutdown(cancel_futures=True)
             return executor
 
         for values in itertools.product(*(grid[key] for key in names)):

@@ -6,6 +6,11 @@ no shared code beyond the dataclass types, and the checkers compare
 computed sumsets against closed-form bounds, against each other, and
 against the explicit element constructions that justify the bounds.
 
+The oracle splits each multiplicity vector in two (meet in the middle,
+Horowitz and Sahni 1974) and enumerates each half's vectors; every vector
+is still visited, as a pair, and nothing is merged per element, so the
+oracle stays an enumeration that shares no step with the engine's DP.
+
 Witness terminology, for a set A = {a_1 < ... < a_k} and h = m*r + eps
 with eps >= 1.  Write s^B for the restricted sumset of B and tB for the
 t-fold sumset of B.  Then h^(r)A always contains
@@ -33,6 +38,8 @@ on, the chain and the expected number of gap members.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import combinations
 from typing import Iterable, Set, Tuple
 
 from .core import (
@@ -50,33 +57,44 @@ from .errors import DomainError
 def brute_force_sumset(ground: GroundSet, params: SumParams) -> SumsetResult:
     """Enumerate h^(r)A directly from the definition.
 
-    Recursive sweep over multiplicity vectors (r_1, ..., r_k) with
-    0 <= r_i <= r and sum r_i = h, pruning branches that cannot reach
-    the target total.  Shares nothing with the bit-vector program, so
-    agreement between the two is meaningful evidence.
+    A vector (r_1, ..., r_k) with 0 <= r_i <= r and sum r_i = h is one of
+    total t over the first k // 2 elements and one of total h - t over the
+    rest.  Each half's sums are bucketed by total, at the totals the other
+    half can complete, so the recursion reaches at most twice as many
+    half-vectors as there are vectors.  h^(r)A is the union over t of
+    (first half at t) + (second half at h - t), reduced mod p at the end.
     """
     A = ground.elements
     k = len(A)
     h, r = params.h, params.r
     p = ground.modulus
-    if h > r * k:
-        raise DomainError(f"h <= r*k required: h={h}, r*k={r * k}")
-    found: Set[int] = set()
-    add = found.add
+    _check_draws(k, h, r)
 
-    def sweep(i: int, remaining: int, acc: int) -> None:
-        if remaining == 0:
-            add(acc % p if p else acc)
-            return
-        if i == k or remaining > r * (k - i):
-            return
-        a = A[i]
-        v = acc
-        for c in range(min(r, remaining) + 1):
-            sweep(i + 1, remaining - c, v)
-            v += a
+    def half(B: Tuple[int, ...], lo: int) -> list:
+        # per total t <= h, the sums of B's vectors of total t, if t >= lo
+        sums = [set() for _ in range(h + 1)]
+        last = len(B) - 1
 
-    sweep(0, h, 0)
+        def sweep(i: int, t: int, acc: int) -> None:
+            # each c that keeps t <= h and lets the later elements reach lo
+            for c in range(max(0, lo - r * (last - i) - t), min(r, h - t) + 1):
+                if i == last:
+                    sums[t + c].add(acc + c * B[i])
+                else:
+                    sweep(i + 1, t + c, acc + c * B[i])
+
+        if B:
+            sweep(0, 0, 0)
+        else:
+            sums[0].add(0)  # the empty vector
+        return sums
+
+    j = k // 2
+    left, right = half(A[:j], h - r * (k - j)), half(A[j:], h - r * j)
+    found = {x + y for t in range(max(0, h - r * (k - j)), min(h, r * j) + 1)
+             for x in left[t] for y in right[h - t]}
+    if p:
+        found = {v % p for v in found}
     return SumsetResult(tuple(sorted(found)), p)
 
 
@@ -237,33 +255,15 @@ class WitnessReport(_Report):
 
 
 def _restricted_values(A: Tuple[int, ...], t: int) -> Set[int]:
-    """Sums of t distinct elements of A (t = 0 gives {0}).  Plain
-    recursion, independent of the bit-vector engine."""
-    k = len(A)
-    if t > k:
-        raise DomainError(f"t <= k required for distinct sums: t={t}, k={k}")
-    out: Set[int] = set()
-
-    def sweep(i: int, left: int, acc: int) -> None:
-        if left == 0:
-            out.add(acc)
-            return
-        if k - i < left:
-            return
-        sweep(i + 1, left - 1, acc + A[i])
-        sweep(i + 1, left, acc)
-
-    sweep(0, t, 0)
-    return out
+    """Sums of t distinct elements of A (t = 0 gives {0}), by ``combinations``."""
+    if t > len(A):
+        raise DomainError(f"t <= k required for distinct sums: t={t}, k={len(A)}")
+    return set(map(sum, combinations(A, t)))
 
 
 def _fold(values: Iterable[int], times: int) -> Set[int]:
     """times-fold sumset of a set with itself (times = 0 gives {0})."""
-    vals = sorted(values)
-    out = {0}
-    for _ in range(times):
-        out = {x + b for x in out for b in vals}
-    return out
+    return reduce(_minkowski, [values] * times, {0})
 
 
 def _minkowski(xs: Iterable[int], ys: Iterable[int]) -> Set[int]:
@@ -337,7 +337,7 @@ def check_inclusions_and_witnesses(ground: GroundSet, params: SumParams) -> Witn
         checks.extend(_check_wide(A, r, m, eps, full, min_full))
         na = "narrow case needs r - 1 > m + eps > k"
     elif narrow:
-        checks.extend(_check_narrow(A, r, m, eps, full, min_full))
+        checks.extend(_check_narrow(A, r, m, eps, full, min_full, head))
         na = "wide case needs m + eps <= k"
     else:
         na = (
@@ -381,14 +381,13 @@ def _check_wide(A, r, m, eps, full, min_full):
     )
 
 
-def _check_narrow(A, r, m, eps, full, min_full):
-    """Narrow case (r - 1 > m + eps > k): bundle built from (m+1)^A blocks."""
+def _check_narrow(A, r, m, eps, full, min_full, head):
+    """Narrow case (r - 1 > m + eps > k): bundle built from head = (m+1)^A."""
 
     def witness(x: int, y: int) -> int:
         body = sum(A[i] for i in range(x - 1, m) if i != y - 1)
         return (r - 1) * sum(A[:m]) + eps * A[m] + body + x * A[m]
 
-    head = _restricted_values(A, m + 1)
     m_block = _restricted_values(A, m)
     return _check_case(
         "narrow",

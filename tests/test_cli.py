@@ -1155,6 +1155,8 @@ def test_exit1_worker_died(capsys, monkeypatch):
     import sumsetlab.scan as scan_mod
 
     class DyingPool:
+        _processes = {}  # the workers a failed fold stops
+
         def __init__(self, max_workers, **kwargs):
             pass
 
@@ -1235,13 +1237,32 @@ def test_exit130_sigint_to_a_parallel_scan():
 
 @pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs os.killpg")
 def test_exit130_sigint_to_the_main_process_only():
-    """SIGINT to the main process alone leaves the workers running; the
-    scan still ends once its started chunks finish, dropping the rest."""
+    """SIGINT to the main process alone reaches no worker; the scan stops
+    its workers and exits 130 at once, dropping the chunks not started."""
     proc, _ = _start_scan(SHORT_CHUNKS)
     os.kill(proc.pid, signal.SIGINT)
     code, err, waited = _finish(proc)
     assert (code, err) == (130, "interrupted\n")
     assert waited < 15
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs os.killpg")
+def test_exit130_sigint_to_the_main_process_stops_running_chunks():
+    """SIGINT to the main process alone, while both workers are inside
+    chunks that take tens of seconds, exits 130 within seconds."""
+    proc, workers = _start_scan(LONG_CHUNKS)
+    os.kill(proc.pid, signal.SIGINT)
+    code, err, waited = _finish(proc)
+    assert (code, err) == (130, "interrupted\n")
+    assert waited < 3
+    assert not any(map(_running, workers or ()))
+
+
+def _running(pid):
+    try:
+        return "zombie" not in Path(f"/proc/{pid}/status").read_text()
+    except OSError:
+        return False
 
 
 @pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs os.killpg")

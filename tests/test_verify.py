@@ -5,7 +5,9 @@ vectors done independently of the package (and for the witness chains,
 from stepping through the constructions by hand).
 """
 
-from itertools import combinations
+import random
+from collections import defaultdict
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +25,7 @@ from sumsetlab import (
     generalized_sumset,
     is_arithmetic_progression,
 )
-from sumsetlab.verify import _check_case
+from sumsetlab.verify import _check_case, _fold, _minkowski, _restricted_values
 
 
 # ===================== the oracle itself =====================
@@ -105,6 +107,63 @@ def test_oracle_agrees_with_engine_mod_p_exhaustive():
                 ), (g, params)
                 instances += 1
     assert instances == 14_880
+
+
+def _product_sums(A, r, p=None):
+    """Total -> sorted sums of every vector in {0..r}^k, reduced mod p:
+    a third reference, sharing nothing with the oracle or the engine."""
+    by_total = defaultdict(set)
+    for v in product(range(r + 1), repeat=len(A)):
+        total = sum(c * a for c, a in zip(v, A))
+        by_total[sum(v)].add(total % p if p else total)
+    return {t: tuple(sorted(sums)) for t, sums in by_total.items()}
+
+
+def test_oracle_equals_the_product_enumeration():
+    """Every A inside {0..7} with k <= 4 and every nonempty A inside Z/7,
+    at every r <= 3 and every 1 <= h <= r*k (so k = 1, h = r*k and
+    h = r*k - 1 among them)."""
+    grounds = [GroundSet(A) for k in range(1, 5) for A in combinations(range(8), k)]
+    grounds += [GroundSet(A, 7) for k in range(1, 8) for A in combinations(range(7), k)]
+    instances = 0
+    for g in grounds:
+        for r in range(1, 4):
+            want = _product_sums(g.elements, r, g.modulus)
+            for h in range(1, r * g.size + 1):
+                assert brute_force_sumset(g, SumParams(h, r)).values == want[h], (g, h, r)
+                instances += 1
+    assert instances == 5_760
+
+
+def test_oracle_helpers_equal_the_product_enumeration():
+    """Distinct sums are the 0/1 vectors of each total; the t-fold and
+    Minkowski sums are sums over ``product``."""
+    for k in range(0, 6):
+        for A in combinations((-3, 0, 1, 4, 9, 10), k):
+            want = _product_sums(A, 1)
+            for t in range(k + 1):
+                assert tuple(sorted(_restricted_values(A, t))) == want[t], (A, t)
+            with pytest.raises(DomainError):
+                _restricted_values(A, k + 1)
+            for times in range(4):
+                assert _fold(A, times) == {sum(v) for v in product(A, repeat=times)}
+            for B in ((), (0,), (2, 5), (-1, 3, 8)):
+                assert _minkowski(A, B) == {x + y for x, y in product(A, B)}
+
+
+@pytest.mark.parametrize(
+    "k, width, p, h, r",
+    [(40, 8000, None, 3, 1), (40, None, 20_011, 3, 1), (24, 2500, None, 4, 2)],
+)
+def test_oracle_on_wide_inputs(k, width, p, h, r):
+    """The engine-wide benchmark's oracle shapes, in hundredths of a
+    second; a split that enumerated all (r+1)^(k/2) vectors of a half,
+    not only those of total <= h, would take seconds on each."""
+    rng = random.Random(k * h)
+    A = rng.sample(range(width if p is None else p), k)
+    g = GroundSet.of(A, p)
+    params = SumParams(h, r)
+    assert brute_force_sumset(g, params).values == generalized_sumset(g, params).values
 
 
 # ===================== direct bound =====================

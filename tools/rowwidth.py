@@ -11,10 +11,10 @@ runs a fixed list of shapes, wide ones that the rule sends to the per-t
 step and narrow ones that it packs, once per source tree and round,
 alternating the trees, each shape in a fresh interpreter that imports
 ``sumsetlab`` from ``SRC`` (a checkout's ``src`` directory).  A shape
-runs at least its repeats and until 0.2 s have passed, each run with the
-engine's row store emptied first; its time is the fastest run, and
-``peak_mb`` is the interpreter's peak RSS.  Each shape's ``packed`` is
-the layout that the last ``--src`` tree's rule picks.
+runs at least its repeats and 0.5 s, and until 200 runs or 5 s, each
+run with the engine's row store emptied first; its time is the fastest
+run, and ``peak_mb`` is the interpreter's peak RSS.  Each shape's
+``packed`` is the layout that the last ``--src`` tree's rule picks.
 
     python3 tools/rowwidth.py calibrate --src A [--out F]
 
@@ -40,7 +40,10 @@ import sys
 
 CHILD = r"""
 import json, resource, sys, time
-MIN_SECONDS = 0.2
+# Sub-millisecond shapes need many runs and a long window for the fastest
+# to be steady: on a shared 2-core VM, a 0.2 s window read the same tree
+# twice at 0.77-1.06x.
+MIN_RUNS, MIN_SECONDS, MAX_SECONDS = 200, 0.5, 5.0
 spec = json.loads(sys.argv[1])
 sys.path.insert(0, spec["src"])
 from sumsetlab import core, scan
@@ -59,7 +62,11 @@ def once():
         report = scan.scan_inverse_eh_mod_p(spec["p"], spec["k"], spec["h"])
     return [report.evaluated, [list(s) for s in report.equality_sets]]
 best, began, runs = float("inf"), time.perf_counter(), 0
-while runs < spec["repeats"] or time.perf_counter() - began < MIN_SECONDS:
+def more():
+    spent = time.perf_counter() - began
+    return (runs < spec["repeats"] or spent < MIN_SECONDS
+            or runs < MIN_RUNS and spent < MAX_SECONDS)
+while more():
     start = time.perf_counter()
     value = once()
     best = min(best, time.perf_counter() - start)
