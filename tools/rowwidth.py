@@ -10,7 +10,8 @@ that rule, in two modes:
 runs a fixed list of shapes, wide ones that the rule sends to the per-t
 step and narrow ones that it packs, once per source tree and round,
 alternating the trees, each shape in a fresh interpreter that imports
-``sumsetlab`` from ``SRC`` (a checkout's ``src`` directory).  A shape
+``sumsetlab`` from ``SRC`` (a checkout's ``src`` directory; to time a
+tree against itself, pass a copy as the second).  A shape
 runs at least its repeats and 0.5 s, and until 200 runs or 5 s, each
 run with the engine's row store emptied first; its time is the fastest
 run, and ``peak_mb`` is the interpreter's peak RSS.  Each shape's
@@ -205,6 +206,8 @@ def main():
     parser.add_argument("--rounds", type=int, default=3)
     parser.add_argument("--out")
     args = parser.parse_args()
+    if len(set(args.src)) < len(args.src):
+        parser.error("each --src must differ; to time a tree against itself, copy it")
     result = compare(args.src, args.rounds) if args.mode == "compare" else calibrate(args.src[0])
     result["env"] = {"python": platform.python_version(), "nproc": os.cpu_count(),
                      "platform": platform.platform()}
