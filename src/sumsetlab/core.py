@@ -26,21 +26,22 @@ The DP runs in one of two layouts.  Per t, ``_mask_at`` computes one
 dp'[t] with min(r, t) + 1 shifts, and ``_extend`` runs it at every t of
 a window; each mask is only as wide as the sums it holds.  Packed, the
 masks are one integer, a row, with the mask at t in the slot of
-``stride`` bits from bit t * stride on, and ``_step`` scans an element
-as the OR of row << c * (stride + a') over c = 0..r: a shift by c slots
-moves dp[t - c] to t.  It builds the c in O(log r) doublings, the shifts
+``stride`` bits from bit t * stride on, and an element is scanned as the
+OR of row << c * (stride + a') over c = 0..r: a shift by c slots moves
+dp[t - c] to t.  The c are built in O(log r) doublings, the shifts
 {0..n-1} OR-ed with themselves shifted by d to give {0..n-1+d},
-d = min(n, r + 1 - n), so it runs a few big-int operations and no loop
-over t.  Over Z a slot must hold the mask at the largest t read,
-t * span + 1 bits.  Modulo p a slot holds p bits and room for shifts
-below p, stride = 2p, and each doubling folds every slot once,
-(row | row >> p) & keep, with ``keep`` (``_keep``) the low p bits of
-each slot.  A row keeps the slots up to its height and drops the rest,
-and the cap r is cut to the height, since no larger c reaches a kept
-slot.  Every slot is as wide as the widest, so a packed row holds up to
-twice the bits of the per-t masks over Z, more when the sums are sparse,
-and twice the p-bit masks mod p; in exchange its interpreter cost does
-not grow with r * h.
+d = min(n, r + 1 - n), so a step runs a few big-int operations and no
+loop over t.  ``_shifts`` gives an element's doubling shifts, and
+``_step``, the one packed step body, applies them to a row.  Over Z a
+slot must hold the mask at the largest t read, t * span + 1 bits.
+Modulo p a slot holds p bits and room for shifts below p, stride = 2p,
+and each doubling folds every slot once, (row | row >> p) & keep, with
+``keep`` (``_keep``) the low p bits of each slot.  A row keeps the
+slots up to its height and drops the rest, and the cap r is cut to the
+height, since no larger c reaches a kept slot.  Every slot is as wide as
+the widest, so a packed row holds up to twice the bits of the per-t
+masks over Z, more when the sums are sparse, and twice the p-bit masks
+mod p; in exchange its interpreter cost does not grow with r * h.
 
 One cost rule, ``_packs``, picks the layout for a call or a scan from
 numbers known before any DP: counted in per-t shifts, a per-t mask costs
@@ -50,14 +51,16 @@ wide rows, from a large span, a far element or a large p, run per t.
 ``generalized_sumset`` validates, steps every element but the last, and
 reads the last element at t = h alone: per t with one ``_mask_at``, and
 packed with ``_last``, which shifts the row down to slots
-h - min(r, h)..h, the only ones that reach t = h, steps with cap
-min(r, h) and reads one slot.  ``_read`` lists the mask's values in one
-pass over its binary string, translated back by h * min(A).
+h - min(r, h)..h, the only ones that reach t = h, makes one ``_step``
+with the element's shifts at cap min(r, h) and reads one slot.  ``_read``
+lists the mask's values in one pass over its binary string, translated
+back by h * min(A).
 ``_add_part`` is the same shift-and-fold for a sum of two sets: it adds
 a set, given by its shifts, to a mask.  The exhaustive scans
 (``scan.py``) walk their candidates depth-first through ``_walker``,
-which gives either layout's steps, sharing each prefix's DP, and the
-masks at t = h - min(r, h)..h of a row, from which the scan reads every
+which gives either layout's steps, sharing each prefix's DP, with every
+element's shifts tabulated once per scan point, and the masks at
+t = h - min(r, h)..h of a row, from which the scan reads every
 candidate that ends the row.
 
 Callers such as the checkers and the acceptance grids call the engine
@@ -396,32 +399,40 @@ def _keep(height: int, stride: int, p: Optional[int]) -> int:
     return keep & ((1 << (height + 1) * stride) - 1)
 
 
-def _step(r: int, stride: int, p: Optional[int], keep: int, row: int, a: int) -> int:
-    """The packed step: the row after the element a (over Z, translated by
-    -min A) joins the elements behind ``row``, i.e. the OR of
-    row << c * (stride + a) over c = 0..r, with c * a reduced mod p, cut to
-    ``keep`` (:func:`_keep`).  The shifts {0..n-1} double to
-    {0..n-1+d}, d = min(n, r + 1 - n); mod p each doubling folds every
-    slot once, exact because every shift within a slot is below p, and
-    the fold also cuts the row to ``keep``.  The layout comes first here
-    and below, for ``functools.partial``."""
-    n = 1
-    while n <= r:
-        d = min(n, r + 1 - n)
-        row |= row << d * stride + (d * a if p is None else d * a % p)
+def _shifts(cap: int, stride: int, p: Optional[int], a: int) -> tuple:
+    """The shifts of the packed step's doublings for the element a (over Z,
+    translated by -min A) at cap ``cap``: the shifts {0..n-1} of
+    row << c * (stride + a) double to {0..n-1+d}, d = min(n, cap + 1 - n),
+    by a shift of d * stride + d * a, with d * a reduced mod p."""
+    shifts, n = [], 1
+    while n <= cap:
+        d = min(n, cap + 1 - n)
+        shifts.append(d * stride + (d * a if p is None else d * a % p))
+        n += d
+    return tuple(shifts)
+
+
+def _step(p: Optional[int], keep: int, row: int, shifts: tuple) -> int:
+    """The packed step: the row after an element, given by its
+    :func:`_shifts`, joins the elements behind ``row``, i.e. the OR of
+    row << c * (stride + a) over c = 0..cap, cut to ``keep`` (:func:`_keep`).
+    Mod p each doubling folds every slot once, exact because every shift
+    within a slot is below p, and the fold also cuts the row to ``keep``.
+    The layout comes first, for ``functools.partial``."""
+    for shift in shifts:
+        row |= row << shift
         if p is not None:
             row = (row | row >> p) & keep
-        n += d
     return row & keep if p is None else row
 
 
-def _last(h: int, r: int, stride: int, p: Optional[int], keep: int, row: int, a: int) -> int:
-    """The mask at t = h after the last element a joins ``row``.  Only slots
-    h - min(r, h)..h reach t = h, so the row is shifted down to them first
-    and stepped with cap min(r, h)."""
+def _last(h: int, r: int, stride: int, p: Optional[int], keep: int, row: int,
+          shifts: tuple) -> int:
+    """The mask at t = h after the last element, given by its
+    :func:`_shifts` at cap min(r, h), joins ``row``.  Only slots
+    h - min(r, h)..h reach t = h, so the row is shifted down to them first."""
     m = min(r, h)
-    row = _step(m, stride, p, keep, row >> (h - m) * stride, a)
-    return (row >> m * stride) & ((1 << stride) - 1)
+    return _step(p, keep, row >> (h - m) * stride, shifts) >> m * stride & ((1 << stride) - 1)
 
 
 def _mask_at(t: int, r: int, p: Optional[int], dp: list, a: int) -> int:
@@ -462,19 +473,23 @@ def _slots(low: int, m: int, stride: int, row: int) -> list:
     return [row >> j * stride & cut for j in range(m + 1)]
 
 
-def _walker(k: int, h: int, r: int, p: Optional[int], stride: int, packed: bool) -> tuple:
-    """The DP of a k-set read at t = h alone, packed in slots of ``stride``
-    bits or per t: (start, grows, read), where grows[i](state, a) scans
-    the element a as the i-th, and read(state) lists the masks at
-    t = h - m..h, m = min(r, h), the only ones that a last element's
-    step carries to t = h.  Per t, the masks after the i-th element are
-    computed only in its :func:`_window`."""
+def _walker(k: int, h: int, r: int, p: Optional[int], stride: int, packed: bool,
+            largest: int) -> tuple:
+    """The DP of a k-set of elements 0..largest read at t = h alone, packed
+    in slots of ``stride`` bits or per t: (start, grows, read, steps), where
+    grows[i](state, steps[a]) scans the element a as the i-th, and
+    read(state) lists the masks at t = h - m..h, m = min(r, h), the only
+    ones that a last element's step carries to t = h.  Packed, steps[a] is
+    a's :func:`_shifts` at cap m, tabulated once; per t, it is a itself,
+    and the masks after the i-th element are computed only in its
+    :func:`_window`."""
     m = min(r, h)
     if packed:
-        keep = _keep(h, stride, p)
-        return 1, [partial(_step, m, stride, p, keep)] * k, partial(_slots, h - m, m, stride)
+        steps = [_shifts(m, stride, p, a) for a in range(largest + 1)]
+        grow = partial(_step, p, _keep(h, stride, p))
+        return 1, [grow] * k, partial(_slots, h - m, m, stride), steps
     grows = [partial(_extend, r, p, _window(k, h, r, i)) for i in range(k)]
-    return [1] + [0] * h, grows, itemgetter(slice(h - m, h + 1))
+    return [1] + [0] * h, grows, itemgetter(slice(h - m, h + 1)), range(largest + 1)
 
 
 def _add_part(mask: int, shifts: Iterable[int], p: Optional[int]) -> int:
@@ -566,8 +581,9 @@ def generalized_sumset(ground: GroundSet, params: SumParams) -> SumsetResult:
             dp = _extend(r, p, _window(k, h, r, i), dp, a)
         return _read(_mask_at(h, r, p, dp, A[-1] - base), h * base, p)
     for i in range(j, k - 1):
-        rows.append(_step(min(r, height), stride, p, keep, rows[i], prefix[i]))
-    result = _read(_last(h, r, stride, p, keep, rows[-1], A[-1] - base), h * base, p)
+        rows.append(_step(p, keep, rows[i], _shifts(min(r, height), stride, p, prefix[i])))
+    shifts = _shifts(min(r, h), stride, p, A[-1] - base)
+    result = _read(_last(h, r, stride, p, keep, rows[-1], shifts), h * base, p)
     if charge <= _REUSE_MAX_BITS:
         results = {**entry[7], h: result} if same_set else {h: result}
         _remember(key, (prefix, tuple(rows), height, stride, keep, charge, A, results))

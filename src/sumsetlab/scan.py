@@ -27,24 +27,30 @@ and its enumeration is split into chunks by the prefix (0,) or (0, a_2),
 optionally over the one pool of worker processes that the driver call
 shares across points; chunk results are folded in prefix order as each
 chunk arrives, so a serial scan holds one chunk's results at a time and
-a parallel one at most 2 * jobs chunks submitted and not yet folded.  A
+a parallel one at most 2 * jobs chunks submitted and not yet folded.
+Each point builds its tables once, in the driver's process, and hands
+them to every chunk, a worker's with the chunk: the DP step argument of
+each element 0..largest (its doubling shifts, packed), the shifts c * a
+(mod p) by which a leaf ORs its row's masks, and each element's text.  A
 chunk walks depth-first, on an explicit stack, with the engine's DP
 steps from ``core._walker``, one step per prefix element, so each
-prefix's DP is shared by every candidate that extends it.  Each row of
-k - 1 elements has its masks at t = h - min(r, h)..h read once, and
-every candidate that ends it costs min(r, h) shift-ORs of those masks,
-a fold mod p, and a popcount.  The engine's cost rule, ``core._packs``,
-picks the layout once per chunk from the scan's size: packed rows of
-slots t = 0..h, laid out with the widest candidate's stride, when they
-are small, and per-t masks, cut to the t that the remaining elements
-can still complete to h, when they are wide.  ``generalized_sumset``
-recomputes every set found at or below the bound, and its cardinality
-is the one reported.  In records mode each node of the walk carries its
-prefix's text, and a candidate above the bound gets its line as one
-string build: the head and tail for its cardinality, encoded on first
-use, around that text and its last element.  A candidate at or below
-the bound leaves a placeholder that the fold fills from the engine's
-cardinality, and a chunk's lines are handed over in one call.
+prefix's DP is shared by every candidate that extends it.  A row of
+k - 1 elements is stepped, has its masks at t = h - min(r, h)..h read
+once, and has its leaves evaluated in the loop of its parent node: every
+candidate that ends it costs min(r, h) shift-ORs of those masks, a fold
+mod p, and a popcount.  The engine's cost rule, ``core._packs``, picks
+the layout once per point from the rows it steps, since a leaf costs the
+same in both: packed rows of slots t = 0..h, laid out with the widest
+candidate's stride, when they are small, and per-t masks, cut to the t
+that the remaining elements can still complete to h, when they are wide.
+``generalized_sumset`` recomputes every set found at or below the bound,
+and its cardinality is the one reported.  In records mode each node of
+the walk carries its prefix's text, and a candidate above the bound gets
+its line as one string build: the head and tail for its cardinality,
+joined on first use from the fields encoded once per point, around that
+text and its last element.  A candidate at or below the bound leaves a
+placeholder that the fold fills from the engine's cardinality, and a
+chunk's lines are handed over in one call.
 """
 
 from __future__ import annotations
@@ -136,43 +142,65 @@ class ScanReport:
 
 class _LineParts(dict):
     """cardinality -> the (head, tail) of a record line around its set's
-    comma-joined elements, encoded on first use as the CLI's encoder
-    writes the record (compact, keys sorted)."""
+    comma-joined elements, as the CLI's encoder writes the record (compact,
+    keys sorted).  The kind, op and p are encoded once; each cardinality's
+    head and tail are joined from them on first use."""
 
     def __init__(self, kind: str, p: Optional[int], bound: int):
         super().__init__()
-        self.record = {"bound": bound, "kind": kind, "op": "scan", "p": p, "set": []}
+        self.bound = bound
+        # Keys sort as bound, cardinality, equality, kind, op, p, set, slack.
+        self.middle = json.dumps({"kind": kind, "op": "scan", "p": p}, sort_keys=True,
+                                 separators=(",", ":"))[1:-1]
 
     def __missing__(self, card):
-        bound = self.record["bound"]
-        line = json.dumps({**self.record, "cardinality": card, "equality": card == bound,
-                           "slack": card - bound}, sort_keys=True, separators=(",", ":"))
-        head, tail = line.split('"set":[]')
-        parts = self[card] = (head + '"set":[', "]" + tail)
+        bound = self.bound
+        equality = "true" if card == bound else "false"
+        parts = self[card] = (f'{{"bound":{bound},"cardinality":{card},"equality":{equality},'
+                              f'{self.middle},"set":[', f'],"slack":{card - bound}}}')
         return parts
 
 
-def _chunk(k, params, p, largest, bound, parts, prefix) -> Tuple[int, list, list]:
-    """Evaluate all normalized candidates that start with ``prefix``, in
-    ``combinations`` order, extending each prefix's DP state by one
-    element, and reading the candidates that end a row of k - 1 elements
-    from the masks at t = h - min(r, h)..h that the row's state holds.
-    Returns (evaluated, lines, low): with ``parts`` (:class:`_LineParts`),
-    every candidate's record line, None for one at or below ``bound``, and
-    without, no lines; and the candidates at or below ``bound``."""
-    h, r = params.h, params.r
-    # Every candidate's DP is laid out for the widest candidate.  A scan
-    # steps about one row per k - 1 elements and reads a row per candidate.
+def _layout(k: int, h: int, r: int, p: Optional[int], largest: int) -> Tuple[int, bool]:
+    """A scan's stride, that of its widest candidate, and whether the
+    engine's cost rule packs its rows.  A scan steps about one row per k - 1
+    elements, and a candidate that ends a row costs the same min(r, h)
+    shift-ORs in either layout, so the rule prices the rows alone."""
     stride = h * largest + 1 if p is None else 2 * p
-    steps = math.comb(largest, k - 2) if k > 1 else 0
-    packed = _packs(steps, math.comb(largest, k - 1), h, r, stride)
-    start, grows, read = _walker(k, h, r, p, stride, packed)
-    m = min(r, h)
+    return stride, _packs(math.comb(largest, k - 2) if k > 1 else 0, 0, h, r, stride)
+
+
+def _tables(k: int, params: SumParams, p: Optional[int], largest: int) -> tuple:
+    """A scan point's walk, built once per point: ``core._walker``'s (start,
+    grows, read, steps) in the layout of :func:`_layout`, and for each
+    element a = 0..largest the shifts c * a (mod p) by which a leaf ORs its
+    row's masks at t = h - c, c = 1..min(r, h), padded with zeros to at
+    least three, and a's text."""
+    h, r = params.h, params.r
+    walker = _walker(k, h, r, p, *_layout(k, h, r, p, largest), largest)
+    cs, pad = range(1, min(r, h) + 1), (0,) * (3 - min(r, h))
+    leaves = [tuple(c * a if p is None else c * a % p for c in cs) + pad
+              for a in range(largest + 1)]
+    return (*walker, leaves, [str(a) for a in range(largest + 1)])
+
+
+def _chunk(k, params, p, largest, bound, parts, tables, prefix) -> Tuple[int, list, list]:
+    """Evaluate all normalized candidates that start with ``prefix``, in
+    ``combinations`` order, with the point's :func:`_tables`, extending
+    each prefix's DP state by one element, and reading the candidates that
+    end a row of k - 1 elements from the masks at t = h - min(r, h)..h
+    that the row's state holds.  Returns (evaluated, lines, low): with
+    ``parts`` (:class:`_LineParts`), every candidate's record line, None
+    for one at or below ``bound``, and without, no lines; and the
+    candidates at or below ``bound``."""
+    start, grows, read, steps, leaves, texts = tables
+    m = min(params.r, params.h)
     cut = (1 << p) - 1 if p is not None else 0
     evaluated = 0
     lines, low = [], []
-    # Depth-first, each node a prefix with its DP state, the gcd of its
-    # elements and their text as a record writes it ("0,3,5,").
+    # Depth-first over the prefixes of fewer than k - 1 elements, each node
+    # a prefix with its DP state, the gcd of its elements and their text as
+    # a record writes it ("0,3,5,").
     stack = [((), start, 0, "")]
     while stack:
         cand, state, g, text = stack.pop()
@@ -181,31 +209,50 @@ def _chunk(k, params, p, largest, bound, parts, prefix) -> Tuple[int, list, list
             choices = (prefix[i],)
         else:
             choices = range(cand[-1] + 1, largest - k + i + 2)
-        if i < k - 1:
+        if i < k - 2:
             grow = grows[i]
-            stack += [(cand + (a,), grow(state, a), math.gcd(g, a), f"{text}{a},")
+            stack += [(cand + (a,), grow(state, steps[a]), math.gcd(g, a), f"{text}{texts[a]},")
                       for a in reversed(choices)]
             continue
-        if p is None and g != 1:
-            # Over Z a set with gcd > 1 is a dilate of a smaller candidate.
-            choices = [a for a in choices if math.gcd(g, a) < 2]
-        # Each leaf's mask at t = h is the OR of dp[h - c] << c*a over
-        # c = 0..m, folded mod p, from the row's masks read once.
-        masks = read(state)
-        terms = [(masks[m - c], c) for c in range(1, m + 1) if masks[m - c]]
-        evaluated += len(choices)
-        for a in choices:
-            acc = masks[m]
-            for x, c in terms:
-                acc |= x << (c * a if p is None else c * a % p)
-            if p is not None:
-                acc = acc & cut | acc >> p
-            card = acc.bit_count()
-            if card <= bound:
-                low.append(cand + (a,))
-            if parts is not None:
-                head, tail = parts[card]
-                lines.append(f"{head}{text}{a}{tail}" if card > bound else None)
+        # Each row of k - 1 elements is stepped, read and its leaves
+        # evaluated in its parent's loop; at k = 1 the empty prefix is the
+        # one row, and its choices are the leaves.
+        grow = grows[i] if i < k - 1 else None
+        for b in choices if grow else (None,):
+            if grow:
+                row_cand, row, row_g = cand + (b,), grow(state, steps[b]), math.gcd(g, b)
+                row_text = f"{text}{texts[b]},"
+            else:
+                row_cand, row, row_g, row_text = cand, state, g, text
+            ends = (prefix[k - 1],) if k <= len(prefix) else range(b + 1, largest + 1)
+            if p is None and row_g != 1:
+                # Over Z a set with gcd > 1 is a dilate of a smaller candidate.
+                ends = [a for a in ends if math.gcd(row_g, a) < 2]
+            # Each leaf's mask at t = h is the OR of dp[h - c] << c*a over
+            # c = 0..m, folded mod p, from the row's masks read once; up to
+            # m = 3 the terms are written out, with zero masks past m.
+            masks = read(row)
+            top, below = masks[m], masks[m - 1::-1] + [0] * (3 - m)
+            b1, b2, b3 = below[:3]
+            evaluated += len(ends)
+            for a in ends:
+                shifts = leaves[a]
+                if m <= 3:
+                    acc = top | b1 << shifts[0] | b2 << shifts[1] | b3 << shifts[2]
+                else:
+                    acc = top
+                    for x, shift in zip(below, shifts):
+                        acc |= x << shift
+                if p is not None:
+                    acc = acc & cut | acc >> p
+                card = acc.bit_count()
+                if card <= bound:
+                    low.append(row_cand + (a,))
+                    if parts is not None:
+                        lines.append(None)
+                elif parts is not None:
+                    head, tail = parts[card]
+                    lines.append(f"{head}{row_text}{texts[a]}{tail}")
     return evaluated, lines, low
 
 
@@ -247,7 +294,7 @@ def _scan(
     widest = tuple(range(k - 1)) + (largest,) if k > 1 else (0,)
     _validate_params(GroundSet(widest, p), params)
     parts = _LineParts(kind, p, bound) if on_records is not None else None
-    chunk = partial(_chunk, k, params, p, largest, bound, parts)
+    chunk = partial(_chunk, k, params, p, largest, bound, parts, _tables(k, params, p, largest))
     prefixes = [(0,)] if k == 1 else [(0, f) for f in range(1, largest - k + 3)]
     evaluated = 0
     equality, violations = [], []

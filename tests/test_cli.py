@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -1188,13 +1189,17 @@ def _start_scan(argv):
     """Start a scan as a child process leading its own process group,
     and wait until its two workers have run for half a second.
     Returns the process and its workers' pids, or None for the pids where
-    the platform does not list child processes."""
+    the platform does not list child processes.  The child's SIGINT is
+    reset to its default action, which an interactive Ctrl-C finds: a
+    shell starts a background job with SIGINT ignored, and a child would
+    inherit that from pytest."""
     src = str(Path(sumsetlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.Popen(
         [sys.executable, "-m", "sumsetlab", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         env=env, start_new_session=True,
+        preexec_fn=partial(signal.signal, signal.SIGINT, signal.SIG_DFL),
     )
     children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
     workers = []

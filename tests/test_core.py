@@ -468,10 +468,11 @@ def _slot(row, t, stride):
 @settings(max_examples=25, deadline=None)
 @given(height=st.integers(0, 7), slack=st.integers(0, 9), data=st.data())
 def test_packed_step_matches_the_slotwise_step(p, r, height, slack, data):
-    """``_step`` on a packed row equals the slot-by-slot step at every
-    t <= height, for any masks in the slots, also when r exceeds the
-    height; the cap min(r, height) changes no bit; nothing is kept above
-    the height; and ``_last`` reads the slot-by-slot mask at every t."""
+    """``_step`` on a packed row, with the element's ``_shifts`` at cap r,
+    equals the slot-by-slot step at every t <= height, for any masks in the
+    slots, also when r exceeds the height; the cap min(r, height) changes
+    no bit; nothing is kept above the height; and ``_last``, with the
+    shifts at cap min(r, t), reads the slot-by-slot mask at every t."""
     if p is None:
         a = data.draw(st.integers(0, 9), label="a")
         dp = data.draw(st.lists(st.integers(0, 63), min_size=height + 1, max_size=height + 1))
@@ -485,13 +486,13 @@ def test_packed_step_matches_the_slotwise_step(p, r, height, slack, data):
     keep = core._keep(height, stride, p)
     assert keep == sum(((1 << width) - 1) << t * stride for t in range(height + 1))
     row = sum(mask << t * stride for t, mask in enumerate(dp))
-    stepped = core._step(r, stride, p, keep, row, a)
-    assert stepped == core._step(min(r, height), stride, p, keep, row, a)
+    stepped = core._step(p, keep, row, core._shifts(r, stride, p, a))
+    assert stepped == core._step(p, keep, row, core._shifts(min(r, height), stride, p, a))
     assert stepped >> (height + 1) * stride == 0
     for t in range(height + 1):
         want = _slotwise(dp, a, t, r, p)
         assert _slot(stepped, t, stride) == want, t
-        assert core._last(t, r, stride, p, keep, row, a) == want, t
+        assert core._last(t, r, stride, p, keep, row, core._shifts(min(r, t), stride, p, a)) == want, t
 
 
 # ===================== cross-call reuse =====================
@@ -537,7 +538,7 @@ def _check_store():
         assert keep == core._keep(height, stride, p)
         cold = [1]
         for a in prefix:
-            cold.append(core._step(min(r, height), stride, p, keep, cold[-1], a))
+            cold.append(core._step(p, keep, cold[-1], core._shifts(min(r, height), stride, p, a)))
         assert rows == tuple(cold)
         for h, result in results.items():
             assert h <= height

@@ -27,7 +27,7 @@ from sumsetlab import (
     scan_inverse_eh_mod_p,
 )
 from sumsetlab.cli import _json_line, run
-from sumsetlab.scan import _SCANS, _LineParts, _chunk, _scan
+from sumsetlab.scan import _SCANS, _LineParts, _chunk, _scan, _tables
 
 
 def _decoding(seen):
@@ -256,7 +256,8 @@ def test_scan_cardinalities_match_oracle():
 def test_both_layouts_match_the_oracle(monkeypatch, packed):
     """The walk gives the oracle's cardinality for every candidate with its
     DP packed and per t, whichever the cost rule would choose: over Z every
-    k <= 4, max_diameter 6, r <= 3, h <= r*k; mod 5 and 7 every k <= 4."""
+    k <= 4, max_diameter 6, r <= 3, h <= r*k; mod 5 and 7 every k <= 4; and
+    a few points at r = 5, where min(r, h) exceeds 3."""
     monkeypatch.setattr(sumsetlab.scan, "_packs", lambda *args: packed)
     cache = {}
     checked = 0
@@ -264,12 +265,15 @@ def test_both_layouts_match_the_oracle(monkeypatch, packed):
               for h in range(1, r * k + 1)]
     points += [(k, h, r, p, p - 1) for p in (5, 7) for k in range(1, 5)
                for r in range(1, 4) for h in range(1, r * k + 1)]
+    # min(r, h) > 3: leaf terms past the three that the walk writes out
+    points += [(k, h, 5, p, 6) for k, h in ((2, 4), (3, 5), (4, 7), (4, 12)) for p in (None, 7)]
     for k, h, r, p, largest in points:
         params = SumParams(h=h, r=r)
         # At bound 0 every candidate is above it and gets its line.
         parts = _LineParts("extremal", p, 0)
+        tables = _tables(k, params, p, largest)
         for prefix in _prefixes(k, largest):
-            evaluated, lines, low = _chunk(k, params, p, largest, 0, parts, prefix)
+            evaluated, lines, low = _chunk(k, params, p, largest, 0, parts, tables, prefix)
             assert len(lines) == evaluated and low == []
             for rec in map(json.loads, lines):
                 want = _oracle_cardinality(cache, tuple(rec["set"]), p, h, r)
@@ -294,11 +298,12 @@ def test_chunk_line_table(p, k):
     params = SumParams(h=2, r=2)
     largest = 5 if p is None else p - 1
     slacks = set()
+    tables = _tables(k, params, p, largest)
     for bound in range(0, 12):
         parts = _LineParts("extremal", p, bound)
         for prefix in _prefixes(k, largest):
-            evaluated, lines, low = _chunk(k, params, p, largest, bound, parts, prefix)
-            assert _chunk(k, params, p, largest, bound, None, prefix) == (evaluated, [], low)
+            evaluated, lines, low = _chunk(k, params, p, largest, bound, parts, tables, prefix)
+            assert _chunk(k, params, p, largest, bound, None, tables, prefix) == (evaluated, [], low)
             assert len(lines) == evaluated
             sets = [tuple(json.loads(line)["set"]) if line else low.pop(0) for line in lines]
             assert low == [] and sets == [s for s in _normalized(k, largest, p)
@@ -319,6 +324,16 @@ def test_chunk_line_table(p, k):
             assert line == _json_line(rec) and rec["p"] == p
             slacks.add((rec["slack"] > 0) - (rec["slack"] < 0))
     assert slacks == {-1, 0, 1}
+    # Each cardinality's head and tail, joined without the encoder, are
+    # json.dumps's line at negative, zero and positive slack.
+    for kind in _SCANS:
+        parts = _LineParts(kind, p, 5)
+        for card in range(3, 8):
+            head, tail = parts[card]
+            assert head + "0,2,3" + tail == json.dumps(
+                {"op": "scan", "kind": kind, "p": p, "set": [0, 2, 3], "bound": 5,
+                 "cardinality": card, "equality": card == 5, "slack": card - 5},
+                sort_keys=True, separators=(",", ":"))
 
 
 @pytest.mark.parametrize("packed", [True, False])
@@ -331,10 +346,60 @@ def test_chunk_leaves_no_garbage(monkeypatch, packed, records):
     gc.collect()
     gc.disable()
     try:
-        _chunk(5, SumParams(3, 2), None, 8, 7, parts, (0, 1))
+        _chunk(5, SumParams(3, 2), None, 8, 7, parts, _tables(5, SumParams(3, 2), None, 8), (0, 1))
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("packed", [True, False])
+@pytest.mark.parametrize("p, largest", [(None, 9), (7, 6), (13, 12)])
+@pytest.mark.parametrize("h, r", [(1, 1), (2, 1), (3, 2), (5, 5), (7, 3)])
+def test_point_tables_are_each_elements_shifts(monkeypatch, packed, p, largest, h, r):
+    """A point's tables hold, for every element a = 0..largest, the step
+    argument of its layout (packed, ``_shifts`` at cap min(r, h) with the
+    point's stride; per t, a itself), a leaf's shifts c * a (mod p) for
+    c = 1..min(r, h), padded with zeros to three, and a's text."""
+    monkeypatch.setattr(sumsetlab.scan, "_packs", lambda *args: packed)
+    stride = h * largest + 1 if p is None else 2 * p
+    start, grows, read, steps, leaves, texts = _tables(4, SumParams(h, r), p, largest)
+    m = min(r, h)
+    assert len(steps) == len(leaves) == len(texts) == largest + 1
+    for a in range(largest + 1):
+        assert steps[a] == (sumsetlab.core._shifts(m, stride, p, a) if packed else a)
+        want = tuple(c * a if p is None else c * a % p for c in range(1, m + 1))
+        assert leaves[a] == want + (0,) * (3 - m)
+        assert texts[a] == str(a)
+
+
+def test_tables_are_built_once_per_point(monkeypatch, capsys, tmp_path):
+    """At --jobs 1 a scan builds its tables once per grid point, every chunk
+    of the point uses that point's tables, and no later point or CLI run
+    reuses them."""
+    built, used = [], []  # (point, tables) per build; tables per chunk
+    tables, chunk = sumsetlab.scan._tables, sumsetlab.scan._chunk
+
+    def building(k, params, p, largest):
+        built.append(((k, params.h, params.r, largest), tables(k, params, p, largest)))
+        return built[-1][1]
+
+    def chunking(*args):
+        used.append(args[-2])
+        return chunk(*args)
+
+    monkeypatch.setattr(sumsetlab.scan, "_tables", building)
+    monkeypatch.setattr(sumsetlab.scan, "_chunk", chunking)
+    manifest = tmp_path / "grid.txt"
+    manifest.write_text("k = 3, 4\nh = 2, 3\nr = 2\nmax_diameter = 6, 7\n", encoding="utf-8")
+    argv = ["scan", "extremal", "--manifest", str(manifest), "--jobs", "1"]
+    for _ in range(2):
+        assert run(argv) == 0
+    capsys.readouterr()
+    points = [(k, h, 2, d) for k in (3, 4) for h in (2, 3) for d in (6, 7)]
+    assert [point for point, _ in built] == points * 2
+    assert len({id(t) for _, t in built}) == len(built)
+    chunks = [d - k + 2 for k, _, _, d in points] * 2  # prefixes (0, a_2)
+    assert [id(t) for t in used] == [id(t) for (_, t), n in zip(built, chunks) for _ in range(n)]
 
 
 def test_scan_claims_are_the_engines(monkeypatch):

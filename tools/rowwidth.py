@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import platform
 import random
@@ -96,15 +95,18 @@ def _compare_shapes():
         _engine("Z k=24 span 2500 h=4 r=2", dense(24, 2_500), None, 4, 2, 5),
         _engine("k=40 mod 20011 h=3 r=1", residues(40, 20_011), 20_011, 3, 1, 5),
         _engine("{0,...,4} mod 2003 h=r=16", range(5), 2_003, 16, 16, 5),
-        {"name": "extremal k=4 d=80 h=4 r=2", "kind": "scan", "p": None, "k": 4,
-         "h": 4, "r": 2, "d": 80, "repeats": 2},
-        {"name": "inverse-eh p=401 k=3 h=2", "kind": "scan", "p": 401, "k": 3,
-         "h": 2, "r": 1, "repeats": 2},
+        # one set of each at the bound, so these time the walk
+        {"name": "extremal k=3 d=700 h=r=9", "kind": "scan", "p": None, "k": 3,
+         "h": 9, "r": 9, "d": 700, "repeats": 2},
+        {"name": "extremal k=3 d=1000 h=r=6", "kind": "scan", "p": None, "k": 3,
+         "h": 6, "r": 6, "d": 1000, "repeats": 2},
         # narrow: the rule packs these
         _engine("Z k=20 span 150 h=r=36", dense(20, 150), None, 36, 36, 5),
         _engine("Z k=20 span 300 h=30 r=24", dense(20, 300), None, 30, 24, 5),
         _engine("k=20 mod 2003 h=30 r=26", residues(20, 2_003), 2_003, 30, 26, 5),
         _engine("Z {0,1,2,3,7} h=r=6", [0, 1, 2, 3, 7], None, 6, 6, 20),
+        {"name": "extremal k=4 d=80 h=4 r=2", "kind": "scan", "p": None, "k": 4,
+         "h": 4, "r": 2, "d": 80, "repeats": 2},
         {"name": "extremal k=6 d=12 h=10 r=3", "kind": "scan", "p": None, "k": 6,
          "h": 10, "r": 3, "d": 12, "repeats": 3},
         {"name": "inverse-eh p=19 k=5 h=2", "kind": "scan", "p": 19, "k": 5,
@@ -146,14 +148,11 @@ def _run(spec, src, force=None):
 def _rule(spec, src):
     """The layout the cost rule of ``src`` picks for ``spec``."""
     sys.path.insert(0, os.path.abspath(src))
-    from sumsetlab import core  # noqa: E402
+    from sumsetlab import core, scan  # noqa: E402
 
     h, r, p = spec["h"], spec["r"], spec["p"]
     if spec["kind"] == "scan":
-        k, largest = spec["k"], spec["d"] if p is None else p - 1
-        stride = h * largest + 1 if p is None else 2 * p
-        steps = math.comb(largest, k - 2) if k > 1 else 0
-        return core._packs(steps, math.comb(largest, k - 1), h, r, stride)
+        return scan._layout(spec["k"], h, r, p, spec["d"] if p is None else p - 1)[1]
     k, elements = len(spec["set"]), spec["set"]
     need = h * (elements[-1] - elements[0]) + 1 if p is None else 2 * p
     # A cold call whose rows the store keeps runs packed, as in the engine.
