@@ -28,8 +28,8 @@ optionally over the one pool of worker processes that the driver call
 shares across points; chunk results are folded in prefix order as each
 chunk arrives, so a serial scan holds one chunk's results at a time and
 a parallel one at most 2 * jobs chunks submitted and not yet folded.
-Each point builds its tables once, in the driver's process, and hands
-them to every chunk, a worker's with the chunk: the DP step argument of
+Each point builds its tables once, in the process of ``scan_grid``, and
+hands them to every chunk, a worker's with the chunk: the step argument of
 each element 0..largest (its doubling shifts, packed), the shifts c * a
 (mod p) by which a leaf ORs its row's masks, and each element's text.  A
 chunk walks depth-first, on an explicit stack, with the engine's DP
