@@ -58,10 +58,10 @@ back by h * min(A).
 ``_add_part`` is the same shift-and-fold for a sum of two sets: it adds
 a set, given by its shifts, to a mask.  The exhaustive scans
 (``scan.py``) walk their candidates depth-first through ``_walker``,
-which gives either layout's steps, sharing each prefix's DP, with every
-element's shifts tabulated once per scan point, and the masks at
-t = h - min(r, h)..h of a row, from which the scan reads every
-candidate that ends the row.
+which gives either layout's steps, sharing each prefix's DP, and the
+``_shifts`` that a packed step takes, which a scan tabulates once per
+point, and the masks at t = h - min(r, h)..h of a row, from which the
+scan reads every candidate that ends the row.
 
 Callers such as the checkers and the acceptance grids call the engine
 many times with one (k, r, p), running every h of a set and then moving
@@ -399,20 +399,20 @@ def _keep(height: int, stride: int, p: Optional[int]) -> int:
     return keep & ((1 << (height + 1) * stride) - 1)
 
 
-def _shifts(cap: int, stride: int, p: Optional[int], a: int) -> tuple:
+def _shifts(cap: int, stride: int, p: Optional[int], a: int) -> list:
     """The shifts of the packed step's doublings for the element a (over Z,
     translated by -min A) at cap ``cap``: the shifts {0..n-1} of
     row << c * (stride + a) double to {0..n-1+d}, d = min(n, cap + 1 - n),
     by a shift of d * stride + d * a, with d * a reduced mod p."""
     shifts, n = [], 1
     while n <= cap:
-        d = min(n, cap + 1 - n)
+        d = n if 2 * n <= cap + 1 else cap + 1 - n
         shifts.append(d * stride + (d * a if p is None else d * a % p))
         n += d
-    return tuple(shifts)
+    return shifts
 
 
-def _step(p: Optional[int], keep: int, row: int, shifts: tuple) -> int:
+def _step(p: Optional[int], keep: int, row: int, shifts: list) -> int:
     """The packed step: the row after an element, given by its
     :func:`_shifts`, joins the elements behind ``row``, i.e. the OR of
     row << c * (stride + a) over c = 0..cap, cut to ``keep`` (:func:`_keep`).
@@ -426,13 +426,13 @@ def _step(p: Optional[int], keep: int, row: int, shifts: tuple) -> int:
     return row & keep if p is None else row
 
 
-def _last(h: int, r: int, stride: int, p: Optional[int], keep: int, row: int,
-          shifts: tuple) -> int:
-    """The mask at t = h after the last element, given by its
-    :func:`_shifts` at cap min(r, h), joins ``row``.  Only slots
-    h - min(r, h)..h reach t = h, so the row is shifted down to them first."""
+def _last(h: int, r: int, stride: int, p: Optional[int], keep: int, row: int, a: int) -> int:
+    """The mask at t = h after the last element a joins ``row``.  Only slots
+    h - min(r, h)..h reach t = h, so the row is shifted down to them first
+    and makes one step with a's :func:`_shifts` at cap min(r, h)."""
     m = min(r, h)
-    return _step(p, keep, row >> (h - m) * stride, shifts) >> m * stride & ((1 << stride) - 1)
+    row = _step(p, keep, row >> (h - m) * stride, _shifts(m, stride, p, a))
+    return (row >> m * stride) & ((1 << stride) - 1)
 
 
 def _mask_at(t: int, r: int, p: Optional[int], dp: list, a: int) -> int:
@@ -473,23 +473,21 @@ def _slots(low: int, m: int, stride: int, row: int) -> list:
     return [row >> j * stride & cut for j in range(m + 1)]
 
 
-def _walker(k: int, h: int, r: int, p: Optional[int], stride: int, packed: bool,
-            largest: int) -> tuple:
-    """The DP of a k-set of elements 0..largest read at t = h alone, packed
-    in slots of ``stride`` bits or per t: (start, grows, read, steps), where
-    grows[i](state, steps[a]) scans the element a as the i-th, and
-    read(state) lists the masks at t = h - m..h, m = min(r, h), the only
-    ones that a last element's step carries to t = h.  Packed, steps[a] is
-    a's :func:`_shifts` at cap m, tabulated once; per t, it is a itself,
-    and the masks after the i-th element are computed only in its
-    :func:`_window`."""
+def _walker(k: int, h: int, r: int, p: Optional[int], stride: int, packed: bool) -> tuple:
+    """The DP of a k-set read at t = h alone, packed in slots of ``stride``
+    bits or per t: (start, grows, read, shifts), where grows[i](state, x)
+    scans an element as the i-th, given by x, and read(state) lists the
+    masks at t = h - m..h, m = min(r, h), the only ones that a last
+    element's step carries to t = h.  Packed, x is the element's
+    :func:`_shifts` at cap m, which ``shifts(a)`` gives; per t, ``shifts``
+    is None and x is the element itself, and the masks after the i-th
+    element are computed only in its :func:`_window`."""
     m = min(r, h)
     if packed:
-        steps = [_shifts(m, stride, p, a) for a in range(largest + 1)]
         grow = partial(_step, p, _keep(h, stride, p))
-        return 1, [grow] * k, partial(_slots, h - m, m, stride), steps
+        return 1, [grow] * k, partial(_slots, h - m, m, stride), partial(_shifts, m, stride, p)
     grows = [partial(_extend, r, p, _window(k, h, r, i)) for i in range(k)]
-    return [1] + [0] * h, grows, itemgetter(slice(h - m, h + 1)), range(largest + 1)
+    return [1] + [0] * h, grows, itemgetter(slice(h - m, h + 1)), None
 
 
 def _add_part(mask: int, shifts: Iterable[int], p: Optional[int]) -> int:
@@ -582,8 +580,7 @@ def generalized_sumset(ground: GroundSet, params: SumParams) -> SumsetResult:
         return _read(_mask_at(h, r, p, dp, A[-1] - base), h * base, p)
     for i in range(j, k - 1):
         rows.append(_step(p, keep, rows[i], _shifts(min(r, height), stride, p, prefix[i])))
-    shifts = _shifts(min(r, h), stride, p, A[-1] - base)
-    result = _read(_last(h, r, stride, p, keep, rows[-1], shifts), h * base, p)
+    result = _read(_last(h, r, stride, p, keep, rows[-1], A[-1] - base), h * base, p)
     if charge <= _REUSE_MAX_BITS:
         results = {**entry[7], h: result} if same_set else {h: result}
         _remember(key, (prefix, tuple(rows), height, stride, keep, charge, A, results))

@@ -28,29 +28,33 @@ optionally over the one pool of worker processes that the driver call
 shares across points; chunk results are folded in prefix order as each
 chunk arrives, so a serial scan holds one chunk's results at a time and
 a parallel one at most 2 * jobs chunks submitted and not yet folded.
-Each point builds its tables once, in the process of ``scan_grid``, and
-hands them to every chunk, a worker's with the chunk: the step argument of
-each element 0..largest (its doubling shifts, packed), the shifts c * a
-(mod p) by which a leaf ORs its row's masks, and each element's text.  A
-chunk walks depth-first, on an explicit stack, with the engine's DP
-steps from ``core._walker``, one step per prefix element, so each
-prefix's DP is shared by every candidate that extends it.  A row of
-k - 1 elements is stepped, has its masks at t = h - min(r, h)..h read
-once, and has its leaves evaluated in the loop of its parent node: every
-candidate that ends it costs min(r, h) shift-ORs of those masks, a fold
-mod p, and a popcount.  The engine's cost rule, ``core._packs``, picks
-the layout once per point from the rows it steps, since a leaf costs the
-same in both: packed rows of slots t = 0..h, laid out with the widest
-candidate's stride, when they are small, and per-t masks, cut to the t
-that the remaining elements can still complete to h, when they are wide.
-``generalized_sumset`` recomputes every set found at or below the bound,
-and its cardinality is the one reported.  In records mode each node of
-the walk carries its prefix's text, and a candidate above the bound gets
-its line as one string build: the head and tail for its cardinality,
-joined on first use from the fields encoded once per point, around that
-text and its last element.  A candidate at or below the bound leaves a
-placeholder that the fold fills from the engine's cardinality, and a
-chunk's lines are handed over in one call.
+A chunk is handed its point as a serial and the point's arguments, and
+each process that runs chunks builds a point's tables at most once, on
+its first chunk of the point, and drops them for the next point's: the
+step argument of each element 0..largest (its doubling shifts, packed),
+the shifts c * a (mod p) by which a leaf ORs its row's masks, and each
+element's text, tabulated when the point has more candidates than
+elements and otherwise computed at each lookup.  A chunk walks
+depth-first, on an explicit stack, with the engine's DP steps from
+``core._walker``, one step per prefix element, so each prefix's DP is
+shared by every candidate that extends it.  A row of k - 1 elements is
+stepped, has its masks at t = h - min(r, h)..h read once, and has its
+leaves evaluated in the loop of its parent node: every candidate that
+ends it costs min(r, h) shift-ORs of those masks, past c = 3 only of
+the nonzero ones, a fold mod p, and a popcount.  The engine's cost
+rule, ``core._packs``, picks the layout once per point from the rows it
+steps, since a leaf costs the same in both: packed rows of slots
+t = 0..h, laid out with the widest candidate's stride, when they are
+small, and per-t masks, cut to the t that the remaining elements can
+still complete to h, when they are wide or there is no row to step
+(k = 1).  ``generalized_sumset`` recomputes every set found at or below
+the bound, and its cardinality is the one reported.  In records mode
+each node of the walk carries its prefix's text, and a candidate above
+the bound gets its line as one string build: the head and tail for its
+cardinality, filled in on first use from the point's record encoded
+once, around that text and its last element's.  A candidate at or below
+the bound leaves a placeholder that the fold fills from the engine's
+cardinality, and a chunk's lines are handed over in one call.
 """
 
 from __future__ import annotations
@@ -63,7 +67,7 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from typing import Callable, Optional, Tuple
 
 from .core import (
@@ -143,57 +147,87 @@ class ScanReport:
 class _LineParts(dict):
     """cardinality -> the (head, tail) of a record line around its set's
     comma-joined elements, as the CLI's encoder writes the record (compact,
-    keys sorted).  The kind, op and p are encoded once; each cardinality's
-    head and tail are joined from them on first use."""
+    keys sorted).  The record is encoded once, with a format field for each
+    field that varies, and each cardinality fills them in on first use."""
 
     def __init__(self, kind: str, p: Optional[int], bound: int):
-        super().__init__()
         self.bound = bound
-        # Keys sort as bound, cardinality, equality, kind, op, p, set, slack.
-        self.middle = json.dumps({"kind": kind, "op": "scan", "p": p}, sort_keys=True,
-                                 separators=(",", ":"))[1:-1]
+        # The encoder writes '{"bound":5,"cardinality":"{cardinality}",...}';
+        # unquoting its fields and doubling the record's own braces makes
+        # it a format string.
+        fields = {key: f"{{{key}}}" for key in ("cardinality", "equality", "set", "slack")}
+        line = json.dumps({"kind": kind, "op": "scan", "p": p, "bound": bound, **fields},
+                          sort_keys=True, separators=(",", ":"))
+        self.line = "{{" + line[1:-1].replace('"{', "{").replace('}"', "}") + "}}"
 
     def __missing__(self, card):
-        bound = self.bound
-        equality = "true" if card == bound else "false"
-        parts = self[card] = (f'{{"bound":{bound},"cardinality":{card},"equality":{equality},'
-                              f'{self.middle},"set":[', f'],"slack":{card - bound}}}')
+        equality = "true" if card == self.bound else "false"
+        line = self.line.format(cardinality=card, equality=equality, set="[\0]",
+                                slack=card - self.bound)
+        parts = self[card] = tuple(line.split("\0"))
         return parts
+
+
+class _Each(dict):
+    """fn(a) at every lookup of a, never kept: the stand-in for a table
+    that would cost more to build than its point's walk."""
+
+    def __init__(self, fn):
+        self.fn = fn  # the dict itself stays empty
+
+    def __missing__(self, a):
+        return self.fn(a)
+
+
+# Serials that tell a process's scan points apart, so that no tables are
+# carried from one point to the next.
+_POINTS = itertools.count()
 
 
 def _layout(k: int, h: int, r: int, p: Optional[int], largest: int) -> Tuple[int, bool]:
     """A scan's stride, that of its widest candidate, and whether the
     engine's cost rule packs its rows.  A scan steps about one row per k - 1
     elements, and a candidate that ends a row costs the same min(r, h)
-    shift-ORs in either layout, so the rule prices the rows alone."""
+    shift-ORs in either layout, so the rule prices the rows alone; with
+    no row to step (k = 1) the walk runs per t."""
     stride = h * largest + 1 if p is None else 2 * p
-    return stride, _packs(math.comb(largest, k - 2) if k > 1 else 0, 0, h, r, stride)
+    return stride, k > 1 and _packs(math.comb(largest, k - 2), 0, h, r, stride)
 
 
-def _tables(k: int, params: SumParams, p: Optional[int], largest: int) -> tuple:
-    """A scan point's walk, built once per point: ``core._walker``'s (start,
-    grows, read, steps) in the layout of :func:`_layout`, and for each
-    element a = 0..largest the shifts c * a (mod p) by which a leaf ORs its
-    row's masks at t = h - c, c = 1..min(r, h), padded with zeros to at
-    least three, and a's text."""
+@lru_cache(maxsize=1)
+def _tables(point: tuple) -> tuple:
+    """The walk of a scan point (serial, k, params, p, largest), built at
+    most once per point in each process, and dropped for the next point's:
+    ``core._walker``'s (start, grows, read) in the layout of
+    :func:`_layout`; the step argument of each element a = 0..largest
+    (packed, its doubling shifts; per t, a itself); and the shifts c * a
+    (mod p) by which a leaf ORs its row's masks at t = h - c,
+    c = 1..min(r, h), padded with zeros to at least three; and a's text.
+    These are tabulated when the point has more candidates than elements,
+    and otherwise computed at each lookup."""
+    _, k, params, p, largest = point
     h, r = params.h, params.r
-    walker = _walker(k, h, r, p, *_layout(k, h, r, p, largest), largest)
+    start, grows, read, shifts = _walker(k, h, r, p, *_layout(k, h, r, p, largest))
+    tabulate = math.comb(largest, k - 1) > largest
+    table = (lambda fn: list(map(fn, range(largest + 1)))) if tabulate else _Each
     cs, pad = range(1, min(r, h) + 1), (0,) * (3 - min(r, h))
-    leaves = [tuple(c * a if p is None else c * a % p for c in cs) + pad
-              for a in range(largest + 1)]
-    return (*walker, leaves, [str(a) for a in range(largest + 1)])
+    leaves = table(lambda a: tuple(c * a if p is None else c * a % p for c in cs) + pad)
+    steps = range(largest + 1) if shifts is None else table(shifts)
+    return start, grows, read, steps, leaves, table(str)
 
 
-def _chunk(k, params, p, largest, bound, parts, tables, prefix) -> Tuple[int, list, list]:
-    """Evaluate all normalized candidates that start with ``prefix``, in
-    ``combinations`` order, with the point's :func:`_tables`, extending
-    each prefix's DP state by one element, and reading the candidates that
-    end a row of k - 1 elements from the masks at t = h - min(r, h)..h
-    that the row's state holds.  Returns (evaluated, lines, low): with
-    ``parts`` (:class:`_LineParts`), every candidate's record line, None
-    for one at or below ``bound``, and without, no lines; and the
-    candidates at or below ``bound``."""
-    start, grows, read, steps, leaves, texts = tables
+def _chunk(point, bound, parts, prefix) -> Tuple[int, list, list]:
+    """Evaluate all normalized candidates of ``point`` (serial, k, params,
+    p, largest) that start with ``prefix``, in ``combinations`` order,
+    with the point's :func:`_tables`, extending each prefix's DP state by
+    one element, and reading the candidates that end a row of k - 1
+    elements from the masks at t = h - min(r, h)..h that the row's state
+    holds.  Returns (evaluated, lines, low): with ``parts``
+    (:class:`_LineParts`), every candidate's record line, None for one at
+    or below ``bound``, and without, no lines; and the candidates at or
+    below ``bound``."""
+    _, k, params, p, largest = point
+    start, grows, read, steps, leaves, texts = _tables(point)
     m = min(params.r, params.h)
     cut = (1 << p) - 1 if p is not None else 0
     evaluated = 0
@@ -205,10 +239,7 @@ def _chunk(k, params, p, largest, bound, parts, tables, prefix) -> Tuple[int, li
     while stack:
         cand, state, g, text = stack.pop()
         i = len(cand)
-        if i < len(prefix):
-            choices = (prefix[i],)
-        else:
-            choices = range(cand[-1] + 1, largest - k + i + 2)
+        choices = (prefix[i],) if i < len(prefix) else range(cand[-1] + 1, largest - k + i + 2)
         if i < k - 2:
             grow = grows[i]
             stack += [(cand + (a,), grow(state, steps[a]), math.gcd(g, a), f"{text}{texts[a]},")
@@ -219,30 +250,26 @@ def _chunk(k, params, p, largest, bound, parts, tables, prefix) -> Tuple[int, li
         # one row, and its choices are the leaves.
         grow = grows[i] if i < k - 1 else None
         for b in choices if grow else (None,):
-            if grow:
-                row_cand, row, row_g = cand + (b,), grow(state, steps[b]), math.gcd(g, b)
-                row_text = f"{text}{texts[b]},"
-            else:
-                row_cand, row, row_g, row_text = cand, state, g, text
+            row_cand, row, row_g, row_text = (
+                (cand + (b,), grow(state, steps[b]), math.gcd(g, b), f"{text}{texts[b]},")
+                if grow else (cand, state, g, text))
             ends = (prefix[k - 1],) if k <= len(prefix) else range(b + 1, largest + 1)
             if p is None and row_g != 1:
                 # Over Z a set with gcd > 1 is a dilate of a smaller candidate.
                 ends = [a for a in ends if math.gcd(row_g, a) < 2]
             # Each leaf's mask at t = h is the OR of dp[h - c] << c*a over
-            # c = 0..m, folded mod p, from the row's masks read once; up to
-            # m = 3 the terms are written out, with zero masks past m.
+            # c = 0..m, folded mod p, from the row's masks read once: the
+            # terms of c = 1..3 written out, zero past m, and past 3 those
+            # of the nonzero masks.
             masks = read(row)
-            top, below = masks[m], masks[m - 1::-1] + [0] * (3 - m)
-            b1, b2, b3 = below[:3]
+            top, (b1, b2, b3) = masks[m], (masks[m - 1::-1] + [0, 0])[:3]
+            rest = [(x, j) for j, x in enumerate(masks[m - 4::-1], 3) if x] if m > 3 else ()
             evaluated += len(ends)
             for a in ends:
                 shifts = leaves[a]
-                if m <= 3:
-                    acc = top | b1 << shifts[0] | b2 << shifts[1] | b3 << shifts[2]
-                else:
-                    acc = top
-                    for x, shift in zip(below, shifts):
-                        acc |= x << shift
+                acc = top | b1 << shifts[0] | b2 << shifts[1] | b3 << shifts[2]
+                for x, j in rest:
+                    acc |= x << shifts[j]
                 if p is not None:
                     acc = acc & cut | acc >> p
                 card = acc.bit_count()
@@ -294,7 +321,9 @@ def _scan(
     widest = tuple(range(k - 1)) + (largest,) if k > 1 else (0,)
     _validate_params(GroundSet(widest, p), params)
     parts = _LineParts(kind, p, bound) if on_records is not None else None
-    chunk = partial(_chunk, k, params, p, largest, bound, parts, _tables(k, params, p, largest))
+    # The point travels to a worker as its serial and arguments, and the
+    # worker builds its tables.
+    chunk = partial(_chunk, (next(_POINTS), k, params, p, largest), bound, parts)
     prefixes = [(0,)] if k == 1 else [(0, f) for f in range(1, largest - k + 3)]
     evaluated = 0
     equality, violations = [], []

@@ -8,6 +8,8 @@ independently of the package.
 import gc
 import json
 import math
+import pickle
+import tracemalloc
 from concurrent.futures import Future, ProcessPoolExecutor
 from itertools import combinations
 
@@ -27,7 +29,7 @@ from sumsetlab import (
     scan_inverse_eh_mod_p,
 )
 from sumsetlab.cli import _json_line, run
-from sumsetlab.scan import _SCANS, _LineParts, _chunk, _scan, _tables
+from sumsetlab.scan import _POINTS, _SCANS, _LineParts, _chunk, _scan, _tables
 
 
 def _decoding(seen):
@@ -271,9 +273,9 @@ def test_both_layouts_match_the_oracle(monkeypatch, packed):
         params = SumParams(h=h, r=r)
         # At bound 0 every candidate is above it and gets its line.
         parts = _LineParts("extremal", p, 0)
-        tables = _tables(k, params, p, largest)
+        point = _point(k, params, p, largest)
         for prefix in _prefixes(k, largest):
-            evaluated, lines, low = _chunk(k, params, p, largest, 0, parts, tables, prefix)
+            evaluated, lines, low = _chunk(point, 0, parts, prefix)
             assert len(lines) == evaluated and low == []
             for rec in map(json.loads, lines):
                 want = _oracle_cardinality(cache, tuple(rec["set"]), p, h, r)
@@ -284,6 +286,11 @@ def test_both_layouts_match_the_oracle(monkeypatch, packed):
 
 def _prefixes(k, largest):
     return [(0,)] if k == 1 else [(0, f) for f in range(1, largest - k + 3)]
+
+
+def _point(k, params, p, largest):
+    """A scan point as ``_scan`` hands it to its chunks, with a new serial."""
+    return next(_POINTS), k, params, p, largest
 
 
 @pytest.mark.parametrize("p", [None, 7])
@@ -298,12 +305,12 @@ def test_chunk_line_table(p, k):
     params = SumParams(h=2, r=2)
     largest = 5 if p is None else p - 1
     slacks = set()
-    tables = _tables(k, params, p, largest)
+    point = _point(k, params, p, largest)
     for bound in range(0, 12):
         parts = _LineParts("extremal", p, bound)
         for prefix in _prefixes(k, largest):
-            evaluated, lines, low = _chunk(k, params, p, largest, bound, parts, tables, prefix)
-            assert _chunk(k, params, p, largest, bound, None, tables, prefix) == (evaluated, [], low)
+            evaluated, lines, low = _chunk(point, bound, parts, prefix)
+            assert _chunk(point, bound, None, prefix) == (evaluated, [], low)
             assert len(lines) == evaluated
             sets = [tuple(json.loads(line)["set"]) if line else low.pop(0) for line in lines]
             assert low == [] and sets == [s for s in _normalized(k, largest, p)
@@ -324,11 +331,11 @@ def test_chunk_line_table(p, k):
             assert line == _json_line(rec) and rec["p"] == p
             slacks.add((rec["slack"] > 0) - (rec["slack"] < 0))
     assert slacks == {-1, 0, 1}
-    # Each cardinality's head and tail, joined without the encoder, are
-    # json.dumps's line at negative, zero and positive slack.
+    # Each cardinality's head and tail, filled in from the one encoding of
+    # the point, are json.dumps's line at negative, zero and positive slack.
     for kind in _SCANS:
         parts = _LineParts(kind, p, 5)
-        for card in range(3, 8):
+        for card in (0, 3, 4, 5, 6, 7, 123):
             head, tail = parts[card]
             assert head + "0,2,3" + tail == json.dumps(
                 {"op": "scan", "kind": kind, "p": p, "set": [0, 2, 3], "bound": 5,
@@ -346,7 +353,7 @@ def test_chunk_leaves_no_garbage(monkeypatch, packed, records):
     gc.collect()
     gc.disable()
     try:
-        _chunk(5, SumParams(3, 2), None, 8, 7, parts, _tables(5, SumParams(3, 2), None, 8), (0, 1))
+        _chunk(_point(5, SumParams(3, 2), None, 8), 7, parts, (0, 1))
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -355,39 +362,47 @@ def test_chunk_leaves_no_garbage(monkeypatch, packed, records):
 @pytest.mark.parametrize("packed", [True, False])
 @pytest.mark.parametrize("p, largest", [(None, 9), (7, 6), (13, 12)])
 @pytest.mark.parametrize("h, r", [(1, 1), (2, 1), (3, 2), (5, 5), (7, 3)])
-def test_point_tables_are_each_elements_shifts(monkeypatch, packed, p, largest, h, r):
-    """A point's tables hold, for every element a = 0..largest, the step
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_point_tables_are_each_elements_shifts(monkeypatch, packed, p, largest, h, r, k):
+    """A point's tables give, for every element a = 0..largest, the step
     argument of its layout (packed, ``_shifts`` at cap min(r, h) with the
     point's stride; per t, a itself), a leaf's shifts c * a (mod p) for
-    c = 1..min(r, h), padded with zeros to three, and a's text."""
+    c = 1..min(r, h), padded with zeros to three, and a's text.  They are
+    lists when the point has more candidates than elements (k = 4), and
+    computed at each lookup, and kept nowhere, when it has not (k <= 2)."""
     monkeypatch.setattr(sumsetlab.scan, "_packs", lambda *args: packed)
     stride = h * largest + 1 if p is None else 2 * p
-    start, grows, read, steps, leaves, texts = _tables(4, SumParams(h, r), p, largest)
+    start, grows, read, steps, leaves, texts = _tables(_point(k, SumParams(h, r), p, largest))
     m = min(r, h)
-    assert len(steps) == len(leaves) == len(texts) == largest + 1
+    tabulated = math.comb(largest, k - 1) > largest
+    assert tabulated == (k == 4)
+    for table in (leaves, texts) + ((steps,) if packed and k > 1 else ()):
+        assert isinstance(table, list) if tabulated else table == {}
     for a in range(largest + 1):
-        assert steps[a] == (sumsetlab.core._shifts(m, stride, p, a) if packed else a)
+        assert steps[a] == (sumsetlab.core._shifts(m, stride, p, a) if packed and k > 1 else a)
         want = tuple(c * a if p is None else c * a % p for c in range(1, m + 1))
         assert leaves[a] == want + (0,) * (3 - m)
         assert texts[a] == str(a)
+    assert tabulated or leaves == texts == {}
 
 
 def test_tables_are_built_once_per_point(monkeypatch, capsys, tmp_path):
     """At --jobs 1 a scan builds its tables once per grid point, every chunk
     of the point uses that point's tables, and no later point or CLI run
     reuses them."""
-    built, used = [], []  # (point, tables) per build; tables per chunk
-    tables, chunk = sumsetlab.scan._tables, sumsetlab.scan._chunk
+    built, used = [], []  # (k, h, stride) per build; (point, tables) per chunk
+    walker, chunk = sumsetlab.scan._walker, sumsetlab.scan._chunk
 
-    def building(k, params, p, largest):
-        built.append(((k, params.h, params.r, largest), tables(k, params, p, largest)))
-        return built[-1][1]
+    def walking(k, h, r, p, stride, packed):
+        built.append((k, h, stride))
+        return walker(k, h, r, p, stride, packed)
 
-    def chunking(*args):
-        used.append(args[-2])
-        return chunk(*args)
+    def chunking(point, *args):
+        got = chunk(point, *args)
+        used.append((point, _tables(point)))
+        return got
 
-    monkeypatch.setattr(sumsetlab.scan, "_tables", building)
+    monkeypatch.setattr(sumsetlab.scan, "_walker", walking)
     monkeypatch.setattr(sumsetlab.scan, "_chunk", chunking)
     manifest = tmp_path / "grid.txt"
     manifest.write_text("k = 3, 4\nh = 2, 3\nr = 2\nmax_diameter = 6, 7\n", encoding="utf-8")
@@ -396,10 +411,52 @@ def test_tables_are_built_once_per_point(monkeypatch, capsys, tmp_path):
         assert run(argv) == 0
     capsys.readouterr()
     points = [(k, h, 2, d) for k in (3, 4) for h in (2, 3) for d in (6, 7)]
-    assert [point for point, _ in built] == points * 2
-    assert len({id(t) for _, t in built}) == len(built)
+    assert built == [(k, h, h * d + 1) for k, h, _, d in points] * 2
     chunks = [d - k + 2 for k, _, _, d in points] * 2  # prefixes (0, a_2)
-    assert [id(t) for t in used] == [id(t) for (_, t), n in zip(built, chunks) for _ in range(n)]
+    assert [point[1:] for point, _ in used] == [
+        (k, SumParams(h, r), None, d) for (k, h, r, d), n in zip(points * 2, chunks)
+        for _ in range(n)]
+    tables = {}  # serial -> the ids of the tables its chunks used
+    for point, got in used:
+        tables.setdefault(point[0], set()).add(id(got))
+    assert len(tables) == len(points) * 2 and all(len(ids) == 1 for ids in tables.values())
+    assert len(set.union(*tables.values())) == len(tables)
+
+
+def test_k1_scan_allocates_no_table_of_the_diameter():
+    """A one-element scan evaluates its one candidate without building
+    anything as large as its max_diameter: no table of the elements and
+    no row of its stride."""
+    tracemalloc.start()
+    try:
+        report = scan_extremal_integers(k=1, h=1, r=1, max_diameter=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.candidates, report.evaluated, report.equality_sets) == (1, 1, ((0,),))
+    assert peak < 200_000
+
+
+def test_parallel_chunks_carry_no_tables(monkeypatch):
+    """At --jobs 2 each chunk a scan submits pickles to a few hundred bytes,
+    whatever the max_diameter: the point goes as its serial and arguments,
+    and each worker builds its own tables."""
+    sizes = {}
+    in_order = sumsetlab.scan._in_order
+
+    def measuring(pool, fn, items, window):
+        items = list(items)
+        sizes[len(items)] = max(len(pickle.dumps((fn, item))) for item in items)
+        return in_order(pool, fn, items, window)
+
+    monkeypatch.setattr(sumsetlab.scan, "_in_order", measuring)
+    for d in (20, 600):
+        seen = []
+        report = scan_extremal_integers(k=2, h=2, r=2, max_diameter=d, jobs=2,
+                                        on_records=_decoding(seen))
+        # over Z only (0, 1) has gcd 1; every other chunk evaluates nothing
+        assert (report.candidates, report.evaluated, len(seen)) == (d, 1, 1)
+    assert sizes[600] <= sizes[20] + 16 and sizes[600] < 1_000
 
 
 def test_scan_claims_are_the_engines(monkeypatch):
