@@ -471,8 +471,9 @@ def test_packed_step_matches_the_slotwise_step(p, r, height, slack, data):
     """``_step`` on a packed row, with the element's ``_shifts`` at cap r,
     equals the slot-by-slot step at every t <= height, for any masks in the
     slots, also when r exceeds the height; the cap min(r, height) changes
-    no bit; nothing is kept above the height; and ``_last``, with the
-    shifts at cap min(r, t), reads the slot-by-slot mask at every t."""
+    no bit; nothing is kept above the height; and ``_last``, which steps
+    with the element's shifts at cap min(r, t), reads the slot-by-slot
+    mask at every t."""
     if p is None:
         a = data.draw(st.integers(0, 9), label="a")
         dp = data.draw(st.lists(st.integers(0, 63), min_size=height + 1, max_size=height + 1))
