@@ -46,56 +46,29 @@ mod p; in exchange its interpreter cost does not grow with r * h.
 One cost rule, ``_packs``, picks the layout for a call or a scan from
 numbers known before any DP: counted in per-t shifts, a per-t mask costs
 one more, and a packed doubling costs two plus one per 2**12 bits of row
-it passes over; a row must also be within the mask guard.  Small rows, the exhaustive grids' traffic, run packed;
-wide rows, from a large span, a far element or a large p, run per t.
-``generalized_sumset`` validates, steps every element but the last, and
-reads the last element at t = h alone: per t with one ``_mask_at``, and
-packed with ``_last``, which shifts the row down to slots
-h - min(r, h)..h, the only ones that reach t = h, makes one ``_step``
-with the element's shifts at cap min(r, h) and reads one slot.  ``_read``
-lists the mask's values in one pass over its binary string, translated
-back by h * min(A).
-``_add_part`` is the same shift-and-fold for a sum of two sets: it adds
-a set, given by its shifts, to a mask.  The exhaustive scans
-(``scan.py``) walk their candidates depth-first through ``_walker``,
-which gives either layout's steps, sharing each prefix's DP, and the
-``_shifts`` that a packed step takes, which a scan tabulates once per
-point, and the masks at t = h - min(r, h)..h of a row, from which the
-scan reads every candidate that ends the row.
+it passes over; a row must also be within the mask guard.  Small rows,
+the exhaustive grids' traffic, run packed; wide rows, from a large span,
+a far element or a large p, run per t.  ``_read`` lists a mask's values
+in one pass over its binary string, translated back by h * min(A) over
+Z, and ``_add_part`` adds a set, given by its shifts, to a mask.  The
+scans (``scan.py``) walk their candidates depth-first through
+``_walker``, which gives either layout's steps, sharing each prefix's
+DP.
 
-Callers such as the checkers and the acceptance grids call the engine
-many times with one (k, r, p), running every h of a set and then moving
-to a set that shares a prefix with it.  So a packed call keeps, for each
-(k, r, p), the last call's translated prefix (every element but the
-last, minus min A over Z), a height H, a stride, its ``keep``, and the
-row after each prefix element, one int each, as one immutable tuple.
-Row i depends on nothing but r, p, H, the stride and the translated
-elements before it, and its slot t is exact wherever the stride holds t
-times the largest element, whatever the slots above it hold, since a
-step moves bits only upwards.  A call whose stride and height equal the
-kept ones therefore steps only from its first element that differs from
-the kept prefix, and a kept row is exactly the row a cold call at that
-height and stride would compute.  Such a call, and any call whose rows
-the store will keep, runs packed without asking the cost rule: its rows
-are small, and reading them spares later calls their prefix steps.  The entry also keeps the last set's elements and the results
-already read for it, one per h, so a repeated (A, h) skips the last step
-and the extraction.  A per-t call keeps nothing.  No result can depend
-on which calls came before.
-
-One rule sizes the store.  An entry of height H and stride S is charged
-(k + 2) * (H + 1) * S bits: its k rows of H + 1 slots and its keep, plus
-room for its results, at most one per t <= H and none wider than a slot.  An entry is
-kept only when its charge fits 2**18 bits.  The height and the stride
-are high-water marks: a call needs a stride of W = h * span + 1 bits over
-Z and 2p modulo p, runs at H' = max(h, H) and S' = max(W, S) when an
-entry of that size fits and S is at most 2W or the set is the kept one,
-and at (h, W) otherwise, and starts over from the first element when
-(H', S') != (H, S).  So a grid that runs h upwards pays one DP per set
-after the key's first sets, a narrow set after a wide one does not step
-the wide one's rows, and a call that does not fit even at (h, W) keeps
-nothing.  The store is cleared when a new entry would take it past
-2**18 charged bits or 4 096 keys.  Entries are replaced under a lock,
-never mutated, so threads may share the engine.
+One packed DP at height H holds h^(r)A at every h <= H, one slot each:
+:func:`profile` runs it, and a slot is read for its cardinality by a
+popcount and for its values by ``_read``.  Callers such as the checkers
+and the acceptance grids ask for many h of one (A, r), so the engine
+keeps, for each (k, r, p), the profile of the last set it built at
+H = r * k, and a call for that set reads its slot h; every guard is
+monotone in h, so the read needs no validation.  Any other call builds
+at r * k, and keeps the profile in place of the key's last set, when
+that row of r * k + 1 slots (r * k * span + 1 bits over Z, 2p mod p)
+fits 2**18 bits and the 64-bit guard holds at r * k; otherwise it runs
+at h alone, packed or per t as ``_packs`` picks, and keeps nothing.  The
+memo is cleared when a new profile would take it past 2**18 bits or
+4 096 keys.  Profiles are never mutated, so threads may share the
+engine, and no result depends on which calls came before.
 
 Conventions: modular elements are residues in [0, p) and p must be
 prime; integer ground sets are kept sorted ascending; h = m*r + eps
@@ -128,17 +101,15 @@ _MAX_MASK_BITS = 2**33
 # over, fitted to cold timings of both steps (``tools/rowwidth.py``).
 _DOUBLING_BITS = 2**12
 
-# The row store (see the module docstring).  Small masks cost far more
-# memory as Python objects than their bits, so the bit cap is set by peak
-# RSS: on CPython 3.11 it grew a verify-sweep benchmark process by 5-8 %
-# at 2**20 and by 2 % at 2**18.
-_REUSE_MAX_KEYS = 4096
-_REUSE_MAX_BITS = 2**18
-# (k, r, p) -> (prefix, rows, H, stride, keep, bits, elements,
-# {h: SumsetResult}); entries are never mutated.
-_reuse: dict = {}
-_reuse_bits = 0
-_reuse_lock = threading.Lock()
+# The profile memo (see the module docstring).  Its bit cap is set by peak
+# RSS: on CPython 3.11 a store of this cap grew a verify-sweep benchmark
+# process by 5-8 % at 2**20 and by 2 % at 2**18.
+_MEMO_MAX_KEYS = 4096
+_MEMO_MAX_BITS = 2**18
+# (k, r, p) -> Profile of one set at height r * k; profiles are immutable.
+_memo: dict = {}
+_memo_bits = 0
+_memo_lock = threading.Lock()
 
 # bin(mask) digits to the 0/1 bytes that itertools.compress selects by.
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
@@ -299,6 +270,31 @@ class SumsetResult:
         return iter(self.values)
 
 
+@dataclass(frozen=True)
+class Profile:
+    """h^(r)A at every h <= ``height``, from one packed DP: slot t of
+    ``row``, ``stride`` bits from bit t * stride on, is the mask of
+    t^(r)A, bit i for t * min A + i over Z and for the residue i mod p."""
+
+    ground: GroundSet
+    r: int
+    height: int
+    stride: int
+    row: int
+
+    def mask(self, t: int) -> int:
+        if not 0 <= t <= self.height:
+            raise DomainError(f"0 <= t <= {self.height} required, got t={t}")
+        return self.row >> t * self.stride & ((1 << self.stride) - 1)
+
+    def cardinality(self, t: int) -> int:
+        """|t^(r)A|, a popcount."""
+        return self.mask(t).bit_count()
+
+    def sumset(self, t: int) -> SumsetResult:
+        return _read(self.mask(t), self.ground, t)
+
+
 def parse_ground_set(text: str) -> GroundSet:
     """Parse a set literal like ``"0,1,3,7"`` or ``"0,1,3,7 mod 11"``.
 
@@ -352,13 +348,13 @@ def _check_draws(k: int, h: int, r: int) -> None:
         )
 
 
-def _validate_params(ground: GroundSet, params: SumParams) -> None:
+def _validate_params(ground: GroundSet, h: int, r: int) -> None:
     """Every size check of a DP call, in this order: ``_check_draws``;
     integer sums h * max|a_i| within 64 bits; and h + 1 masks of width
     W = h * span + 1 over Z (span = max A - min A), or W = p modulo p, at
     most 2**33 bits in all, so that no oversized DP is allocated."""
-    A, h, p = ground.elements, params.h, ground.modulus
-    _check_draws(len(A), h, params.r)
+    A, p = ground.elements, ground.modulus
+    _check_draws(len(A), h, r)
     magnitude = h * max(abs(A[0]), abs(A[-1]))
     if p is None and magnitude > _MAX_MAGNITUDE:
         raise DomainError(f"h * max|a_i| = {magnitude} exceeds the 64-bit guard")
@@ -424,15 +420,6 @@ def _step(p: Optional[int], keep: int, row: int, shifts: list) -> int:
         if p is not None:
             row = (row | row >> p) & keep
     return row & keep if p is None else row
-
-
-def _last(h: int, r: int, stride: int, p: Optional[int], keep: int, row: int, a: int) -> int:
-    """The mask at t = h after the last element a joins ``row``.  Only slots
-    h - min(r, h)..h reach t = h, so the row is shifted down to them first
-    and makes one step with a's :func:`_shifts` at cap min(r, h)."""
-    m = min(r, h)
-    row = _step(p, keep, row >> (h - m) * stride, _shifts(m, stride, p, a))
-    return (row >> m * stride) & ((1 << stride) - 1)
 
 
 def _mask_at(t: int, r: int, p: Optional[int], dp: list, a: int) -> int:
@@ -502,89 +489,88 @@ def _add_part(mask: int, shifts: Iterable[int], p: Optional[int]) -> int:
     return acc
 
 
-def _read(mask: int, offset: int, p: Optional[int]) -> SumsetResult:
-    """The values of a mask whose bit i stands for offset + i."""
+def _read(mask: int, ground: GroundSet, h: int) -> SumsetResult:
+    """The values of an h-fold sumset of the set from its mask, bit i for
+    h * min A + i over Z and for the residue i mod p."""
+    offset = h * ground.elements[0] if ground.modulus is None else 0
     bits = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)  # lowest bit first
-    return SumsetResult(tuple(compress(range(offset, offset + len(bits)), bits)), p)
+    return SumsetResult(tuple(compress(range(offset, offset + len(bits)), bits)), ground.modulus)
 
 
-def _remember(key: tuple, entry: tuple) -> None:
-    """Keep ``entry`` for ``key``, clearing the store first if its charged
-    bits would take the store past either cap."""
-    global _reuse_bits
-    with _reuse_lock:
-        old = _reuse.get(key)
-        bits = entry[5]
-        held = _reuse_bits + bits - (old[5] if old else 0)
-        if held > _REUSE_MAX_BITS or (old is None and len(_reuse) >= _REUSE_MAX_KEYS):
-            _reuse.clear()
+def profile(ground: GroundSet, r: int, height: int) -> Profile:
+    """h^(r)A at every h <= ``height``, from one packed DP over every
+    element (see :class:`Profile`).  Refused as a call at h = ``height``
+    is, and mod p also when its row of 2p-bit slots is above the mask
+    guard."""
+    SumParams(height, r)
+    _validate_params(ground, height, r)
+    if ground.modulus is not None and (height + 1) * 2 * ground.modulus > _MAX_MASK_BITS:
+        raise DomainError("a packed row of 2p-bit slots exceeds the 2**33-bit guard")
+    return _profile(ground, r, height)
+
+
+def _profile(ground: GroundSet, r: int, height: int) -> Profile:
+    """The packed DP of :func:`profile`, not validated."""
+    A, p = ground.elements, ground.modulus
+    base = A[0] if p is None else 0
+    stride = height * (A[-1] - base) + 1 if p is None else 2 * p
+    keep = _keep(height, stride, p)
+    row = 1
+    for a in A:
+        row = _step(p, keep, row, _shifts(min(r, height), stride, p, a - base))
+    return Profile(ground, r, height, stride, row)
+
+
+def _remember(key: tuple, kept: Profile) -> None:
+    """Keep ``kept`` for ``key``, clearing the memo first if it is full."""
+    global _memo_bits
+    bits = (kept.height + 1) * kept.stride
+    with _memo_lock:
+        old = _memo.pop(key, None)
+        held = _memo_bits + bits - ((old.height + 1) * old.stride if old else 0)
+        if held > _MEMO_MAX_BITS or len(_memo) >= _MEMO_MAX_KEYS:
+            _memo.clear()
             held = bits
-        _reuse[key] = entry
-        _reuse_bits = held
+        _memo[key] = kept
+        _memo_bits = held
+
+
+def _sumset_mask(ground: GroundSet, h: int, r: int) -> int:
+    """The mask of h^(r)A, for any 0 <= h <= r*k, as ``_read`` takes it:
+    slot h of the set's kept profile or of one built now, or per t."""
+    A, p = ground.elements, ground.modulus
+    k = len(A)
+    key = (k, r, p)
+    kept = _memo.get(key)
+    if kept is not None and kept.ground.elements == A and h <= kept.height:
+        return kept.row >> h * kept.stride & ((1 << kept.stride) - 1)
+    _validate_params(ground, h, r)
+    top = r * k
+    if (top + 1) * (top * (A[-1] - A[0]) + 1 if p is None else 2 * p) <= _MEMO_MAX_BITS and (
+        p is not None or top * max(abs(A[0]), abs(A[-1])) <= _MAX_MAGNITUDE
+    ):
+        kept = _profile(ground, r, top)
+        _remember(key, kept)
+        return kept.mask(h)
+    if _packs(k - 1, 1, h, r, h * (A[-1] - A[0]) + 1 if p is None else 2 * p):
+        return _profile(ground, r, h).mask(h)
+    # Per t, each mask as wide as its sums, the last element at t = h alone.
+    base = A[0] if p is None else 0
+    dp = [1] + [0] * h
+    for i, a in enumerate(A[:-1]):
+        dp = _extend(r, p, _window(k, h, r, i), dp, a - base)
+    return _mask_at(h, r, p, dp, A[-1] - base)
 
 
 def generalized_sumset(ground: GroundSet, params: SumParams) -> SumsetResult:
     """Compute h^(r)A exactly.
 
-    Bit-vector dynamic program over exact multiplicity, one mask per
-    total multiplicity t, in the layout that :func:`_packs` picks: a step
-    per element but the last, and for the last element the mask at
-    t = h alone.  Integers run in the translated coordinates a - min(A);
-    modulo p the shifts are reduced mod p and every mask is folded back
-    onto p bits.
-
-    Packed, the rows after each element but the last, and the result,
-    are kept for later calls with the same (k, r, p) under the one rule
-    that the module docstring states; no result depends on earlier calls.
+    Slot h of the set's :func:`profile`, which the engine keeps for later
+    calls with the same (k, r, p) when it fits, or, for a set too wide to
+    keep, a DP at h alone in the layout that :func:`_packs` picks (see the
+    module docstring).  No result depends on earlier calls.
     """
-    A = ground.elements
-    h, r = params.h, params.r
-    k = len(A)
-    p = ground.modulus
-    key = (k, r, p)
-    entry = _reuse.get(key)
-    same_set = entry is not None and entry[6] == A
-    # A kept result passed the same validation when it was computed.
-    if same_set and h in entry[7]:
-        return entry[7][h]
-    _validate_params(ground, params)
-    base = A[0] if p is None else 0
-    # The slot this call reads, t = h, holds h * span + 1 bits over Z; mod p
-    # a slot holds p bits and room for shifts below p.
-    need = h * (A[-1] - A[0]) + 1 if p is None else 2 * p
-    prefix = A[:-1] if p is not None else tuple([a - base for a in A[:-1]])
-    kept_prefix, kept, kept_height, kept_stride, keep = entry[:5] if entry else ((), (), -1, 0, 0)
-    height, stride = max(h, kept_height), max(need, kept_stride)
-    if (stride > 2 * need and not same_set) or (k + 2) * (height + 1) * stride > _REUSE_MAX_BITS:
-        height, stride = h, need
-    charge = (k + 2) * (height + 1) * stride
-    j = 0
-    if (height, stride) == (kept_height, kept_stride):
-        # Kept rows are small and spare the prefix's steps, so the cost
-        # rule is asked only when the layout starts over.  kept[i] is the
-        # DP over kept_prefix[:i], so it holds for this call up to the
-        # first element where the two prefixes differ.
-        for x, y in zip(prefix, kept_prefix):
-            if x != y:
-                break
-            j += 1
-        rows = list(kept[: j + 1])
-    elif charge <= _REUSE_MAX_BITS or _packs(k - 1, 1, h, r, need):
-        rows = [1]
-        keep = _keep(height, stride, p)
-    else:
-        # Per-t masks, as wide as what they hold; nothing is kept.
-        dp = [1] + [0] * h
-        for i, a in enumerate(prefix):
-            dp = _extend(r, p, _window(k, h, r, i), dp, a)
-        return _read(_mask_at(h, r, p, dp, A[-1] - base), h * base, p)
-    for i in range(j, k - 1):
-        rows.append(_step(p, keep, rows[i], _shifts(min(r, height), stride, p, prefix[i])))
-    result = _read(_last(h, r, stride, p, keep, rows[-1], A[-1] - base), h * base, p)
-    if charge <= _REUSE_MAX_BITS:
-        results = {**entry[7], h: result} if same_set else {h: result}
-        _remember(key, (prefix, tuple(rows), height, stride, keep, charge, A, results))
-    return result
+    return _read(_sumset_mask(ground, params.h, params.r), ground, params.h)
 
 
 def classical_sumset(ground: GroundSet, h: int) -> SumsetResult:

@@ -30,8 +30,7 @@ from .core import (
     SumsetResult,
     _add_part,
     _read,
-    generalized_sumset,
-    restricted_sumset,
+    _sumset_mask,
 )
 from .errors import DomainError, InvariantViolationError
 from .verify import _Report
@@ -181,14 +180,23 @@ def greedy_decompose(ground: GroundSet, vector: MultiplicityVector) -> Decomposi
 
 @dataclass(frozen=True)
 class FactorizationReport(_Report):
-    """Set-wise form of the rewriting: h^(r)A versus the sum of its parts."""
+    """Set-wise form of the rewriting: h^(r)A versus the sum of its parts,
+    each held as the engine's mask and read when asked for."""
 
-    left: SumsetResult
-    right: SumsetResult
+    left_mask: int
+    right_mask: int
+
+    @property
+    def left(self) -> SumsetResult:
+        return _read(self.left_mask, self.ground, self.params.h)
+
+    @property
+    def right(self) -> SumsetResult:
+        return _read(self.right_mask, self.ground, self.params.h)
 
     @property
     def equal(self) -> bool:
-        return self.left.values == self.right.values
+        return self.left_mask == self.right_mask
 
     @property
     def verdict(self) -> str:
@@ -213,20 +221,23 @@ def check_sumset_factorization(
     """Check h^(r)A == s_1^A + ... + s_r^A, s_j = m + (j <= eps).
 
     The left side is h^(r)A from the engine.  The right side follows the
-    greedy rewriting step by step: it starts from the mask of {0} and, for
-    j = 1..r, adds the part s_j^A (``restricted_sumset``, with 0^A = {0})
-    by ``core._add_part``.  Over Z each part is taken in the engine's
-    coordinates v - s_j * min A, so the right side's offset is h * min A,
-    as the left side's; mod p the mask is folded onto p bits at each step.
-    The right mask is read by the engine's own extraction.
+    greedy rewriting step by step: it starts from the part s_1^A and, for
+    j = 2..r, adds the part s_j^A by ``core._add_part``.  Each distinct
+    part size, m and m + 1 when eps >= 1, is read once, from the set's
+    r = 1 profile (slot 0 is 0^A = {0}), and its shifts serve every step
+    of that size.  Over Z a part's mask and shifts are in the engine's
+    coordinates v - s_j * min A, so both sides' masks have the offset
+    h * min A, and they are equal exactly when the sets are; mod p the
+    mask is folded onto p bits at each step.
     """
-    left = generalized_sumset(ground, params)
-    m, eps, p = params.m, params.epsilon, ground.modulus
-    base = ground.elements[0] if p is None else 0
-    mask = 1
-    for j in range(1, params.r + 1):
-        size = m + (j <= eps)
-        part = restricted_sumset(ground, size).values if size else (0,)
-        mask = _add_part(mask, [v - size * base for v in part], p)
-    right = _read(mask, params.h * base, p)
-    return FactorizationReport(ground=ground, params=params, left=left, right=right)
+    h, r, p = params.h, params.r, ground.modulus
+    m, eps = divmod(h, r)
+    left = _sumset_mask(ground, h, r)  # refused first, as a call at h
+    small = _sumset_mask(ground, m, 1)
+    large = _sumset_mask(ground, m + 1, 1) if eps else small
+    steps = [large] * eps + [small] * (r - eps)
+    shifts = {part: _read(part, ground, 0).values for part in set(steps[1:])}
+    mask = steps[0]
+    for part in steps[1:]:
+        mask = _add_part(mask, shifts[part], p)
+    return FactorizationReport(ground=ground, params=params, left_mask=left, right_mask=mask)

@@ -319,7 +319,7 @@ def _scan(
         raise ResourceCapError(count, cap)
     # The engine's validation, once, on the widest candidate.
     widest = tuple(range(k - 1)) + (largest,) if k > 1 else (0,)
-    _validate_params(GroundSet(widest, p), params)
+    _validate_params(GroundSet(widest, p), params.h, params.r)
     parts = _LineParts(kind, p, bound) if on_records is not None else None
     # The point travels to a worker as its serial and arguments, and the
     # worker builds its tables.

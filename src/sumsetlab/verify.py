@@ -47,6 +47,7 @@ from .core import (
     SumParams,
     SumsetResult,
     _check_draws,
+    _sumset_mask,
     bound_direct_integers,
     bound_direct_mod_p,
     generalized_sumset,
@@ -160,7 +161,7 @@ def check_direct_bound(ground: GroundSet, params: SumParams) -> BoundReport:
         bound = bound_direct_integers(k, params.h, params.r)
     else:
         bound = bound_direct_mod_p(k, params.h, params.r, ground.modulus)
-    card = generalized_sumset(ground, params).cardinality
+    card = _sumset_mask(ground, params.h, params.r).bit_count()
     return BoundReport(ground=ground, params=params, cardinality=card, bound=bound)
 
 
@@ -195,11 +196,10 @@ def check_complement_identity(ground: GroundSet, params: SumParams) -> Complemen
 
     Replacing each multiplicity r_i by r - r_i is a bijection between
     the defining vectors for h and for rk - h, so the cardinalities
-    agree.  Requires 1 <= h <= rk - 1 so both sides are nonempty.  The
-    two sides may read the same kept DP rows (see ``core``), but each
-    reads dp[t] only at t <= its own h, and dp[t] does not depend on the
-    height the rows were computed to, so each side equals a cold DP at
-    its own h; nothing inside the dynamic program assumes this identity.
+    agree.  Requires 1 <= h <= rk - 1 so both sides are nonempty.  Each
+    side is a popcount of its own slot, h or rk - h, of the set's profile
+    (see ``core``); nothing inside the dynamic program assumes this
+    identity.
     """
     k = ground.size
     hc = params.r * k - params.h
@@ -208,8 +208,8 @@ def check_complement_identity(ground: GroundSet, params: SumParams) -> Complemen
             f"h <= r*k - 1 required so the mirrored side is nonempty: "
             f"h={params.h}, r*k={params.r * k}"
         )
-    card = generalized_sumset(ground, params).cardinality
-    card_c = generalized_sumset(ground, SumParams(h=hc, r=params.r)).cardinality
+    card = _sumset_mask(ground, params.h, params.r).bit_count()
+    card_c = _sumset_mask(ground, hc, params.r).bit_count()
     return ComplementReport(
         ground=ground,
         params=params,

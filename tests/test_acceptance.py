@@ -49,6 +49,7 @@ from sumsetlab import (
     scan_extremal_integers,
     scan_inverse_eh_mod_p,
 )
+from sumsetlab.core import profile
 
 MOD_PRIMES = (5, 7, 11, 13)
 
@@ -148,9 +149,11 @@ def test_criterion_3_mod_p_bound():
             ground = GroundSet(elements, p)
             k = len(elements)
             for r in range(1, 9):
-                for h in range(1, min(r * k, 8) + 1):
-                    params = SumParams(h=h, r=r)
-                    card = generalized_sumset(ground, params).cardinality
+                # every h of one (set, r) from one DP: slot h of its profile
+                top = min(r * k, 8)
+                sumsets = profile(ground, r, top)
+                for h in range(1, top + 1):
+                    card = sumsets.cardinality(h)
                     if card < bound_direct_mod_p(k, h, r, p):
                         violations += 1
                     instances += 1

@@ -259,9 +259,9 @@ def test_mask_width_guard():
         with pytest.raises(DomainError, match="2\\*\\*33-bit guard"):
             generalized_sumset(ground, params)
     # 2 masks of 2**32 bits: at the limit; one bit wider each: refused
-    _validate_params(GroundSet((0, 2**32 - 1)), SumParams(h=1, r=1))
+    _validate_params(GroundSet((0, 2**32 - 1)), 1, 1)
     with pytest.raises(DomainError, match="= 8589934594 bits"):
-        _validate_params(GroundSet((0, 2**32)), SumParams(h=1, r=1))
+        _validate_params(GroundSet((0, 2**32)), 1, 1)
 
 
 def test_restricted_needs_h_at_most_k():
@@ -471,9 +471,7 @@ def test_packed_step_matches_the_slotwise_step(p, r, height, slack, data):
     """``_step`` on a packed row, with the element's ``_shifts`` at cap r,
     equals the slot-by-slot step at every t <= height, for any masks in the
     slots, also when r exceeds the height; the cap min(r, height) changes
-    no bit; nothing is kept above the height; and ``_last``, which steps
-    with the element's shifts at cap min(r, t), reads the slot-by-slot
-    mask at every t."""
+    no bit; and nothing is kept above the height."""
     if p is None:
         a = data.draw(st.integers(0, 9), label="a")
         dp = data.draw(st.lists(st.integers(0, 63), min_size=height + 1, max_size=height + 1))
@@ -493,24 +491,61 @@ def test_packed_step_matches_the_slotwise_step(p, r, height, slack, data):
     for t in range(height + 1):
         want = _slotwise(dp, a, t, r, p)
         assert _slot(stepped, t, stride) == want, t
-        assert core._last(t, r, stride, p, keep, row, a) == want, t
 
 
-# ===================== cross-call reuse =====================
+# ===================== profiles and the memo =====================
+
+
+def _profile_sets(max_k):
+    """Sets of up to ``max_k`` elements over Z, negative elements included,
+    and mod 2, 3, 5, 7 and 13."""
+    integers = st.lists(st.integers(-9, 9), min_size=1, max_size=max_k, unique=True)
+    residues = st.sampled_from([2, 3, 5, 7, 13]).flatmap(lambda p: st.lists(
+        st.integers(0, p - 1), min_size=1, max_size=min(max_k, p), unique=True,
+    ).map(lambda xs: GroundSet.of(xs, p)))
+    return st.one_of(integers.map(GroundSet.of), residues)
+
+
+@settings(max_examples=120, deadline=None)
+@given(ground=_profile_sets(5), r=st.integers(1, 4))
+def test_profile_slots_match_the_oracle(ground, r):
+    """Slot t of one profile at height r*k is t^(r)A, read for its values
+    and its cardinality, at every 1 <= t <= r*k, over Z and mod p."""
+    top = r * ground.size
+    prof = core.profile(ground, r, top)
+    for t in range(1, top + 1):
+        want = brute_force_sumset(ground, SumParams(t, r))
+        assert prof.sumset(t) == want, t
+        assert prof.cardinality(t) == want.cardinality, t
+    assert prof.sumset(0).values == (0,)
+    with pytest.raises(DomainError):
+        prof.mask(top + 1)
+
+
+def test_profile_refuses_what_a_call_at_its_height_refuses():
+    with pytest.raises(DomainError, match="h <= r\\*k"):
+        core.profile(GroundSet((0, 1, 2)), 2, 7)
+    with pytest.raises(DomainError, match="64-bit"):
+        core.profile(GroundSet((0, 2**62)), 2, 3)
+    # mod p a packed slot has 2p bits: within the per-t guard, not packed
+    ground = GroundSet((0, 1), 2**31 - 1)
+    _validate_params(ground, 3, 2)
+    with pytest.raises(DomainError, match="packed row of 2p-bit slots"):
+        core.profile(ground, 2, 3)
 
 
 @pytest.fixture
-def fresh_store(monkeypatch):
-    """An empty store for this test; the process's own is put back after
+def fresh_memo(monkeypatch):
+    """An empty memo for this test; the process's own is put back after
     it."""
-    monkeypatch.setattr(core, "_reuse", {})
-    monkeypatch.setattr(core, "_reuse_bits", 0)
+    monkeypatch.setattr(core, "_memo", {})
+    monkeypatch.setattr(core, "_memo_bits", 0)
 
 
 def _cold(ground, params):
     """The engine with nothing kept from earlier calls."""
-    core._reuse.clear()
-    core._reuse_bits = 0
+    core._memo.clear()
+    core._memo_bits = 0
     return generalized_sumset(ground, params)
 
 
@@ -522,36 +557,34 @@ def _counting(monkeypatch, name):
     """Count the calls of the engine function ``name``."""
     calls = []
     engine = getattr(core, name)
-    monkeypatch.setattr(core, name, lambda *a: calls.append(1) or engine(*a))
+    monkeypatch.setattr(core, name, lambda *a: calls.append(a) or engine(*a))
     return calls
 
 
-def _check_store():
-    """Every entry is charged the one rule's (k + 2) * (H + 1) * stride bits,
-    with a stride wide enough for every result it holds and no result above
-    its height; every kept row equals the row a cold DP computes at the
-    entry's height and stride, and every kept result is the oracle's value
-    for the entry's set."""
-    for (k, r, p), entry in core._reuse.items():
-        prefix, rows, height, stride, keep, bits, elements, results = entry
-        assert len(elements) == k and len(prefix) == k - 1 and len(rows) == k
-        assert bits == (k + 2) * (height + 1) * stride
-        assert keep == core._keep(height, stride, p)
-        cold = [1]
-        for a in prefix:
-            cold.append(core._step(p, keep, cold[-1], core._shifts(min(r, height), stride, p, a)))
-        assert rows == tuple(cold)
-        for h, result in results.items():
-            assert h <= height
-            assert stride >= (h * (elements[-1] - elements[0]) + 1 if p is None else 2 * p)
-            ground = GroundSet(elements, p)
-            assert result == brute_force_sumset(ground, SumParams(h, r))
-    assert core._reuse_bits == sum(entry[5] for entry in core._reuse.values())
+def _check_memo():
+    """Every kept profile is of a set of its key's (k, p) at its key's r,
+    at height r*k in slots of r*k*span + 1 bits over Z and 2p mod p; its
+    row equals a cold DP's, stepped here one element at a time, and every
+    slot t >= 1 is the oracle's t^(r)A; the memo's bits are its profiles'."""
+    for (k, r, p), prof in core._memo.items():
+        ground = prof.ground
+        A = ground.elements
+        assert (len(A), prof.r, ground.modulus) == (k, r, p)
+        assert prof.height == r * k
+        assert prof.stride == (r * k * (A[-1] - A[0]) + 1 if p is None else 2 * p)
+        keep = core._keep(prof.height, prof.stride, p)
+        row = 1
+        for a in A:
+            row = core._step(p, keep, row, core._shifts(r, prof.stride, p, a - (A[0] if p is None else 0)))
+        assert prof.row == row
+        for t in range(1, prof.height + 1):
+            assert prof.sumset(t) == brute_force_sumset(ground, SumParams(t, r)), (ground, t, r)
+    assert core._memo_bits == sum((prof.height + 1) * prof.stride for prof in core._memo.values())
 
 
 # Sets of one size are listed next to the set they test against, so that
 # each (k, r) sees them one after the other in the listed order.
-_REUSE_SETS = (
+_MEMO_SETS = (
     # k = 1 and k = 2, over Z and mod p
     GroundSet((5,)), GroundSet((-3,)), GroundSet((4,), 7), GroundSet((2,), 7),
     GroundSet((0, 9)), GroundSet((-4, -1)), GroundSet((-4, 5)),
@@ -590,14 +623,18 @@ def _h_orders(sets, rng):
     return orders
 
 
-def test_prefix_reuse_never_shows_in_results(fresh_store, monkeypatch):
+def test_memo_never_shows_in_results(fresh_memo, monkeypatch):
+    """In any order of calls every result is a cold call's, and the
+    oracle's; within a group of one set and r, only the first call runs a
+    DP, one profile at height r*k, and every later h reads its slot."""
     rng = random.Random(20150126)
-    sets = list(_REUSE_SETS)
+    sets = list(_MEMO_SETS)
     for _ in range(12):
         k = rng.randint(1, 5)
         sets.append(GroundSet.of(rng.sample(range(-6, 7), k)))
         p = rng.choice((5, 7, 11, 13))
         sets.append(GroundSet.of(rng.sample(range(p), min(k, p)), p))
+    sets = list(dict.fromkeys(sets))  # each set's group runs once
     listed = [(g, h, r) for g in sets for h, r in _pairs(g.size)]
     shuffled = list(listed)
     rng.shuffle(shuffled)
@@ -606,38 +643,31 @@ def test_prefix_reuse_never_shows_in_results(fresh_store, monkeypatch):
     for g, h, r in {call for calls in orders.values() for call in calls}:
         expected[g, h, r] = _cold(g, SumParams(h, r)).values
         assert expected[g, h, r] == brute_force_sumset(g, SumParams(h, r)).values, (g, h, r)
-    # Prefix steps: every _step call but the one inside each _last.
-    steps = _counting(monkeypatch, "_step")
-    lasts = _counting(monkeypatch, "_last")
+    builds = _counting(monkeypatch, "_profile")
     for name, calls in orders.items():
-        core._reuse.clear()
-        core._reuse_bits = 0
-        del steps[:], lasts[:]
+        core._memo.clear()
+        core._memo_bits = 0
+        del builds[:]
         warm = []
         for g, h, r in calls:
-            before = len(steps) - len(lasts)
+            before = len(builds)
             values = generalized_sumset(g, SumParams(h, r)).values
-            warm.append((values, len(steps) - len(lasts) - before))
-        top, highest = {}, {}
-        for g, h, r in calls:
-            top[g, r] = max(h, top.get((g, r), 0))
-        for (g, h, r), (got, ran) in zip(calls, warm):
+            warm.append((values, builds[before:]))
+        seen = set()
+        for (g, h, r), (got, built) in zip(calls, warm):
             assert got == expected[g, h, r], (name, g, h, r)
             if name in ("listed", "shuffled across sets"):
                 continue
-            # Within a group, once the group's largest h has run, every
-            # further h reads the kept rows alone.
-            if highest.get((g, r)) == top[g, r]:
-                assert ran == 0, (name, g, h, r)
-            highest[g, r] = max(h, highest.get((g, r), 0))
-        cold_steps = sum(g.size - 1 for g, _, _ in calls)
-        assert len(steps) - len(lasts) < cold_steps, name  # the reuse really ran
-        _check_store()
+            first = (g, r) not in seen
+            assert [a[2] for a in built] == ([r * g.size] if first else []), (name, g, h, r)
+            seen.add((g, r))
+        assert len(builds) < len(calls), name  # the memo really ran
+        _check_memo()
 
 
-def test_result_memo_is_keyed_by_set_and_h(fresh_store, monkeypatch):
-    """Translates share DP rows but each gets its own values; a repeated
-    (set, h) returns an equal result without a DP step."""
+def test_result_memo_is_keyed_by_set_and_h(fresh_memo, monkeypatch):
+    """Translates, and one set mod two primes, each get their own values;
+    a repeated (set, h) returns an equal result without a DP step."""
     steps = _counting(monkeypatch, "_step")
     sets = (GroundSet((0, 1, 3, 7)), GroundSet((5, 6, 8, 12)), GroundSet((-9, -8, -6, -2)),
             GroundSet((0, 1, 3, 7), 11), GroundSet((0, 1, 3, 7), 13))
@@ -652,30 +682,54 @@ def test_result_memo_is_keyed_by_set_and_h(fresh_store, monkeypatch):
     for h in (2, 3, 5):
         for g in sets:
             assert generalized_sumset(g, SumParams(h, 2)) == brute_force_sumset(g, SumParams(h, 2))
-    _check_store()
+    _check_memo()
 
 
-def test_height_falls_back_to_h_for_a_wider_set(fresh_store, monkeypatch):
-    """A wider set raises the kept stride while the key's height still fits;
-    a set too wide for the height runs, and is kept, at its own h and
-    stride; and a set whose stride is under half the kept one starts over
-    at its own."""
-    monkeypatch.setattr(core, "_REUSE_MAX_BITS", 2**15)
-    generalized_sumset(GroundSet((0, 1, 2)), SumParams(6, 2))
-    assert core._reuse[3, 2, None][2:4] == (6, 13)
-    for elements, layout in (((0, 1, 300), (6, 601)),  # 7 slots of 601 bits fit
-                             ((0, 1, 600), (2, 1201)),  # 7 slots of 1 201 do not
-                             ((0, 1, 2), (2, 5))):  # 5 bits are under half of 1 201
+def test_second_set_of_a_key_evicts_the_first(fresh_memo, monkeypatch):
+    """The memo holds one set per (k, r, p): a second set of the same key
+    replaces the first, whose next call builds its own profile again, so
+    no set is ever read from another set's profile."""
+    builds = _counting(monkeypatch, "_profile")
+    first, second = GroundSet((0, 1, 3)), GroundSet((0, 2, 3))
+    for g in (first, second, first):
+        del builds[:]
+        assert generalized_sumset(g, SumParams(2, 2)) == brute_force_sumset(g, SumParams(2, 2))
+        assert [a[0] for a in builds] == [g]
+        assert list(core._memo) == [(3, 2, None)] and core._memo[3, 2, None].ground == g
+    # another r or p is another key, and leaves the entry alone
+    generalized_sumset(GroundSet((0, 1, 3), 7), SumParams(2, 2))
+    generalized_sumset(first, SumParams(2, 1))
+    assert len(core._memo) == 3 and core._memo[3, 2, None].ground == first
+    _check_memo()
+
+
+def test_height_falls_back_to_h_for_a_wider_set(fresh_memo, monkeypatch):
+    """A set whose row at r*k fits the bit cap builds, and keeps, its
+    profile there; a set too wide for it, or one that the 64-bit guard
+    refuses at r*k but not at h, runs at its own h, packed or per t, and
+    keeps nothing, leaving the key's entry to the set before it."""
+    monkeypatch.setattr(core, "_MEMO_MAX_BITS", 2**15)
+    builds = _counting(monkeypatch, "_profile")
+    big = 2**61
+    for elements, built, kept in (
+        ((0, 1, 2), 6, (0, 1, 2)),  # 7 slots of 13 bits fit
+        ((0, 1, 300), 6, (0, 1, 300)),  # 7 slots of 1 801 bits fit
+        ((0, 1, 800), 2, (0, 1, 300)),  # 7 slots of 4 801 bits do not
+        ((0, 1, 3000), None, (0, 1, 300)),  # nor of 18 001, and per t at h
+        ((big, big + 1, big + 2), 2, (0, 1, 300)),  # 6 * 2**61 > 2**63
+    ):
         ground = GroundSet(elements)
-        assert generalized_sumset(ground, SumParams(2, 2)) == brute_force_sumset(
-            ground, SumParams(2, 2))
-        assert core._reuse[3, 2, None][2:4] == layout
-    _check_store()
+        del builds[:]
+        want = brute_force_sumset(ground, SumParams(2, 2))
+        assert generalized_sumset(ground, SumParams(2, 2)) == want
+        assert [a[2] for a in builds] == ([built] if built else []), elements
+        assert core._memo[3, 2, None].ground.elements == kept
+    _check_memo()
 
 
-def test_prefix_store_stays_within_its_caps(fresh_store, monkeypatch):
-    monkeypatch.setattr(core, "_REUSE_MAX_KEYS", 6)
-    monkeypatch.setattr(core, "_REUSE_MAX_BITS", 3000)
+def test_memo_stays_within_its_caps(fresh_memo, monkeypatch):
+    monkeypatch.setattr(core, "_MEMO_MAX_KEYS", 6)
+    monkeypatch.setattr(core, "_MEMO_MAX_BITS", 3000)
     rng = random.Random(7)
     # A small pool, so that sets and h repeat and the memo is read.
     pool = [GroundSet.of(rng.sample(range(-8, 9), rng.randint(1, 6))) for _ in range(12)]
@@ -683,40 +737,40 @@ def test_prefix_store_stays_within_its_caps(fresh_store, monkeypatch):
     for _ in range(600):
         ground = rng.choice(pool)
         h, r = rng.choice(_pairs(ground.size, max_r=4, max_h=8))
-        entry = core._reuse.get((ground.size, r, None))
-        memo_reads += entry is not None and entry[6] == ground.elements and h in entry[7]
+        kept = core._memo.get((ground.size, r, None))
+        memo_reads += kept is not None and kept.ground == ground
         values = generalized_sumset(ground, SumParams(h, r)).values
-        assert len(core._reuse) <= 6
-        assert core._reuse_bits <= 3000
+        assert len(core._memo) <= 6
+        assert core._memo_bits <= 3000
         assert values == brute_force_sumset(ground, SumParams(h, r)).values
-        _check_store()
+        _check_memo()
     assert memo_reads > 0
 
 
 @pytest.mark.parametrize(
     "elements, modulus, h, r",
     [
-        # wide masks: the entry's charge is over ten times the bit cap
+        # wide masks, which run per t
         (tuple(range(-500_000, -492_000, 200)) + (-492_000,), None, 3, 1),
         (tuple(range(0, 20_000, 500)), 20_011, 3, 1),
-        # narrower masks, but (k + 2) rows of them above the bit cap
+        # narrower masks, but r*k + 1 slots of them above the bit cap
         (tuple(range(0, 2_400, 100)) + (2_500,), None, 4, 2),
-        # packed, but 7 rows of 17 slots of 3 201 bits are above the bit cap
+        # packed, but 81 slots of 16 001 bits are above the bit cap
         ((0, 37, 90, 151, 200), None, 16, 16),
     ],
 )
-def test_wide_call_leaves_the_prefix_store_alone(fresh_store, elements, modulus, h, r):
-    """A wide call keeps neither rows nor a result, also under the key of
-    a narrow set whose entry is kept."""
+def test_wide_call_leaves_the_prefix_store_alone(fresh_memo, elements, modulus, h, r):
+    """A set too wide to keep at r*k keeps nothing, also under the key of
+    a narrow set whose profile is kept."""
     ground = GroundSet(elements, modulus)
     generalized_sumset(GroundSet((0, 1, 3)), SumParams(2, 1))
     generalized_sumset(GroundSet(tuple(range(len(elements))), modulus), SumParams(2, r))
     if modulus is None:  # mod 20 011 no set of 40 residues is narrow enough
-        assert (len(elements), r, modulus) in core._reuse
-    before = dict(core._reuse), core._reuse_bits
+        assert (len(elements), r, modulus) in core._memo
+    before = dict(core._memo), core._memo_bits
     for _ in range(2):
         values = generalized_sumset(ground, SumParams(h, r)).values
-        assert (dict(core._reuse), core._reuse_bits) == before
+        assert (dict(core._memo), core._memo_bits) == before
     assert values == brute_force_sumset(ground, SumParams(h, r)).values
 
 
@@ -731,37 +785,40 @@ def test_wide_call_leaves_the_prefix_store_alone(fresh_store, elements, modulus,
         ((0, 2, 3, 7, 11, 12), None, 8, 4, True),
     ],
 )
-def test_cost_rule_picks_the_step(fresh_store, monkeypatch, elements, modulus, h, r, packed):
-    """Wide rows run per t and keep nothing, narrow rows run packed; both
-    give the oracle's values."""
+def test_cost_rule_picks_the_step(fresh_memo, monkeypatch, elements, modulus, h, r, packed):
+    """Wide rows run per t and keep nothing, narrow rows run packed and
+    keep their profile; both give the oracle's values."""
     ground = GroundSet.of(elements, modulus)
     steps = _counting(monkeypatch, "_step")
     per_t = _counting(monkeypatch, "_mask_at")
     got = generalized_sumset(ground, SumParams(h, r))
     assert got == brute_force_sumset(ground, SumParams(h, r))
     assert (len(steps) > 0, len(per_t) > 0) == (packed, not packed)
-    assert bool(core._reuse) == packed
+    assert bool(core._memo) == packed
 
 
 @pytest.mark.parametrize("packed", [True, False])
-def test_both_layouts_match_the_oracle(fresh_store, monkeypatch, packed):
+def test_both_layouts_match_the_oracle(fresh_memo, monkeypatch, packed):
     """The engine with its DP packed and per t, whichever the cost rule
     would choose, against the oracle: every set of up to 4 elements of
-    {-2, ..., 3} and mod 2, 3, 5 and 7, r <= 3, h <= min(r*k, 6)."""
+    {-2, ..., 3} and mod 2, 3, 5 and 7, r <= 3, h <= min(r*k, 6).  Packed
+    runs twice: from kept profiles at r*k, and with nothing kept, at h."""
     monkeypatch.setattr(core, "_packs", lambda *args: packed)
-    if not packed:  # a call whose rows the store keeps runs packed
-        monkeypatch.setattr(core, "_REUSE_MAX_BITS", -1)
     sets = [GroundSet(c) for k in range(1, 5) for c in itertools.combinations(range(-2, 4), k)]
     sets += [GroundSet(c, p) for p in (2, 3, 5, 7) for k in range(1, min(p, 4) + 1)
              for c in itertools.combinations(range(p), k)]
-    for g in sets:
-        for h, r in _pairs(g.size):
-            want = brute_force_sumset(g, SumParams(h, r))
-            assert generalized_sumset(g, SumParams(h, r)) == want, (g, h, r)
-    if packed:
-        _check_store()
-    else:
-        assert core._reuse == {}
+    for cap in ([core._MEMO_MAX_BITS] if packed else []) + [-1]:
+        monkeypatch.setattr(core, "_MEMO_MAX_BITS", cap)
+        for g in sets:
+            for h, r in _pairs(g.size):
+                want = brute_force_sumset(g, SumParams(h, r))
+                assert generalized_sumset(g, SumParams(h, r)) == want, (g, h, r, cap)
+        if cap < 0:
+            assert core._memo == {}
+        else:
+            _check_memo()
+            core._memo.clear()
+            core._memo_bits = 0
 
 
 def test_cost_rule_bounds_the_packed_row():
@@ -776,9 +833,9 @@ def test_cost_rule_bounds_the_packed_row():
     assert not core._packs(1, 0, 10**4, 10**4, 10**6)  # 10 001 slots > 2**33 bits
 
 
-def test_prefix_reuse_across_threads(fresh_store):
+def test_memo_across_threads(fresh_memo):
     rng = random.Random(3)
-    sets = list(_REUSE_SETS[9:])
+    sets = list(_MEMO_SETS[9:])
     calls = [(g, h, r) for g in sets for h, r in _pairs(g.size, max_h=4)]
     expected = {(g, h, r): _cold(g, SumParams(h, r)).values for g, h, r in calls}
     orders = []
@@ -787,7 +844,7 @@ def test_prefix_reuse_across_threads(fresh_store):
         rng.shuffle(order)
         orders.append(order)
     # Two threads run each set's calls together, every h twice, so that
-    # they read and extend the memo while the others replace entries.
+    # they read the memo while the others replace entries.
     for _ in range(2):
         order = []
         for g in rng.sample(sets, len(sets)):
@@ -814,4 +871,4 @@ def test_prefix_reuse_across_threads(fresh_store):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
-    _check_store()
+    _check_memo()

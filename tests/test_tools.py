@@ -1,0 +1,29 @@
+"""Smoke tests for the timing tools under ``tools/``, which reach into
+``sumsetlab.core``'s internals: a rename there fails here."""
+
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _rowwidth():
+    spec = importlib.util.spec_from_file_location("rowwidth", ROOT / "tools" / "rowwidth.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_rowwidth_runs_an_engine_shape():
+    """One engine shape of ``compare``, in the tool's own subprocess, with
+    the layout forced each way as ``calibrate`` does: both read the same
+    values, and the rule packs this narrow shape."""
+    rowwidth = _rowwidth()
+    shape = next(s for s in rowwidth._compare_shapes() if s["name"] == "Z {0,1,2,3,7} h=r=6")
+    src = str(ROOT / "src")
+    assert rowwidth._rule(shape, src) is True
+    packed = rowwidth._run({**shape, "repeats": 1}, src, True)
+    per_t = rowwidth._run({**shape, "repeats": 1}, src, False)
+    assert packed["digest"] == per_t["digest"]
+    for run in (packed, per_t):
+        assert run["s"] > 0 and run["peak_mb"] > 0

@@ -13,7 +13,7 @@ alternating the trees, each shape in a fresh interpreter that imports
 ``sumsetlab`` from ``SRC`` (a checkout's ``src`` directory; to time a
 tree against itself, pass a copy as the second).  A shape
 runs at least its repeats and 0.5 s, and until 200 runs or 5 s, each
-run with the engine's row store emptied first; its time is the fastest
+run with the engine's profile memo emptied first; its time is the fastest
 run, and ``peak_mb`` is the interpreter's peak RSS.  Each shape's
 ``packed`` is the layout that the last ``--src`` tree's rule picks.
 
@@ -50,10 +50,15 @@ from sumsetlab import core, scan
 from sumsetlab.core import GroundSet, SumParams
 if spec["force"] is not None:
     core._packs = scan._packs = lambda *args: spec["force"]
+def forget():
+    # Trees from before the profile memo keep a row store in its place.
+    for name in ("_memo", "_reuse"):
+        if hasattr(core, name):
+            getattr(core, name).clear()
+            setattr(core, name + "_bits", 0)
 def once():
     if spec["kind"] == "engine":
-        core._reuse.clear()
-        core._reuse_bits = 0
+        forget()
         ground = GroundSet(tuple(spec["set"]), spec["p"])
         return list(core.generalized_sumset(ground, SumParams(spec["h"], spec["r"])).values)
     if spec["p"] is None:
@@ -153,10 +158,13 @@ def _rule(spec, src):
     h, r, p = spec["h"], spec["r"], spec["p"]
     if spec["kind"] == "scan":
         return scan._layout(spec["k"], h, r, p, spec["d"] if p is None else p - 1)[1]
-    k, elements = len(spec["set"]), spec["set"]
-    need = h * (elements[-1] - elements[0]) + 1 if p is None else 2 * p
-    # A cold call whose rows the store keeps runs packed, as in the engine.
-    return (k + 2) * (h + 1) * need <= core._REUSE_MAX_BITS or core._packs(k - 1, 1, h, r, need)
+    k, span = len(spec["set"]), spec["set"][-1] - spec["set"][0]
+    # A cold call whose profile at r * k the memo keeps runs packed, as in
+    # the engine (every shape here is within the 64-bit guard at r * k).
+    top = r * k
+    if (top + 1) * (top * span + 1 if p is None else 2 * p) <= core._MEMO_MAX_BITS:
+        return True
+    return core._packs(k - 1, 1, h, r, h * span + 1 if p is None else 2 * p)
 
 
 def compare(srcs, rounds):
