@@ -502,7 +502,7 @@ def profile(ground: GroundSet, r: int, height: int) -> Profile:
     element (see :class:`Profile`).  Refused as a call at h = ``height``
     is, and mod p also when its row of 2p-bit slots is above the mask
     guard."""
-    SumParams(height, r)
+    SumParams(height, r)  # the type and sign checks of a call's h and r
     _validate_params(ground, height, r)
     if ground.modulus is not None and (height + 1) * 2 * ground.modulus > _MAX_MASK_BITS:
         raise DomainError("a packed row of 2p-bit slots exceeds the 2**33-bit guard")
