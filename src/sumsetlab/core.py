@@ -84,7 +84,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import compress
 from operator import itemgetter
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, NamedTuple, Optional, Tuple
 
 from .errors import DomainError
 
@@ -270,8 +270,7 @@ class SumsetResult:
         return iter(self.values)
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(NamedTuple):
     """h^(r)A at every h <= ``height``, from one packed DP: slot t of
     ``row``, ``stride`` bits from bit t * stride on, is the mask of
     t^(r)A, bit i for t * min A + i over Z and for the residue i mod p."""
