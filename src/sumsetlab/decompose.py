@@ -236,6 +236,7 @@ def check_sumset_factorization(
     small = _sumset_mask(ground, m, 1)
     large = _sumset_mask(ground, m + 1, 1) if eps else small
     steps = [large] * eps + [small] * (r - eps)
+    # A part's shifts are its mask's bit positions: its values at offset 0.
     shifts = {part: _read(part, ground, 0).values for part in set(steps[1:])}
     mask = steps[0]
     for part in steps[1:]:

@@ -554,7 +554,7 @@ def _pairs(k, max_r=3, max_h=6):
 
 
 def _counting(monkeypatch, name):
-    """Count the calls of the engine function ``name``."""
+    """The arguments of each call of the engine function ``name``."""
     calls = []
     engine = getattr(core, name)
     monkeypatch.setattr(core, name, lambda *a: calls.append(a) or engine(*a))
