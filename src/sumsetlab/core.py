@@ -49,26 +49,23 @@ one more, and a packed doubling costs two plus one per 2**12 bits of row
 it passes over; a row must also be within the mask guard.  Small rows,
 the exhaustive grids' traffic, run packed; wide rows, from a large span,
 a far element or a large p, run per t.  ``_read`` lists a mask's values
-in one pass over its binary string, translated back by h * min(A) over
-Z, and ``_add_part`` adds a set, given by its shifts, to a mask.  The
-scans (``scan.py``) walk their candidates depth-first through
-``_walker``, which gives either layout's steps, sharing each prefix's
-DP.
+in one pass over its binary string, and ``_add_part`` adds a set, given
+by its shifts, to a mask.  The scans (``scan.py``) walk their candidates
+depth-first through ``_walker``, which gives either layout's steps.
 
 One packed DP at height H holds h^(r)A at every h <= H, one slot each:
-:func:`profile` runs it, and a slot is read for its cardinality by a
-popcount and for its values by ``_read``.  Callers such as the checkers
-and the acceptance grids ask for many h of one (A, r), so the engine
-keeps, for each (k, r, p), the profile of the last set it built at
-H = r * k, and a call for that set reads its slot h; every guard is
-monotone in h, so the read needs no validation.  Any other call builds
-at r * k, and keeps the profile in place of the key's last set, when
-that row of r * k + 1 slots (r * k * span + 1 bits over Z, 2p mod p)
-fits 2**18 bits and the 64-bit guard holds at r * k; otherwise it runs
-at h alone, packed or per t as ``_packs`` picks, and keeps nothing.  The
-memo is cleared when a new profile would take it past 2**18 bits or
-4 096 keys.  Profiles are never mutated, so threads may share the
-engine, and no result depends on which calls came before.
+:func:`profile` runs it, and a slot is read by a popcount or ``_read``.
+The checkers and the acceptance grids ask for many h of one (A, r), so
+the engine keeps, for each (k, r, p), the profile of the last set it
+built at H = r * k, and a call for that set reads its slot h; every
+guard is monotone in h, so the read needs no validation.  Any other
+call builds at r * k, and keeps the profile in place of the key's last
+set, when that row of r * k + 1 slots (r * k * span + 1 bits over Z, 2p
+mod p) fits 2**18 bits and the 64-bit guard holds at r * k; otherwise
+it runs at h alone, packed or per t as ``_packs`` picks, and keeps
+nothing.  The memo is cleared when a new profile would take it past
+2**18 bits or 4 096 keys.  Profiles are never mutated, so threads may
+share the engine, and no result depends on which calls came before.
 
 Conventions: modular elements are residues in [0, p) and p must be
 prime; integer ground sets are kept sorted ascending; h = m*r + eps
@@ -488,19 +485,22 @@ def _add_part(mask: int, shifts: Iterable[int], p: Optional[int]) -> int:
     return acc
 
 
-def _read(mask: int, ground: GroundSet, h: int) -> SumsetResult:
-    """The values of an h-fold sumset of the set from its mask, bit i for
-    h * min A + i over Z and for the residue i mod p."""
-    offset = h * ground.elements[0] if ground.modulus is None else 0
+def _bits(mask: int, offset: int = 0) -> tuple:
+    """The positions of a mask's bits, each plus ``offset``, ascending."""
     bits = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)  # lowest bit first
-    return SumsetResult(tuple(compress(range(offset, offset + len(bits)), bits)), ground.modulus)
+    return tuple(compress(range(offset, offset + len(bits)), bits))
+
+
+def _read(mask: int, ground: GroundSet, h: int) -> SumsetResult:
+    """The values of h^(r)A from its mask, read as :class:`Profile` says."""
+    p = ground.modulus
+    return SumsetResult(_bits(mask, h * ground.elements[0] if p is None else 0), p)
 
 
 def profile(ground: GroundSet, r: int, height: int) -> Profile:
-    """h^(r)A at every h <= ``height``, from one packed DP over every
-    element (see :class:`Profile`).  Refused as a call at h = ``height``
-    is, and mod p also when its row of 2p-bit slots is above the mask
-    guard."""
+    """h^(r)A at every h <= ``height``, from one packed DP (see
+    :class:`Profile`).  Refused as a call at h = ``height`` is, and mod p
+    also when its row of 2p-bit slots is above the mask guard."""
     SumParams(height, r)  # the type and sign checks of a call's h and r
     _validate_params(ground, height, r)
     if ground.modulus is not None and (height + 1) * 2 * ground.modulus > _MAX_MASK_BITS:

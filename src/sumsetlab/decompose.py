@@ -29,6 +29,7 @@ from .core import (
     SumParams,
     SumsetResult,
     _add_part,
+    _bits,
     _read,
     _sumset_mask,
 )
@@ -235,10 +236,10 @@ def check_sumset_factorization(
     left = _sumset_mask(ground, h, r)  # refused first, as a call at h
     small = _sumset_mask(ground, m, 1)
     large = _sumset_mask(ground, m + 1, 1) if eps else small
-    steps = [large] * eps + [small] * (r - eps)
-    # A part's shifts are its mask's bit positions: its values at offset 0.
-    shifts = {part: _read(part, ground, 0).values for part in set(steps[1:])}
-    mask = steps[0]
-    for part in steps[1:]:
+    mask, shifts = large, {}
+    for j in range(1, r):
+        part = large if j < eps else small
+        if part not in shifts:
+            shifts[part] = _bits(part)  # the part's values, offset 0
         mask = _add_part(mask, shifts[part], p)
-    return FactorizationReport(ground=ground, params=params, left_mask=left, right_mask=mask)
+    return FactorizationReport(ground, params, left, mask)
