@@ -50,22 +50,24 @@ it passes over; a row must also be within the mask guard.  Small rows,
 the exhaustive grids' traffic, run packed; wide rows, from a large span,
 a far element or a large p, run per t.  ``_read`` lists a mask's values
 in one pass over its binary string, and ``_add_part`` adds a set, given
-by its shifts, to a mask.  The scans (``scan.py``) walk their candidates
-depth-first through ``_walker``, which gives either layout's steps.
+by its shifts, to a mask.  ``_walker`` gives either layout's steps to
+the scans (``scan.py``), which walk their candidates depth-first, and to
+the engine's calls at h alone.
 
 One packed DP at height H holds h^(r)A at every h <= H, one slot each:
 :func:`profile` runs it, and a slot is read by a popcount or ``_read``.
 The checkers and the acceptance grids ask for many h of one (A, r), so
-the engine keeps, for each (k, r, p), the profile of the last set it
-built at H = r * k, and a call for that set reads its slot h; every
-guard is monotone in h, so the read needs no validation.  Any other
-call builds at r * k, and keeps the profile in place of the key's last
-set, when that row of r * k + 1 slots (r * k * span + 1 bits over Z, 2p
-mod p) fits 2**18 bits and the 64-bit guard holds at r * k; otherwise
-it runs at h alone, packed or per t as ``_packs`` picks, and keeps
-nothing.  The memo is cleared when a new profile would take it past
-2**18 bits or 4 096 keys.  Profiles are never mutated, so threads may
-share the engine, and no result depends on which calls came before.
+``_kept``, a ``functools.lru_cache`` of the last 16 (A, p, r) called
+for, holds each set's profile at H = r * k when that row of r * k + 1
+slots (r * k * span + 1 bits over Z, 2p mod p) fits 2**18 bits and the
+64-bit guard holds at r * k, and a call reads its slot h; every guard is
+monotone in h, so the read needs no validation.  Any other call
+validates at h and runs at h alone through ``_walker``, packed or per t
+as ``_packs`` picks: it steps every element but the last, then ORs the
+last element's shifts into the masks at t = h - min(r, h)..h.  The
+memo holds at most 16 rows of 2**18 bits, 512 KiB; its profiles are
+never mutated, so threads may share the engine, and no result depends
+on which calls came before.
 
 Conventions: modular elements are residues in [0, p) and p must be
 prime; integer ground sets are kept sorted ascending; h = m*r + eps
@@ -75,7 +77,6 @@ bounds and the minimum/maximum formulas.
 
 from __future__ import annotations
 
-import threading
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -98,15 +99,10 @@ _MAX_MASK_BITS = 2**33
 # over, fitted to cold timings of both steps (``tools/rowwidth.py``).
 _DOUBLING_BITS = 2**12
 
-# The profile memo (see the module docstring).  Its bit cap is set by peak
-# RSS: on CPython 3.11 a store of this cap grew a verify-sweep benchmark
-# process by 5-8 % at 2**20 and by 2 % at 2**18.
-_MEMO_MAX_KEYS = 4096
+# The largest profile row that the memo (:func:`_kept`) holds.  The cap is
+# set by peak RSS: on CPython 3.11 a store of this cap grew a verify-sweep
+# benchmark process by 5-8 % at 2**20 and by 2 % at 2**18.
 _MEMO_MAX_BITS = 2**18
-# (k, r, p) -> Profile of one set at height r * k; profiles are immutable.
-_memo: dict = {}
-_memo_bits = 0
-_memo_lock = threading.Lock()
 
 # bin(mask) digits to the 0/1 bytes that itertools.compress selects by.
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
@@ -520,54 +516,43 @@ def _profile(ground: GroundSet, r: int, height: int) -> Profile:
     return Profile(ground, r, height, stride, row)
 
 
-def _remember(key: tuple, kept: Profile) -> None:
-    """Keep ``kept`` for ``key``, clearing the memo first if it is full."""
-    global _memo_bits
-    bits = (kept.height + 1) * kept.stride
-    with _memo_lock:
-        old = _memo.pop(key, None)
-        held = _memo_bits + bits - ((old.height + 1) * old.stride if old else 0)
-        if held > _MEMO_MAX_BITS or len(_memo) >= _MEMO_MAX_KEYS:
-            _memo.clear()
-            held = bits
-        _memo[key] = kept
-        _memo_bits = held
+@lru_cache(maxsize=16)
+def _kept(elements: tuple, p: Optional[int], r: int) -> Optional[Profile]:
+    """The profile at height r * k of the set ``elements`` (mod p if p is
+    not None), when its row fits ``_MEMO_MAX_BITS`` and the 64-bit guard
+    holds at r * k; None otherwise.  Not validated."""
+    top, lo, hi = r * len(elements), elements[0], elements[-1]
+    if (top + 1) * (top * (hi - lo) + 1 if p is None else 2 * p) > _MEMO_MAX_BITS or (
+        p is None and top * max(abs(lo), abs(hi)) > _MAX_MAGNITUDE
+    ):
+        return None
+    return _profile(GroundSet(elements, p), r, top)
 
 
 def _sumset_mask(ground: GroundSet, h: int, r: int) -> int:
     """The mask of h^(r)A, for any 0 <= h <= r*k, as ``_read`` takes it:
-    slot h of the set's kept profile or of one built now, or per t."""
-    A, p = ground.elements, ground.modulus
-    k = len(A)
-    key = (k, r, p)
-    kept = _memo.get(key)
-    if kept is not None and kept.ground.elements == A and h <= kept.height:
+    slot h of the set's :func:`_kept` profile, or a DP at h alone through
+    ``_walker`` whose last element is read at t = h alone."""
+    A, p = tuple(ground.elements), ground.modulus
+    kept = _kept(A, p, r)
+    if kept is not None and h <= kept.height:
         return kept.row >> h * kept.stride & ((1 << kept.stride) - 1)
     _validate_params(ground, h, r)
-    top = r * k
-    if (top + 1) * (top * (A[-1] - A[0]) + 1 if p is None else 2 * p) <= _MEMO_MAX_BITS and (
-        p is not None or top * max(abs(A[0]), abs(A[-1])) <= _MAX_MAGNITUDE
-    ):
-        kept = _profile(ground, r, top)
-        _remember(key, kept)
-        return kept.mask(h)
-    if _packs(k - 1, 1, h, r, h * (A[-1] - A[0]) + 1 if p is None else 2 * p):
-        return _profile(ground, r, h).mask(h)
-    # Per t, each mask as wide as its sums, the last element at t = h alone.
-    base = A[0] if p is None else 0
-    dp = [1] + [0] * h
-    for i, a in enumerate(A[:-1]):
-        dp = _extend(r, p, _window(k, h, r, i), dp, a - base)
-    return _mask_at(h, r, p, dp, A[-1] - base)
+    k, base = len(A), A[0] if p is None else 0
+    stride = h * (A[-1] - base) + 1 if p is None else 2 * p
+    state, grows, read, shifts = _walker(k, h, r, p, stride, _packs(k - 1, 1, h, r, stride))
+    for grow, a in zip(grows, A[:-1]):
+        state = grow(state, a - base if shifts is None else shifts(a - base))
+    return _mask_at(min(r, h), r, p, read(state), A[-1] - base)
 
 
 def generalized_sumset(ground: GroundSet, params: SumParams) -> SumsetResult:
     """Compute h^(r)A exactly.
 
-    Slot h of the set's :func:`profile`, which the engine keeps for later
-    calls with the same (k, r, p) when it fits, or, for a set too wide to
-    keep, a DP at h alone in the layout that :func:`_packs` picks (see the
-    module docstring).  No result depends on earlier calls.
+    Slot h of the set's :func:`profile` at r*k, which the engine keeps
+    for later calls of the same (A, r) when it fits, or, for a set too
+    wide to keep, a DP at h alone in the layout that :func:`_packs` picks
+    (see the module docstring).  No result depends on earlier calls.
     """
     return _read(_sumset_mask(ground, params.h, params.r), ground, params.h)
 

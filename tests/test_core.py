@@ -24,6 +24,7 @@ from sumsetlab import (
     bound_direct_mod_p,
     bound_erdos_heilbronn,
     brute_force_sumset,
+    check_complement_identity,
     classical_sumset,
     extremes_closed_form,
     generalized_sumset,
@@ -535,17 +536,17 @@ def test_profile_refuses_what_a_call_at_its_height_refuses():
 
 
 @pytest.fixture
-def fresh_memo(monkeypatch):
-    """An empty memo for this test; the process's own is put back after
-    it."""
-    monkeypatch.setattr(core, "_memo", {})
-    monkeypatch.setattr(core, "_memo_bits", 0)
+def fresh_memo():
+    """An empty memo for this test, emptied again after it, so that no
+    profile built under a patched cap outlives the patch."""
+    core._kept.cache_clear()
+    yield
+    core._kept.cache_clear()
 
 
 def _cold(ground, params):
     """The engine with nothing kept from earlier calls."""
-    core._memo.clear()
-    core._memo_bits = 0
+    core._kept.cache_clear()
     return generalized_sumset(ground, params)
 
 
@@ -561,25 +562,37 @@ def _counting(monkeypatch, name):
     return calls
 
 
-def _check_memo():
-    """Every kept profile is of a set of its key's (k, p) at its key's r,
-    at height r*k in slots of r*k*span + 1 bits over Z and 2p mod p; its
-    row equals a cold DP's, stepped here one element at a time, and every
-    slot t >= 1 is the oracle's t^(r)A; the memo's bits are its profiles'."""
-    for (k, r, p), prof in core._memo.items():
-        ground = prof.ground
-        A = ground.elements
-        assert (len(A), prof.r, ground.modulus) == (k, r, p)
-        assert prof.height == r * k
-        assert prof.stride == (r * k * (A[-1] - A[0]) + 1 if p is None else 2 * p)
-        keep = core._keep(prof.height, prof.stride, p)
-        row = 1
-        for a in A:
-            row = core._step(p, keep, row, core._shifts(r, prof.stride, p, a - (A[0] if p is None else 0)))
-        assert prof.row == row
-        for t in range(1, prof.height + 1):
-            assert prof.sumset(t) == brute_force_sumset(ground, SumParams(t, r)), (ground, t, r)
-    assert core._memo_bits == sum((prof.height + 1) * prof.stride for prof in core._memo.values())
+def _check_profile(ground, r):
+    """The memo's profile of (ground, r), if it keeps one, is of that set
+    at r, at height r*k in slots of r*k*span + 1 bits over Z and 2p mod p,
+    within the memo's bit cap; its row equals a cold DP's, stepped here one
+    element at a time, and every slot t >= 1 is the oracle's t^(r)A."""
+    A, p = ground.elements, ground.modulus
+    prof = core._kept(A, p, r)
+    if prof is None:
+        return
+    assert (prof.ground, prof.r) == (ground, r)
+    assert prof.height == r * len(A)
+    assert prof.stride == (r * len(A) * (A[-1] - A[0]) + 1 if p is None else 2 * p)
+    assert (prof.height + 1) * prof.stride <= core._MEMO_MAX_BITS
+    keep = core._keep(prof.height, prof.stride, p)
+    row = 1
+    for a in A:
+        row = core._step(p, keep, row, core._shifts(r, prof.stride, p, a - (A[0] if p is None else 0)))
+    assert prof.row == row
+    for t in range(1, prof.height + 1):
+        assert prof.sumset(t) == brute_force_sumset(ground, SumParams(t, r)), (ground, t, r)
+
+
+def _check_memo(keys):
+    """The memo holds the last ``maxsize`` distinct (set, r) of ``keys``,
+    the engine's calls in order, and each passes :func:`_check_profile`."""
+    recent = list(dict.fromkeys(reversed(keys)))[:core._kept.cache_parameters()["maxsize"]]
+    assert core._kept.cache_info().currsize == len(recent)
+    misses = core._kept.cache_info().misses
+    for ground, r in recent:
+        _check_profile(ground, r)
+    assert core._kept.cache_info().misses == misses  # every one was kept
 
 
 # Sets of one size are listed next to the set they test against, so that
@@ -645,8 +658,7 @@ def test_memo_never_shows_in_results(fresh_memo, monkeypatch):
         assert expected[g, h, r] == brute_force_sumset(g, SumParams(h, r)).values, (g, h, r)
     builds = _counting(monkeypatch, "_profile")
     for name, calls in orders.items():
-        core._memo.clear()
-        core._memo_bits = 0
+        core._kept.cache_clear()
         del builds[:]
         warm = []
         for g, h, r in calls:
@@ -662,7 +674,7 @@ def test_memo_never_shows_in_results(fresh_memo, monkeypatch):
             assert [a[2] for a in built] == ([r * g.size] if first else []), (name, g, h, r)
             seen.add((g, r))
         assert len(builds) < len(calls), name  # the memo really ran
-        _check_memo()
+        _check_memo([(g, r) for g, _, r in calls])
 
 
 def test_result_memo_is_keyed_by_set_and_h(fresh_memo, monkeypatch):
@@ -682,69 +694,102 @@ def test_result_memo_is_keyed_by_set_and_h(fresh_memo, monkeypatch):
     for h in (2, 3, 5):
         for g in sets:
             assert generalized_sumset(g, SumParams(h, 2)) == brute_force_sumset(g, SumParams(h, 2))
-    _check_memo()
+    _check_memo([(g, 2) for g in sets])
 
 
-def test_second_set_of_a_key_evicts_the_first(fresh_memo, monkeypatch):
-    """The memo holds one set per (k, r, p): a second set of the same key
-    replaces the first, whose next call builds its own profile again, so
-    no set is ever read from another set's profile."""
+def test_sets_of_one_size_are_kept_apart(fresh_memo, monkeypatch):
+    """Two sets of one (k, r, p) each keep their own profile, so no set is
+    ever read from another set's profile; another r or p is another key."""
     builds = _counting(monkeypatch, "_profile")
     first, second = GroundSet((0, 1, 3)), GroundSet((0, 2, 3))
-    for g in (first, second, first):
+    for g, built in ((first, True), (second, True), (first, False)):
         del builds[:]
         assert generalized_sumset(g, SumParams(2, 2)) == brute_force_sumset(g, SumParams(2, 2))
-        assert [a[0] for a in builds] == [g]
-        assert list(core._memo) == [(3, 2, None)] and core._memo[3, 2, None].ground == g
-    # another r or p is another key, and leaves the entry alone
+        assert [a[0] for a in builds] == ([g] if built else [])
     generalized_sumset(GroundSet((0, 1, 3), 7), SumParams(2, 2))
     generalized_sumset(first, SumParams(2, 1))
-    assert len(core._memo) == 3 and core._memo[3, 2, None].ground == first
-    _check_memo()
+    _check_memo([(second, 2), (first, 2), (GroundSet((0, 1, 3), 7), 2), (first, 1)])
+
+
+def test_memo_keeps_the_last_sets_called_for(fresh_memo, monkeypatch):
+    """After more than ``maxsize`` distinct (A, r), the first is rebuilt,
+    with the oracle's values; within the last ``maxsize`` none is."""
+    size = core._kept.cache_parameters()["maxsize"]
+    builds = _counting(monkeypatch, "_profile")
+    keys = [(GroundSet((0, 1, 3 + i // 2)), 1 + i % 2) for i in range(size + 1)]
+    for g, r in keys:
+        generalized_sumset(g, SumParams(2, r))
+    assert [(a[0], a[1]) for a in builds] == keys
+    del builds[:]
+    for g, r in keys[1:]:  # the last maxsize, read
+        generalized_sumset(g, SumParams(1, r))
+    assert builds == []
+    g, r = keys[0]
+    assert generalized_sumset(g, SumParams(2, r)) == brute_force_sumset(g, SumParams(2, r))
+    assert [(a[0], a[1]) for a in builds] == [keys[0]]
+    _check_memo(keys[1:] + keys[:1])
+
+
+def test_set_built_from_a_list_is_computed():
+    """``GroundSet`` validates a list of elements as it does a tuple, and
+    the engine and the checkers compute on it, kept or too wide to keep."""
+    for elements, h, r in (([0, 1, 3], 2, 2), ([0, 1, 10**6], 2, 3)):
+        ground, tupled = GroundSet(elements), GroundSet(tuple(elements))
+        want = brute_force_sumset(tupled, SumParams(h, r))
+        assert generalized_sumset(ground, SumParams(h, r)) == want
+        assert check_complement_identity(ground, SumParams(h, r)).equal
+    assert generalized_sumset(GroundSet([0, 1, 3]), SumParams(2, 2)).values == (0, 1, 2, 3, 4, 6)
+    assert generalized_sumset(GroundSet([0, 1, 3], 5), SumParams(2, 2)).values == (0, 1, 2, 3, 4)
 
 
 def test_height_falls_back_to_h_for_a_wider_set(fresh_memo, monkeypatch):
     """A set whose row at r*k fits the bit cap builds, and keeps, its
     profile there; a set too wide for it, or one that the 64-bit guard
     refuses at r*k but not at h, runs at its own h, packed or per t, and
-    keeps nothing, leaving the key's entry to the set before it."""
+    keeps nothing."""
     monkeypatch.setattr(core, "_MEMO_MAX_BITS", 2**15)
+    core._kept.cache_clear()
     builds = _counting(monkeypatch, "_profile")
+    steps = _counting(monkeypatch, "_step")
     big = 2**61
-    for elements, built, kept in (
-        ((0, 1, 2), 6, (0, 1, 2)),  # 7 slots of 13 bits fit
-        ((0, 1, 300), 6, (0, 1, 300)),  # 7 slots of 1 801 bits fit
-        ((0, 1, 800), 2, (0, 1, 300)),  # 7 slots of 4 801 bits do not
-        ((0, 1, 3000), None, (0, 1, 300)),  # nor of 18 001, and per t at h
-        ((big, big + 1, big + 2), 2, (0, 1, 300)),  # 6 * 2**61 > 2**63
+    keys = []
+    for elements, kept, packed in (
+        ((0, 1, 2), True, True),  # 7 slots of 13 bits fit
+        ((0, 1, 300), True, True),  # 7 slots of 1 801 bits fit
+        ((0, 1, 800), False, True),  # 7 slots of 4 801 bits do not
+        ((0, 1, 3000), False, False),  # nor of 18 001, and per t at h
+        ((big, big + 1, big + 2), False, True),  # 6 * 2**61 > 2**63
     ):
         ground = GroundSet(elements)
-        del builds[:]
+        del builds[:], steps[:]
         want = brute_force_sumset(ground, SumParams(2, 2))
         assert generalized_sumset(ground, SumParams(2, 2)) == want
-        assert [a[2] for a in builds] == ([built] if built else []), elements
-        assert core._memo[3, 2, None].ground.elements == kept
-    _check_memo()
+        assert [a[2] for a in builds] == ([6] if kept else []), elements
+        assert (len(steps) > 0) == packed, elements
+        assert (core._kept(elements, None, 2) is not None) == kept, elements
+        keys.append((ground, 2))
+    _check_memo(keys)
 
 
 def test_memo_stays_within_its_caps(fresh_memo, monkeypatch):
-    monkeypatch.setattr(core, "_MEMO_MAX_KEYS", 6)
     monkeypatch.setattr(core, "_MEMO_MAX_BITS", 3000)
+    core._kept.cache_clear()
+    size = core._kept.cache_parameters()["maxsize"]
     rng = random.Random(7)
     # A small pool, so that sets and h repeat and the memo is read.
     pool = [GroundSet.of(rng.sample(range(-8, 9), rng.randint(1, 6))) for _ in range(12)]
-    memo_reads = 0
+    keys = []
     for _ in range(600):
         ground = rng.choice(pool)
         h, r = rng.choice(_pairs(ground.size, max_r=4, max_h=8))
-        kept = core._memo.get((ground.size, r, None))
-        memo_reads += kept is not None and kept.ground == ground
         values = generalized_sumset(ground, SumParams(h, r)).values
-        assert len(core._memo) <= 6
-        assert core._memo_bits <= 3000
+        keys.append((ground, r))
+        assert core._kept.cache_info().currsize <= size
         assert values == brute_force_sumset(ground, SumParams(h, r)).values
-        _check_memo()
-    assert memo_reads > 0
+        _check_profile(ground, r)
+    hits = core._kept.cache_info().hits
+    _check_memo(keys)
+    assert hits > 0
 
 
 @pytest.mark.parametrize(
@@ -760,17 +805,20 @@ def test_memo_stays_within_its_caps(fresh_memo, monkeypatch):
     ],
 )
 def test_wide_call_leaves_the_prefix_store_alone(fresh_memo, elements, modulus, h, r):
-    """A set too wide to keep at r*k keeps nothing, also under the key of
-    a narrow set whose profile is kept."""
+    """A set too wide to keep at r*k keeps no profile, and leaves the
+    profiles of narrow sets, one of its own (k, r, p), as they were."""
     ground = GroundSet(elements, modulus)
-    generalized_sumset(GroundSet((0, 1, 3)), SumParams(2, 1))
-    generalized_sumset(GroundSet(tuple(range(len(elements))), modulus), SumParams(2, r))
+    narrow = [(GroundSet((0, 1, 3)), 1), (GroundSet(tuple(range(len(elements))), modulus), r)]
+    for g, r_narrow in narrow:
+        generalized_sumset(g, SumParams(2, r_narrow))
+    before = [core._kept(g.elements, g.modulus, r_narrow) for g, r_narrow in narrow]
     if modulus is None:  # mod 20 011 no set of 40 residues is narrow enough
-        assert (len(elements), r, modulus) in core._memo
-    before = dict(core._memo), core._memo_bits
+        assert before[1] is not None
     for _ in range(2):
         values = generalized_sumset(ground, SumParams(h, r)).values
-        assert (dict(core._memo), core._memo_bits) == before
+        assert core._kept(elements, modulus, r) is None
+    after = [core._kept(g.elements, g.modulus, r_narrow) for g, r_narrow in narrow]
+    assert all(a is b for a, b in zip(after, before))
     assert values == brute_force_sumset(ground, SumParams(h, r)).values
 
 
@@ -794,7 +842,7 @@ def test_cost_rule_picks_the_step(fresh_memo, monkeypatch, elements, modulus, h,
     got = generalized_sumset(ground, SumParams(h, r))
     assert got == brute_force_sumset(ground, SumParams(h, r))
     assert (len(steps) > 0, len(per_t) > 0) == (packed, not packed)
-    assert bool(core._memo) == packed
+    assert (core._kept(ground.elements, modulus, r) is not None) == packed
 
 
 @pytest.mark.parametrize("packed", [True, False])
@@ -804,21 +852,24 @@ def test_both_layouts_match_the_oracle(fresh_memo, monkeypatch, packed):
     {-2, ..., 3} and mod 2, 3, 5 and 7, r <= 3, h <= min(r*k, 6).  Packed
     runs twice: from kept profiles at r*k, and with nothing kept, at h."""
     monkeypatch.setattr(core, "_packs", lambda *args: packed)
+    builds = _counting(monkeypatch, "_profile")
     sets = [GroundSet(c) for k in range(1, 5) for c in itertools.combinations(range(-2, 4), k)]
     sets += [GroundSet(c, p) for p in (2, 3, 5, 7) for k in range(1, min(p, 4) + 1)
              for c in itertools.combinations(range(p), k)]
     for cap in ([core._MEMO_MAX_BITS] if packed else []) + [-1]:
         monkeypatch.setattr(core, "_MEMO_MAX_BITS", cap)
+        core._kept.cache_clear()
+        del builds[:]
+        keys = []
         for g in sets:
             for h, r in _pairs(g.size):
                 want = brute_force_sumset(g, SumParams(h, r))
                 assert generalized_sumset(g, SumParams(h, r)) == want, (g, h, r, cap)
+                keys.append((g, r))
         if cap < 0:
-            assert core._memo == {}
+            assert builds == []
         else:
-            _check_memo()
-            core._memo.clear()
-            core._memo_bits = 0
+            _check_memo(keys)
 
 
 def test_cost_rule_bounds_the_packed_row():
@@ -871,4 +922,5 @@ def test_memo_across_threads(fresh_memo):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
-    _check_memo()
+    for g, r in dict.fromkeys((g, r) for g, _, r in calls):
+        _check_profile(g, r)

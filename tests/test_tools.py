@@ -17,7 +17,8 @@ def _rowwidth():
 def test_rowwidth_runs_an_engine_shape():
     """One engine shape of ``compare``, in the tool's own subprocess, with
     the layout forced each way as ``calibrate`` does: both read the same
-    values, and the rule packs this narrow shape."""
+    values, the rule packs this narrow shape, and no timed run reads a
+    profile that the engine kept from the run before it."""
     rowwidth = _rowwidth()
     shape = next(s for s in rowwidth._compare_shapes() if s["name"] == "Z {0,1,2,3,7} h=r=6")
     src = str(ROOT / "src")
@@ -27,3 +28,4 @@ def test_rowwidth_runs_an_engine_shape():
     assert packed["digest"] == per_t["digest"]
     for run in (packed, per_t):
         assert run["s"] > 0 and run["peak_mb"] > 0
+        assert run["memo_hits"] == 0

@@ -14,7 +14,9 @@ alternating the trees, each shape in a fresh interpreter that imports
 tree against itself, pass a copy as the second).  A shape
 runs at least its repeats and 0.5 s, and until 200 runs or 5 s, each
 run with the engine's profile memo emptied first; its time is the fastest
-run, and ``peak_mb`` is the interpreter's peak RSS.  Each shape's
+run, ``peak_mb`` is the interpreter's peak RSS, and ``memo_hits`` is the
+memo's hit count, 0 for an engine shape whose runs all start cold (None
+for a tree from before the memo was an lru_cache).  Each shape's
 ``packed`` is the layout that the last ``--src`` tree's rule picks.
 
     python3 tools/rowwidth.py calibrate --src A [--out F]
@@ -51,14 +53,16 @@ from sumsetlab.core import GroundSet, SumParams
 if spec["force"] is not None:
     core._packs = scan._packs = lambda *args: spec["force"]
 def forget():
-    # Trees from before the profile memo keep a row store in its place.
-    for name in ("_memo", "_reuse"):
-        if hasattr(core, name):
-            getattr(core, name).clear()
-            setattr(core, name + "_bits", 0)
+    # The engine's profile memo; trees from before it was an lru_cache keep
+    # a dict in its place.
+    if hasattr(core, "_kept"):
+        core._kept.cache_clear()
+    if hasattr(core, "_memo"):
+        core._memo.clear()
+        core._memo_bits = 0
 def once():
+    forget()
     if spec["kind"] == "engine":
-        forget()
         ground = GroundSet(tuple(spec["set"]), spec["p"])
         return list(core.generalized_sumset(ground, SumParams(spec["h"], spec["r"])).values)
     if spec["p"] is None:
@@ -77,7 +81,8 @@ while more():
     best = min(best, time.perf_counter() - start)
     runs += 1
 print(json.dumps({"s": best, "digest": hash(json.dumps(value)),
-                  "peak_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
+                  "peak_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+                  "memo_hits": core._kept.cache_info().hits if hasattr(core, "_kept") else None}))
 """
 
 
@@ -158,12 +163,10 @@ def _rule(spec, src):
     h, r, p = spec["h"], spec["r"], spec["p"]
     if spec["kind"] == "scan":
         return scan._layout(spec["k"], h, r, p, spec["d"] if p is None else p - 1)[1]
-    k, span = len(spec["set"]), spec["set"][-1] - spec["set"][0]
-    # A cold call whose profile at r * k the memo keeps runs packed, as in
-    # the engine (every shape here is within the 64-bit guard at r * k).
-    top = r * k
-    if (top + 1) * (top * span + 1 if p is None else 2 * p) <= core._MEMO_MAX_BITS:
+    # A cold call whose profile at r * k the memo keeps runs packed.
+    if core._kept(tuple(spec["set"]), p, r) is not None:
         return True
+    k, span = len(spec["set"]), spec["set"][-1] - spec["set"][0]
     return core._packs(k - 1, 1, h, r, h * span + 1 if p is None else 2 * p)
 
 
