@@ -7,9 +7,10 @@ computed sumsets against closed-form bounds, against each other, and
 against the explicit element constructions that justify the bounds.
 
 The oracle splits each multiplicity vector in two (meet in the middle,
-Horowitz and Sahni 1974) and enumerates each half's vectors; every vector
-is still visited, as a pair, and nothing is merged per element, so the
-oracle stays an enumeration that shares no step with the engine's DP.
+Horowitz and Sahni 1974) and enumerates each half's vectors, once per
+(A, r) for every h while the halves are small; every vector is still
+visited, as a pair, and nothing is merged per element, so the oracle stays
+an enumeration that shares no step with the engine's DP.
 
 Witness terminology, for a set A = {a_1 < ... < a_k} and h = m*r + eps
 with eps >= 1.  Write s^B for the restricted sumset of B and tB for the
@@ -38,9 +39,9 @@ on, the chain and the expected number of gap members.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations
-from typing import Iterable, Set, Tuple
+from typing import Iterable, Optional, Set, Tuple
 
 from .core import (
     GroundSet,
@@ -55,43 +56,64 @@ from .core import (
 from .errors import DomainError
 
 
+def _half(B: Tuple[int, ...], r: int, lo: int, top: int) -> list:
+    """Per total t <= top, the sums of B's vectors (each entry 0..r) of
+    total t, if t >= lo; the empty B has the one vector of total 0."""
+    sums = [set() for _ in range(top + 1)]
+    last = len(B) - 1
+
+    def sweep(i: int, t: int, acc: int) -> None:
+        # each c that keeps t <= top and lets the later elements reach lo
+        for c in range(max(0, lo - r * (last - i) - t), min(r, top - t) + 1):
+            if i == last:
+                sums[t + c].add(acc + c * B[i])
+            else:
+                sweep(i + 1, t + c, acc + c * B[i])
+
+    if B:
+        sweep(0, 0, 0)
+    else:
+        sums[0].add(0)  # the empty vector
+    return sums
+
+
+@lru_cache(maxsize=16)
+def _halves(elements: tuple, r: int) -> Optional[tuple]:
+    """Both halves' sums, elements[:k // 2] and the rest, bucketed by every
+    total 0..r * |half| as tuples of frozensets; None when the larger half
+    has more than 2**12 vectors, (r + 1)**(k - k // 2)."""
+    k = len(elements)
+    # (r + 1)**13 > 2**12 already, so the exponent is capped there
+    if (r + 1) ** min(k - k // 2, 13) > 1 << 12:
+        return None
+    return tuple(
+        tuple(map(frozenset, _half(B, r, 0, r * len(B))))
+        for B in (elements[: k // 2], elements[k // 2 :])
+    )
+
+
 def brute_force_sumset(ground: GroundSet, params: SumParams) -> SumsetResult:
     """Enumerate h^(r)A directly from the definition.
 
     A vector (r_1, ..., r_k) with 0 <= r_i <= r and sum r_i = h is one of
     total t over the first k // 2 elements and one of total h - t over the
-    rest.  Each half's sums are bucketed by total, at the totals the other
-    half can complete, so the recursion reaches at most twice as many
-    half-vectors as there are vectors.  h^(r)A is the union over t of
-    (first half at t) + (second half at h - t), reduced mod p at the end.
+    rest.  Each half's sums are bucketed by total: at every total once per
+    (A, r), kept for the last 16 (A, r) by :func:`_halves` while the larger
+    half has at most 2**12 vectors, and otherwise per h at only the totals
+    the other half can complete, so that the recursion reaches at most twice
+    as many half-vectors as there are vectors.  h^(r)A is the union over t
+    of (first half at t) + (second half at h - t), reduced mod p at the end.
     """
     A = ground.elements
     k = len(A)
     h, r = params.h, params.r
     p = ground.modulus
     _check_draws(k, h, r)
-
-    def half(B: Tuple[int, ...], lo: int) -> list:
-        # per total t <= h, the sums of B's vectors of total t, if t >= lo
-        sums = [set() for _ in range(h + 1)]
-        last = len(B) - 1
-
-        def sweep(i: int, t: int, acc: int) -> None:
-            # each c that keeps t <= h and lets the later elements reach lo
-            for c in range(max(0, lo - r * (last - i) - t), min(r, h - t) + 1):
-                if i == last:
-                    sums[t + c].add(acc + c * B[i])
-                else:
-                    sweep(i + 1, t + c, acc + c * B[i])
-
-        if B:
-            sweep(0, 0, 0)
-        else:
-            sums[0].add(0)  # the empty vector
-        return sums
-
     j = k // 2
-    left, right = half(A[:j], h - r * (k - j)), half(A[j:], h - r * j)
+    tables = _halves(tuple(A), r)
+    if tables is None:
+        tables = _half(A[:j], r, h - r * (k - j), h), _half(A[j:], r, h - r * j, h)
+    left, right = tables
     found = {x + y for t in range(max(0, h - r * (k - j)), min(h, r * j) + 1)
              for x in left[t] for y in right[h - t]}
     if p:

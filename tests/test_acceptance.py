@@ -1,6 +1,6 @@
 """Acceptance gate.
 
-Eight criteria, one test each, run against exhaustive grids:
+Nine criteria, one test each, run against exhaustive grids:
 
   1  engine equals the independent brute-force oracle (integer grid)
   2  integer bound never violated; tight exactly on progressions
@@ -15,15 +15,17 @@ Eight criteria, one test each, run against exhaustive grids:
   8  split inclusion, case bundles and witness chains never fail, and
      each of the five checks passes somewhere (the integer grid plus a
      narrow-case slice with r up to 8)
+  9  engine equals the brute-force oracle mod p (every subset of Z/pZ,
+     p in {5,7}, every 1 <= h <= min(r*k, 8), h < r included)
 
 Each test prints one ``[criterion N] PASS/FAIL`` line, repeated in the
 run's terminal summary so it is visible without ``-s``, and enforces
 the time budgets: 300 s for criterion 3 and 120 s for each of the
-other seven.
+other eight.
 The integer grid is every A inside {0..10} with 2 <= k <= 6 and every
 1 <= r <= 4, 1 <= h <= min(r*k, 8); the mod-p grid is every nonempty
-A inside Z/pZ with every 1 <= r <= h <= min(r*k, 8), and criterion 3
-also runs its h < r pairs.
+A inside Z/pZ with every 1 <= r <= h <= min(r*k, 8), and criteria 3
+and 9 also run its h < r pairs.
 """
 
 import time
@@ -363,3 +365,31 @@ def test_criterion_8_inclusions_and_witnesses():
         for instances, failures, passes in tallies
     ]
     _report(8, ok, f"{detail[0]}; narrow slice {detail[1]}; {elapsed:.1f}s (budget 120s)")
+
+
+ORACLE_PRIMES = (5, 7)
+
+
+def test_criterion_9_mod_p_engine_matches_oracle():
+    start = time.monotonic()
+    instances = 0
+    mismatches = []
+    for p in ORACLE_PRIMES:
+        for elements in mod_grid_sets(p):
+            ground = GroundSet(elements, p)
+            for r in range(1, 9):
+                for h in range(1, min(r * len(elements), 8) + 1):
+                    params = SumParams(h=h, r=r)
+                    instances += 1
+                    if generalized_sumset(ground, params).values != (
+                        brute_force_sumset(ground, params).values
+                    ):
+                        mismatches.append((elements, p, h, r))
+    elapsed = time.monotonic() - start
+    ok = not mismatches and elapsed < 120.0
+    _report(
+        9,
+        ok,
+        f"oracle equivalence on {instances} instances over p in {ORACLE_PRIMES}, "
+        f"{len(mismatches)} mismatches, {elapsed:.1f}s (budget 120s)",
+    )

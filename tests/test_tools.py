@@ -15,17 +15,24 @@ def _rowwidth():
 
 
 def test_rowwidth_runs_an_engine_shape():
-    """One engine shape of ``compare``, in the tool's own subprocess, with
-    the layout forced each way as ``calibrate`` does: both read the same
-    values, the rule packs this narrow shape, and no timed run reads a
-    profile that the engine kept from the run before it."""
+    """One engine shape of ``compare``, in the tool's own subprocess, as is
+    and with the layout forced each way as ``calibrate`` does: all read the
+    same values, the memo packs this narrow shape and ``_packs`` does too,
+    no timed run reads a profile that the engine kept from the run before
+    it, and a forced run builds no profile, so it times the layout it
+    forces."""
     rowwidth = _rowwidth()
     shape = next(s for s in rowwidth._compare_shapes() if s["name"] == "Z {0,1,2,3,7} h=r=6")
     src = str(ROOT / "src")
     assert rowwidth._rule(shape, src) is True
-    packed = rowwidth._run({**shape, "repeats": 1}, src, True)
-    per_t = rowwidth._run({**shape, "repeats": 1}, src, False)
-    assert packed["digest"] == per_t["digest"]
-    for run in (packed, per_t):
+    assert rowwidth._rule(shape, src, memo=False) is True
+    shape = {**shape, "repeats": 1}
+    free = rowwidth._run(shape, src)
+    packed = rowwidth._run(shape, src, True)
+    per_t = rowwidth._run(shape, src, False)
+    assert free["digest"] == packed["digest"] == per_t["digest"]
+    for run in (free, packed, per_t):
         assert run["s"] > 0 and run["peak_mb"] > 0
         assert run["memo_hits"] == 0
+    assert free["profiles"] > 0
+    assert packed["profiles"] == per_t["profiles"] == 0

@@ -25,7 +25,7 @@ from sumsetlab import (
     generalized_sumset,
     is_arithmetic_progression,
 )
-from sumsetlab.verify import _check_case, _fold, _minkowski, _restricted_values
+from sumsetlab.verify import _check_case, _fold, _halves, _minkowski, _restricted_values
 
 
 # ===================== the oracle itself =====================
@@ -164,6 +164,48 @@ def test_oracle_on_wide_inputs(k, width, p, h, r):
     g = GroundSet.of(A, p)
     params = SumParams(h, r)
     assert brute_force_sumset(g, params).values == generalized_sumset(g, params).values
+
+
+def test_oracle_does_not_depend_on_its_cache():
+    """Calls in shuffled orders, which evict and share ``_halves`` entries
+    (an integer set and the same residues mod 7 share one), return what
+    calls made after clearing the cache return."""
+    calls = [
+        (GroundSet(A, p), SumParams(h, r))
+        for A in combinations(range(6), 3)
+        for p in (None, 7)
+        for r in range(1, 4)
+        for h in range(1, 3 * r + 1)
+    ]
+    cold = {}
+    for g, params in calls:
+        _halves.cache_clear()
+        cold[g, params] = brute_force_sumset(g, params).values
+    for seed in range(3):
+        random.Random(seed).shuffle(calls)
+        for g, params in calls:
+            assert brute_force_sumset(g, params).values == cold[g, params], (g, params)
+
+
+@pytest.mark.parametrize("k, r", [(24, 1), (12, 3), (8, 7)])
+def test_oracle_keeps_halves_up_to_the_cap(k, r):
+    """A set whose larger half has exactly 2**12 vectors keeps its tables,
+    tuples of frozensets per total; one more element keeps none.  Both
+    read what the engine reads."""
+    rng = random.Random(k)
+    for size, kept in ((k, True), (k + 1, False)):
+        A = tuple(sorted(rng.sample(range(-30, 60), size)))
+        tables = _halves(A, r)
+        assert (tables is not None) is kept, (A, r)
+        if kept:
+            j = size // 2
+            assert [len(half) for half in tables] == [r * j + 1, r * (size - j) + 1]
+            assert type(tables) is tuple and all(type(half) is tuple for half in tables)
+            assert all(type(sums) is frozenset for half in tables for sums in half)
+        g = GroundSet(A)
+        for h in sorted({1, 2, r * size // 2, r * size - 1, r * size}):
+            params = SumParams(h, r)
+            assert brute_force_sumset(g, params).values == generalized_sumset(g, params).values
 
 
 # ===================== direct bound =====================

@@ -14,16 +14,18 @@ alternating the trees, each shape in a fresh interpreter that imports
 tree against itself, pass a copy as the second).  A shape
 runs at least its repeats and 0.5 s, and until 200 runs or 5 s, each
 run with the engine's profile memo emptied first; its time is the fastest
-run, ``peak_mb`` is the interpreter's peak RSS, and ``memo_hits`` is the
+run, ``peak_mb`` is the interpreter's peak RSS, ``memo_hits`` is the
 memo's hit count, 0 for an engine shape whose runs all start cold (None
-for a tree from before the memo was an lru_cache).  Each shape's
+for a tree from before the memo was an lru_cache), and ``profiles`` is
+the number of profiles built over all runs (None for a tree without
+``_profile``).  Each shape's
 ``packed`` is the layout that the last ``--src`` tree's rule picks.
 
     python3 tools/rowwidth.py calibrate --src A [--out F]
 
-times every shape of a grid with the layout forced each way, and reports
-for each shape the layout ``_packs`` picks and how much slower it is
-than the faster layout.
+times every shape of a grid with the layout forced each way, with the
+memo keeping nothing, and reports for each shape the layout ``_packs``
+picks and how much slower it is than the faster layout.
 
 Results go to stdout as JSON, and to ``--out`` if given.  Standard
 library only.
@@ -51,7 +53,13 @@ sys.path.insert(0, spec["src"])
 from sumsetlab import core, scan
 from sumsetlab.core import GroundSet, SumParams
 if spec["force"] is not None:
+    # A profile that the memo keeps runs packed whatever _packs says, so a
+    # forced layout keeps none: no row fits a cap of 0 bits.
     core._packs = scan._packs = lambda *args: spec["force"]
+    core._MEMO_MAX_BITS = 0
+built, build = [], getattr(core, "_profile", None)
+if build is not None:
+    core._profile = lambda *args: built.append(1) or build(*args)
 def forget():
     # The engine's profile memo; trees from before it was an lru_cache keep
     # a dict in its place.
@@ -82,7 +90,8 @@ while more():
     runs += 1
 print(json.dumps({"s": best, "digest": hash(json.dumps(value)),
                   "peak_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-                  "memo_hits": core._kept.cache_info().hits if hasattr(core, "_kept") else None}))
+                  "memo_hits": core._kept.cache_info().hits if hasattr(core, "_kept") else None,
+                  "profiles": len(built) if build is not None else None}))
 """
 
 
@@ -155,8 +164,9 @@ def _run(spec, src, force=None):
     return json.loads(out.stdout)
 
 
-def _rule(spec, src):
-    """The layout the cost rule of ``src`` picks for ``spec``."""
+def _rule(spec, src, memo=True):
+    """The layout the cost rule of ``src`` picks for ``spec``; with ``memo``
+    false, an engine call's layout at h, as a forced run times it."""
     sys.path.insert(0, os.path.abspath(src))
     from sumsetlab import core, scan  # noqa: E402
 
@@ -164,7 +174,7 @@ def _rule(spec, src):
     if spec["kind"] == "scan":
         return scan._layout(spec["k"], h, r, p, spec["d"] if p is None else p - 1)[1]
     # A cold call whose profile at r * k the memo keeps runs packed.
-    if core._kept(tuple(spec["set"]), p, r) is not None:
+    if memo and core._kept(tuple(spec["set"]), p, r) is not None:
         return True
     k, span = len(spec["set"]), spec["set"][-1] - spec["set"][0]
     return core._packs(k - 1, 1, h, r, h * span + 1 if p is None else 2 * p)
@@ -198,7 +208,7 @@ def calibrate(src):
         packed = _run(spec, src, True)
         per_t = _run(spec, src, False)
         assert packed["digest"] == per_t["digest"], spec["name"]
-        chosen = packed if _rule(spec, src) else per_t
+        chosen = packed if _rule(spec, src, memo=False) else per_t
         rows.append({"name": spec["name"], "packed_s": packed["s"], "per_t_s": per_t["s"],
                      "rule": "packed" if chosen is packed else "per-t",
                      "vs_best": chosen["s"] / min(packed["s"], per_t["s"])})
