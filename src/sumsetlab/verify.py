@@ -57,8 +57,7 @@ from .errors import DomainError
 
 
 def _half(B: Tuple[int, ...], r: int, lo: int, top: int) -> list:
-    """Per total t <= top, the sums of B's vectors (each entry 0..r) of
-    total t, if t >= lo; the empty B has the one vector of total 0."""
+    """Per total t <= top, the sums of B's vectors of total t, if t >= lo."""
     sums = [set() for _ in range(top + 1)]
     last = len(B) - 1
 
@@ -97,12 +96,12 @@ def brute_force_sumset(ground: GroundSet, params: SumParams) -> SumsetResult:
 
     A vector (r_1, ..., r_k) with 0 <= r_i <= r and sum r_i = h is one of
     total t over the first k // 2 elements and one of total h - t over the
-    rest.  Each half's sums are bucketed by total: at every total once per
-    (A, r), kept for the last 16 (A, r) by :func:`_halves` while the larger
-    half has at most 2**12 vectors, and otherwise per h at only the totals
-    the other half can complete, so that the recursion reaches at most twice
-    as many half-vectors as there are vectors.  h^(r)A is the union over t
-    of (first half at t) + (second half at h - t), reduced mod p at the end.
+    rest.  Each half's sums are bucketed by total: at every total, once per
+    (A, r), while the larger half has at most 2**12 vectors (:func:`_halves`),
+    and otherwise per h at only the totals the other half can complete, which
+    reaches at most twice as many half-vectors as there are vectors.  h^(r)A
+    is the union over t of (first half at t) + (second half at h - t),
+    reduced mod p at the end.
     """
     A = ground.elements
     k = len(A)
@@ -110,10 +109,8 @@ def brute_force_sumset(ground: GroundSet, params: SumParams) -> SumsetResult:
     p = ground.modulus
     _check_draws(k, h, r)
     j = k // 2
-    tables = _halves(tuple(A), r)
-    if tables is None:
-        tables = _half(A[:j], r, h - r * (k - j), h), _half(A[j:], r, h - r * j, h)
-    left, right = tables
+    left, right = _halves(tuple(A), r) or (
+        _half(A[:j], r, h - r * (k - j), h), _half(A[j:], r, h - r * j, h))
     found = {x + y for t in range(max(0, h - r * (k - j)), min(h, r * j) + 1)
              for x in left[t] for y in right[h - t]}
     if p:
