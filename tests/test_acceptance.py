@@ -54,6 +54,7 @@ from sumsetlab import (
 from sumsetlab.core import profile
 
 MOD_PRIMES = (5, 7, 11, 13)
+ORACLE_PRIMES = (5, 7)
 
 
 def _report(n, ok, detail):
@@ -365,9 +366,6 @@ def test_criterion_8_inclusions_and_witnesses():
         for instances, failures, passes in tallies
     ]
     _report(8, ok, f"{detail[0]}; narrow slice {detail[1]}; {elapsed:.1f}s (budget 120s)")
-
-
-ORACLE_PRIMES = (5, 7)
 
 
 def test_criterion_9_mod_p_engine_matches_oracle():
