@@ -81,7 +81,7 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import compress
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Iterable, NamedTuple, Optional, Tuple
 
 from .errors import DomainError
@@ -454,19 +454,18 @@ def _slots(low: int, m: int, stride: int, row: int) -> list:
 
 def _walker(k: int, h: int, r: int, p: Optional[int], stride: int, packed: bool) -> tuple:
     """The DP of a k-set read at t = h alone, packed in slots of ``stride``
-    bits or per t: (start, grows, read, shifts), where grows[i](state, x)
-    scans an element as the i-th, given by x, and read(state) lists the
-    masks at t = h - m..h, m = min(r, h), the only ones that a last
-    element's step carries to t = h.  Packed, x is the element's
-    :func:`_shifts` at cap m, which ``shifts(a)`` gives; per t, ``shifts``
-    is None and x is the element itself, and the masks after the i-th
-    element are computed only in its :func:`_window`."""
+    bits or per t: (start, grows, read, arg), where grows[i](state, arg(a))
+    scans the element a as the i-th, and read(state) lists the masks at
+    t = h - m..h, m = min(r, h), the only ones that a last element's step
+    carries to t = h.  Packed, arg(a) is a's :func:`_shifts` at cap m;
+    per t, it is a itself, and the masks after the i-th element are
+    computed only in its :func:`_window`."""
     m = min(r, h)
     if packed:
         grow = partial(_step, p, _keep(h, stride, p))
         return 1, [grow] * k, partial(_slots, h - m, m, stride), partial(_shifts, m, stride, p)
     grows = [partial(_extend, r, p, _window(k, h, r, i)) for i in range(k)]
-    return [1] + [0] * h, grows, itemgetter(slice(h - m, h + 1)), None
+    return [1] + [0] * h, grows, itemgetter(slice(h - m, h + 1)), index
 
 
 def _add_part(mask: int, shifts: Iterable[int], p: Optional[int]) -> int:
@@ -540,9 +539,9 @@ def _sumset_mask(ground: GroundSet, h: int, r: int) -> int:
     _validate_params(ground, h, r)
     k, base = len(A), A[0] if p is None else 0
     stride = h * (A[-1] - base) + 1 if p is None else 2 * p
-    state, grows, read, shifts = _walker(k, h, r, p, stride, _packs(k - 1, 1, h, r, stride))
+    state, grows, read, arg = _walker(k, h, r, p, stride, _packs(k - 1, 1, h, r, stride))
     for grow, a in zip(grows, A[:-1]):
-        state = grow(state, a - base if shifts is None else shifts(a - base))
+        state = grow(state, arg(a - base))
     return _mask_at(min(r, h), r, p, read(state), A[-1] - base)
 
 

@@ -28,33 +28,34 @@ optionally over the one pool of worker processes that the driver call
 shares across points; chunk results are folded in prefix order as each
 chunk arrives, so a serial scan holds one chunk's results at a time and
 a parallel one at most 2 * jobs chunks submitted and not yet folded.
-A chunk is handed its point as a serial and the point's arguments, and
-each process that runs chunks builds a point's tables at most once, on
-its first chunk of the point, and drops them for the next point's: the
-step argument of each element 0..largest (its doubling shifts, packed),
-the shifts c * a (mod p) by which a leaf ORs its row's masks, and each
-element's text, tabulated when the point has more candidates than
-elements and otherwise computed at each lookup.  A chunk walks
-depth-first, on an explicit stack, with the engine's DP steps from
-``core._walker``, one step per prefix element, so each prefix's DP is
-shared by every candidate that extends it.  A row of k - 1 elements is
-stepped, has its masks at t = h - min(r, h)..h read once, and has its
-leaves evaluated in the loop of its parent node: every candidate that
-ends it costs min(r, h) shift-ORs of those masks, past c = 3 only of
-the nonzero ones, a fold mod p, and a popcount.  The engine's cost
-rule, ``core._packs``, picks the layout once per point from the rows it
-steps, since a leaf costs the same in both: packed rows of slots
-t = 0..h, laid out with the widest candidate's stride, when they are
-small, and per-t masks, cut to the t that the remaining elements can
-still complete to h, when they are wide or there is no row to step
-(k = 1).  ``generalized_sumset`` recomputes every set found at or below
-the bound, and its cardinality is the one reported.  In records mode
-each node of the walk carries its prefix's text, and a candidate above
-the bound gets its line as one string build: the head and tail for its
-cardinality, filled in on first use from the point's record encoded
-once, around that text and its last element's.  A candidate at or below
-the bound leaves a placeholder that the fold fills from the engine's
-cardinality, and a chunk's lines are handed over in one call.
+A chunk is handed its point as a serial and the point's arguments.  At
+k <= 2 a chunk's prefix is already its one candidate, a progression and
+so at its bound, and it goes straight to the engine's recheck below: such
+a point builds no tables and steps no DP.  At k >= 3 each process that
+runs chunks builds a point's tables at most once, on its first chunk of
+the point, and drops them for the next point's: the step argument of
+each element 0..largest (its doubling shifts, packed), the shifts c * a
+(mod p) by which a leaf ORs its row's masks, and each element's text.
+A chunk walks depth-first, on an explicit stack, with the engine's DP
+steps from ``core._walker``, one step per prefix element, so each
+prefix's DP is shared by every candidate that extends it.  A row of
+k - 1 elements is stepped, has its masks at t = h - min(r, h)..h read
+once, and has its leaves evaluated in the loop of its parent node: every
+candidate that ends it costs min(r, h) shift-ORs of those masks, past
+c = 3 only of the nonzero ones, a fold mod p, and a popcount.  The
+engine's cost rule, ``core._packs``, picks the layout once per point
+from the rows it steps, since a leaf costs the same in both: packed rows
+of slots t = 0..h, laid out with the widest candidate's stride, when
+they are small, and per-t masks, cut to the t that the remaining
+elements can still complete to h, when they are wide.
+``generalized_sumset`` recomputes every set found at or below the bound,
+and its cardinality is the one reported.  In records mode each node of
+the walk carries its prefix's text, and a candidate above the bound gets
+its line as one string build: the head and tail for its cardinality,
+split on first use from its record encoded with an empty set, around
+that text and its last element's.  A candidate at or below the bound
+leaves a placeholder that the fold fills from the engine's cardinality,
+and a chunk's lines are handed over in one call.
 """
 
 from __future__ import annotations
@@ -147,36 +148,19 @@ class ScanReport:
 class _LineParts(dict):
     """cardinality -> the (head, tail) of a record line around its set's
     comma-joined elements, as the CLI's encoder writes the record (compact,
-    keys sorted).  The record is encoded once, with a format field for each
-    field that varies, and each cardinality fills them in on first use."""
+    keys sorted): each cardinality's line, encoded on first use with an
+    empty set, split at that set."""
 
     def __init__(self, kind: str, p: Optional[int], bound: int):
-        self.bound = bound
-        # The encoder writes '{"bound":5,"cardinality":"{cardinality}",...}';
-        # unquoting its fields and doubling the record's own braces makes
-        # it a format string.
-        fields = {key: f"{{{key}}}" for key in ("cardinality", "equality", "set", "slack")}
-        line = json.dumps({"kind": kind, "op": "scan", "p": p, "bound": bound, **fields},
-                          sort_keys=True, separators=(",", ":"))
-        self.line = "{{" + line[1:-1].replace('"{', "{").replace('}"', "}") + "}}"
+        self.record = {"kind": kind, "op": "scan", "p": p, "bound": bound, "set": []}
 
     def __missing__(self, card):
-        equality = "true" if card == self.bound else "false"
-        line = self.line.format(cardinality=card, equality=equality, set="[\0]",
-                                slack=card - self.bound)
-        parts = self[card] = tuple(line.split("\0"))
+        bound = self.record["bound"]
+        line = json.dumps({**self.record, "cardinality": card, "equality": card == bound,
+                           "slack": card - bound}, sort_keys=True, separators=(",", ":"))
+        head, tail = line.split('"set":[]')
+        parts = self[card] = (f'{head}"set":[', f"]{tail}")
         return parts
-
-
-class _Each(dict):
-    """fn(a) at every lookup of a, never kept: the stand-in for a table
-    that would cost more to build than its point's walk."""
-
-    def __init__(self, fn):
-        self.fn = fn  # the dict itself stays empty
-
-    def __missing__(self, a):
-        return self.fn(a)
 
 
 # Serials that tell a process's scan points apart, so that no tables are
@@ -186,47 +170,49 @@ _POINTS = itertools.count()
 
 def _layout(k: int, h: int, r: int, p: Optional[int], largest: int) -> Tuple[int, bool]:
     """A scan's stride, that of its widest candidate, and whether the
-    engine's cost rule packs its rows.  A scan steps about one row per k - 1
-    elements, and a candidate that ends a row costs the same min(r, h)
-    shift-ORs in either layout, so the rule prices the rows alone; with
-    no row to step (k = 1) the walk runs per t."""
+    engine's cost rule packs its rows.  A scan of k >= 3 elements steps
+    about one row per k - 1 elements, and a candidate that ends a row costs
+    the same min(r, h) shift-ORs in either layout, so the rule prices the
+    rows alone."""
     stride = h * largest + 1 if p is None else 2 * p
-    return stride, k > 1 and _packs(math.comb(largest, k - 2), 0, h, r, stride)
+    return stride, _packs(math.comb(largest, k - 2), 0, h, r, stride)
 
 
 @lru_cache(maxsize=1)
 def _tables(point: tuple) -> tuple:
-    """The walk of a scan point (serial, k, params, p, largest), built at
-    most once per point in each process, and dropped for the next point's:
-    ``core._walker``'s (start, grows, read) in the layout of
-    :func:`_layout`; the step argument of each element a = 0..largest
-    (packed, its doubling shifts; per t, a itself); and the shifts c * a
-    (mod p) by which a leaf ORs its row's masks at t = h - c,
-    c = 1..min(r, h), padded with zeros to at least three; and a's text.
-    These are tabulated when the point has more candidates than elements,
-    and otherwise computed at each lookup."""
+    """The walk of a scan point (serial, k, params, p, largest), k >= 3,
+    built at most once per point in each process, and dropped for the next
+    point's: ``core._walker``'s (start, grows, read) in the layout of
+    :func:`_layout`; and lists, for each element a = 0..largest, of its
+    step argument, the shifts c * a (mod p) by which a leaf ORs its row's
+    masks at t = h - c, c = 1..min(r, h), padded with zeros to at least
+    three, and its text."""
     _, k, params, p, largest = point
     h, r = params.h, params.r
-    start, grows, read, shifts = _walker(k, h, r, p, *_layout(k, h, r, p, largest))
-    tabulate = math.comb(largest, k - 1) > largest
-    table = (lambda fn: list(map(fn, range(largest + 1)))) if tabulate else _Each
+    start, grows, read, arg = _walker(k, h, r, p, *_layout(k, h, r, p, largest))
+    elements = range(largest + 1)
     cs, pad = range(1, min(r, h) + 1), (0,) * (3 - min(r, h))
-    leaves = table(lambda a: tuple(c * a if p is None else c * a % p for c in cs) + pad)
-    steps = range(largest + 1) if shifts is None else table(shifts)
-    return start, grows, read, steps, leaves, table(str)
+    leaves = [tuple(c * a if p is None else c * a % p for c in cs) + pad for a in elements]
+    return start, grows, read, list(map(arg, elements)), leaves, list(map(str, elements))
 
 
 def _chunk(point, bound, parts, prefix) -> Tuple[int, list, list]:
     """Evaluate all normalized candidates of ``point`` (serial, k, params,
-    p, largest) that start with ``prefix``, in ``combinations`` order,
-    with the point's :func:`_tables`, extending each prefix's DP state by
-    one element, and reading the candidates that end a row of k - 1
-    elements from the masks at t = h - min(r, h)..h that the row's state
-    holds.  Returns (evaluated, lines, low): with ``parts``
-    (:class:`_LineParts`), every candidate's record line, None for one at
-    or below ``bound``, and without, no lines; and the candidates at or
-    below ``bound``."""
+    p, largest) that start with ``prefix``, in ``combinations`` order.
+    Returns (evaluated, lines, low): with ``parts`` (:class:`_LineParts`),
+    every candidate's record line, None for one at or below ``bound``, and
+    without, no lines; and the candidates at or below ``bound``.  A prefix
+    that is already a whole candidate (k <= 2) is a progression, at its
+    bound, and is handed to the engine's recheck as one at or below it.
+    Otherwise the chunk walks with the point's :func:`_tables`, extending
+    each prefix's DP state by one element, and reads the candidates that
+    end a row of k - 1 elements from the masks at t = h - min(r, h)..h
+    that the row's state holds."""
     _, k, params, p, largest = point
+    if len(prefix) == k:
+        if p is None and math.gcd(*prefix) > 1:
+            return 0, [], []  # a dilate of {0, 1}
+        return 1, [None] if parts is not None else [], [prefix]
     start, grows, read, steps, leaves, texts = _tables(point)
     m = min(params.r, params.h)
     cut = (1 << p) - 1 if p is not None else 0
@@ -240,20 +226,16 @@ def _chunk(point, bound, parts, prefix) -> Tuple[int, list, list]:
         cand, state, g, text = stack.pop()
         i = len(cand)
         choices = (prefix[i],) if i < len(prefix) else range(cand[-1] + 1, largest - k + i + 2)
+        grow = grows[i]
         if i < k - 2:
-            grow = grows[i]
             stack += [(cand + (a,), grow(state, steps[a]), math.gcd(g, a), f"{text}{texts[a]},")
                       for a in reversed(choices)]
             continue
         # Each row of k - 1 elements is stepped, read and its leaves
-        # evaluated in its parent's loop; at k = 1 the empty prefix is the
-        # one row, and its choices are the leaves.
-        grow = grows[i] if i < k - 1 else None
-        for b in choices if grow else (None,):
-            row_cand, row, row_g, row_text = (
-                (cand + (b,), grow(state, steps[b]), math.gcd(g, b), f"{text}{texts[b]},")
-                if grow else (cand, state, g, text))
-            ends = (prefix[k - 1],) if k <= len(prefix) else range(b + 1, largest + 1)
+        # evaluated in its parent's loop.
+        for b in choices:
+            row_g, row_text = math.gcd(g, b), f"{text}{texts[b]},"
+            ends = range(b + 1, largest + 1)
             if p is None and row_g != 1:
                 # Over Z a set with gcd > 1 is a dilate of a smaller candidate.
                 ends = [a for a in ends if math.gcd(row_g, a) < 2]
@@ -261,7 +243,7 @@ def _chunk(point, bound, parts, prefix) -> Tuple[int, list, list]:
             # c = 0..m, folded mod p, from the row's masks read once: the
             # terms of c = 1..3 written out, zero past m, and past 3 those
             # of the nonzero masks.
-            masks = read(row)
+            masks = read(grow(state, steps[b]))
             top, (b1, b2, b3) = masks[m], (masks[m - 1::-1] + [0, 0])[:3]
             rest = [(x, j) for j, x in enumerate(masks[m - 4::-1], 3) if x] if m > 3 else ()
             evaluated += len(ends)
@@ -274,7 +256,7 @@ def _chunk(point, bound, parts, prefix) -> Tuple[int, list, list]:
                     acc = acc & cut | acc >> p
                 card = acc.bit_count()
                 if card <= bound:
-                    low.append(row_cand + (a,))
+                    low.append(cand + (b, a))
                     if parts is not None:
                         lines.append(None)
                 elif parts is not None:

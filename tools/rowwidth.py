@@ -15,10 +15,8 @@ tree against itself, pass a copy as the second).  A shape
 runs at least its repeats and 0.5 s, and until 200 runs or 5 s, each
 run with the engine's profile memo emptied first; its time is the fastest
 run, ``peak_mb`` is the interpreter's peak RSS, ``memo_hits`` is the
-memo's hit count, 0 for an engine shape whose runs all start cold (None
-for a tree from before the memo was an lru_cache), and ``profiles`` is
-the number of profiles built over all runs (None for a tree without
-``_profile``).  Each shape's
+memo's hit count, 0 for an engine shape whose runs all start cold, and
+``profiles`` is the number of profiles built over all runs.  Each shape's
 ``packed`` is the layout that the last ``--src`` tree's rule picks.
 
     python3 tools/rowwidth.py calibrate --src A [--out F]
@@ -57,19 +55,10 @@ if spec["force"] is not None:
     # forced layout keeps none: no row fits a cap of 0 bits.
     core._packs = scan._packs = lambda *args: spec["force"]
     core._MEMO_MAX_BITS = 0
-built, build = [], getattr(core, "_profile", None)
-if build is not None:
-    core._profile = lambda *args: built.append(1) or build(*args)
-def forget():
-    # The engine's profile memo; trees from before it was an lru_cache keep
-    # a dict in its place.
-    if hasattr(core, "_kept"):
-        core._kept.cache_clear()
-    if hasattr(core, "_memo"):
-        core._memo.clear()
-        core._memo_bits = 0
+built, build = [], core._profile
+core._profile = lambda *args: built.append(1) or build(*args)
 def once():
-    forget()
+    core._kept.cache_clear()
     if spec["kind"] == "engine":
         ground = GroundSet(tuple(spec["set"]), spec["p"])
         return list(core.generalized_sumset(ground, SumParams(spec["h"], spec["r"])).values)
@@ -90,8 +79,7 @@ while more():
     runs += 1
 print(json.dumps({"s": best, "digest": hash(json.dumps(value)),
                   "peak_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-                  "memo_hits": core._kept.cache_info().hits if hasattr(core, "_kept") else None,
-                  "profiles": len(built) if build is not None else None}))
+                  "memo_hits": core._kept.cache_info().hits, "profiles": len(built)}))
 """
 
 
