@@ -29,7 +29,7 @@ from sumsetlab import (
     scan_inverse_eh_mod_p,
 )
 from sumsetlab.cli import _json_line, run
-from sumsetlab.scan import _POINTS, _SCANS, _LineParts, _chunk, _scan, _tables
+from sumsetlab.scan import _POINTS, _SCANS, _LineParts, _chunk, _scan, _tables, scan_grid
 
 
 def _decoding(seen):
@@ -205,6 +205,68 @@ def test_walk_edges_order_and_evaluated(kwargs, candidates, evaluated, jobs):
     assert len(expected) == evaluated
 
 
+# Every k <= 2 scan point of both kinds, as scan_grid's (name, grid): over
+# Z k in {1, 2}, r <= 4, 1 <= h <= r*k, max_diameter k - 1..40; mod p
+# every p in {2, 3, 5, 7, 11, 13, 31, 101}, k <= 2, 1 <= h <= k.
+_K_LE_2_GRID = [
+    ("extremal", dict(k=[k], h=list(range(1, r * k + 1)), r=[r],
+                      max_diameter=list(range(k - 1, 41))))
+    for k in (1, 2) for r in range(1, 5)
+] + [
+    ("inverse-eh", dict(p=[p], k=[k], h=list(range(1, k + 1))))
+    for p in (2, 3, 5, 7, 11, 13, 31, 101) for k in (1, 2)
+]
+
+
+def test_k_le_2_candidates_attain_their_bound():
+    """Every normalized candidate with k <= 2 is a progression ({0} or
+    {0, 1} over Z, any 2-set mod p) and so attains its bound, by the
+    oracle's count: each such scan reports every candidate it evaluates as
+    an equality set and none as a violation.  This is why a k <= 2 chunk
+    hands its one candidate to the engine's recheck without a walk."""
+    reports, cache = [], {}
+    for name, grid in _K_LE_2_GRID:
+        scan_grid(name, grid, 10**8, 1, None, reports.append)
+    assert len(reports) == 1_234
+    for report in reports:
+        largest = report.max_diameter if report.p is None else report.p - 1
+        assert report.violations == ()
+        assert report.evaluated == len(report.equality_sets) > 0
+        assert report.equality_sets == tuple(_normalized(report.k, largest, report.p))
+        for s in report.equality_sets:
+            assert _oracle_cardinality(cache, s, report.p, report.h, report.r) == report.bound
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_k_le_2_scan_never_walks(monkeypatch, capsys, tmp_path, jobs):
+    """A k <= 2 scan builds no tables and steps no DP: with ``_tables`` and
+    ``_walker`` raising, both scans still exit 0 with every candidate at its
+    bound, also when their chunks run in the pool."""
+
+    def no_walk(*args):
+        raise AssertionError("a k <= 2 point walked")
+
+    started = []
+
+    class Counting(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(sumsetlab.scan, "_tables", no_walk)
+    monkeypatch.setattr(sumsetlab.scan, "_walker", no_walk)
+    monkeypatch.setattr(sumsetlab.scan, "ProcessPoolExecutor", Counting)
+    manifest = tmp_path / "grid.txt"
+    manifest.write_text("k = 1, 2\nh = 1, 2\nr = 2\nmax_diameter = 1, 6\n", encoding="utf-8")
+    for argv in (["extremal", "--manifest", str(manifest)], ["inverse-eh", "--p", "11", "--k", "2"]):
+        assert run(["scan"] + argv + ["--format", "records", "--jobs", jobs]) == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        summaries = [rec for rec in records if rec["op"] == "scan-summary"]
+        assert summaries and all(rec["evaluated"] == len(rec["equality_sets"]) > 0
+                                 for rec in summaries)
+    assert len(started) == (2 if jobs == "2" else 0)
+
+
 def _oracle_cardinality(cache, s, p, h, r):
     key = (s, p, h, r)
     if key not in cache:
@@ -259,7 +321,9 @@ def test_both_layouts_match_the_oracle(monkeypatch, packed):
     """The walk gives the oracle's cardinality for every candidate with its
     DP packed and per t, whichever the cost rule would choose: over Z every
     k <= 4, max_diameter 6, r <= 3, h <= r*k; mod 5 and 7 every k <= 4; and
-    a few points at r = 5, where min(r, h) exceeds 3."""
+    a few points at r = 5, where min(r, h) exceeds 3.  At k <= 2 each
+    chunk hands its prefix to the engine's recheck, and the scan's records
+    carry the oracle's cardinality."""
     monkeypatch.setattr(sumsetlab.scan, "_packs", lambda *args: packed)
     cache = {}
     checked = 0
@@ -274,14 +338,32 @@ def test_both_layouts_match_the_oracle(monkeypatch, packed):
         # At bound 0 every candidate is above it and gets its line.
         parts = _LineParts("extremal", p, 0)
         point = _point(k, params, p, largest)
+        records = []
         for prefix in _prefixes(k, largest):
             evaluated, lines, low = _chunk(point, 0, parts, prefix)
+            if k <= 2:
+                assert (evaluated, lines, low) == _handed_off(prefix, p, parts)
+                continue
             assert len(lines) == evaluated and low == []
-            for rec in map(json.loads, lines):
-                want = _oracle_cardinality(cache, tuple(rec["set"]), p, h, r)
-                assert rec["cardinality"] == want, (rec, p, h, r)
-                checked += 1
+            records += map(json.loads, lines)
+        if k <= 2:
+            _scan("extremal", k, params, p, largest, 0, False, "", 10**8, 1, None,
+                  _decoding(records))
+            assert [tuple(rec["set"]) for rec in records] == _normalized(k, largest, p)
+        for rec in records:
+            want = _oracle_cardinality(cache, tuple(rec["set"]), p, h, r)
+            assert rec["cardinality"] == want, (rec, p, h, r)
+            checked += 1
     assert checked > 1_500
+
+
+def _handed_off(prefix, p, parts):
+    """What a chunk returns whose prefix is already its one candidate: over
+    Z nothing for a dilate of {0, 1}, and otherwise the prefix, evaluated
+    and left to the engine's recheck as at or below any bound."""
+    if p is None and prefix not in ((0,), (0, 1)):
+        return 0, [], []
+    return 1, [None] if parts is not None else [], [prefix]
 
 
 def _prefixes(k, largest):
@@ -300,17 +382,23 @@ def test_chunk_line_table(p, k):
     bound, with None in the place of each candidate at or below it, which
     it also returns; a plain chunk returns those candidates and no lines.
     The scan fills each None from the engine, so every line it hands over,
-    below, at and above the bound, is the encoder's.  k = 1 and k = 2 are
-    the chunks whose leaves have the prefix text "" and "0,"."""
+    below, at and above the bound, is the encoder's, with the oracle's
+    cardinality.  At k <= 2 every chunk hands its prefix, the one
+    candidate, to the engine's recheck with a None line, whatever the
+    bound."""
     params = SumParams(h=2, r=2)
     largest = 5 if p is None else p - 1
     slacks = set()
+    cache = {}
     point = _point(k, params, p, largest)
     for bound in range(0, 12):
         parts = _LineParts("extremal", p, bound)
         for prefix in _prefixes(k, largest):
             evaluated, lines, low = _chunk(point, bound, parts, prefix)
             assert _chunk(point, bound, None, prefix) == (evaluated, [], low)
+            if k <= 2:
+                assert (evaluated, lines, low) == _handed_off(prefix, p, parts)
+                continue
             assert len(lines) == evaluated
             sets = [tuple(json.loads(line)["set"]) if line else low.pop(0) for line in lines]
             assert low == [] and sets == [s for s in _normalized(k, largest, p)
@@ -325,14 +413,16 @@ def test_chunk_line_table(p, k):
         seen = []
         _scan("extremal", k, params, p, largest, bound, False, "", 10**8, 1, None,
               lambda lines: seen.extend(lines))
-        assert seen
+        assert [tuple(json.loads(line)["set"]) for line in seen] == _normalized(k, largest, p)
         for line in seen:
             rec = json.loads(line)
             assert line == _json_line(rec) and rec["p"] == p
+            card = _oracle_cardinality(cache, tuple(rec["set"]), p, 2, 2)
+            assert (rec["cardinality"], rec["slack"]) == (card, card - bound)
             slacks.add((rec["slack"] > 0) - (rec["slack"] < 0))
     assert slacks == {-1, 0, 1}
-    # Each cardinality's head and tail, filled in from the one encoding of
-    # the point, are json.dumps's line at negative, zero and positive slack.
+    # Each cardinality's head and tail, split from its line encoded with an
+    # empty set, are json.dumps's line at negative, zero and positive slack.
     for kind in _SCANS:
         parts = _LineParts(kind, p, 5)
         for card in (0, 3, 4, 5, 6, 7, 123):
@@ -362,28 +452,24 @@ def test_chunk_leaves_no_garbage(monkeypatch, packed, records):
 @pytest.mark.parametrize("packed", [True, False])
 @pytest.mark.parametrize("p, largest", [(None, 9), (7, 6), (13, 12)])
 @pytest.mark.parametrize("h, r", [(1, 1), (2, 1), (3, 2), (5, 5), (7, 3)])
-@pytest.mark.parametrize("k", [1, 2, 4])
+@pytest.mark.parametrize("k", [3, 4, 6])
 def test_point_tables_are_each_elements_shifts(monkeypatch, packed, p, largest, h, r, k):
-    """A point's tables give, for every element a = 0..largest, the step
-    argument of its layout (packed, ``_shifts`` at cap min(r, h) with the
-    point's stride; per t, a itself), a leaf's shifts c * a (mod p) for
-    c = 1..min(r, h), padded with zeros to three, and a's text.  They are
-    lists when the point has more candidates than elements (k = 4), and
-    computed at each lookup, and kept nowhere, when it has not (k <= 2)."""
+    """A point's tables are lists that give, for every element
+    a = 0..largest, the step argument of its layout (packed, ``_shifts`` at
+    cap min(r, h) with the point's stride; per t, a itself), a leaf's
+    shifts c * a (mod p) for c = 1..min(r, h), padded with zeros to three,
+    and a's text."""
     monkeypatch.setattr(sumsetlab.scan, "_packs", lambda *args: packed)
     stride = h * largest + 1 if p is None else 2 * p
     start, grows, read, steps, leaves, texts = _tables(_point(k, SumParams(h, r), p, largest))
     m = min(r, h)
-    tabulated = math.comb(largest, k - 1) > largest
-    assert tabulated == (k == 4)
-    for table in (leaves, texts) + ((steps,) if packed and k > 1 else ()):
-        assert isinstance(table, list) if tabulated else table == {}
+    for table in (steps, leaves, texts):
+        assert isinstance(table, list) and len(table) == largest + 1
     for a in range(largest + 1):
-        assert steps[a] == (sumsetlab.core._shifts(m, stride, p, a) if packed and k > 1 else a)
+        assert steps[a] == (sumsetlab.core._shifts(m, stride, p, a) if packed else a)
         want = tuple(c * a if p is None else c * a % p for c in range(1, m + 1))
         assert leaves[a] == want + (0,) * (3 - m)
         assert texts[a] == str(a)
-    assert tabulated or leaves == texts == {}
 
 
 def test_tables_are_built_once_per_point(monkeypatch, capsys, tmp_path):
