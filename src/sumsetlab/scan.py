@@ -173,17 +173,17 @@ def _layout(k: int, h: int, r: int, p: Optional[int], largest: int) -> Tuple[int
     engine's cost rule packs its rows.  A scan of k >= 3 elements steps
     about one row per k - 1 elements, and a candidate that ends a row costs
     the same min(r, h) shift-ORs in either layout, so the rule prices the
-    rows alone."""
+    rows alone; a one-element point has a single row."""
     stride = h * largest + 1 if p is None else 2 * p
-    return stride, _packs(math.comb(largest, k - 2), 0, h, r, stride)
+    return stride, _packs(math.comb(largest, max(k - 2, 0)), 0, h, r, stride)
 
 
 @lru_cache(maxsize=1)
 def _tables(point: tuple) -> tuple:
-    """The walk of a scan point (serial, k, params, p, largest), k >= 3,
-    built at most once per point in each process, and dropped for the next
-    point's: ``core._walker``'s (start, grows, read) in the layout of
-    :func:`_layout`; and lists, for each element a = 0..largest, of its
+    """The walk of a scan point (serial, k, params, p, largest), which a
+    chunk asks for only at k >= 3, built at most once per point in each
+    process, and dropped for the next point's: ``core._walker``'s (start,
+    grows, read) in the layout of :func:`_layout`; and lists, for each element a = 0..largest, of its
     step argument, the shifts c * a (mod p) by which a leaf ORs its row's
     masks at t = h - c, c = 1..min(r, h), padded with zeros to at least
     three, and its text."""

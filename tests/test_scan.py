@@ -452,13 +452,14 @@ def test_chunk_leaves_no_garbage(monkeypatch, packed, records):
 @pytest.mark.parametrize("packed", [True, False])
 @pytest.mark.parametrize("p, largest", [(None, 9), (7, 6), (13, 12)])
 @pytest.mark.parametrize("h, r", [(1, 1), (2, 1), (3, 2), (5, 5), (7, 3)])
-@pytest.mark.parametrize("k", [3, 4, 6])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 6])
 def test_point_tables_are_each_elements_shifts(monkeypatch, packed, p, largest, h, r, k):
     """A point's tables are lists that give, for every element
     a = 0..largest, the step argument of its layout (packed, ``_shifts`` at
     cap min(r, h) with the point's stride; per t, a itself), a leaf's
     shifts c * a (mod p) for c = 1..min(r, h), padded with zeros to three,
-    and a's text."""
+    and a's text.  The tables are the same at k <= 2, where no chunk asks
+    for them."""
     monkeypatch.setattr(sumsetlab.scan, "_packs", lambda *args: packed)
     stride = h * largest + 1 if p is None else 2 * p
     start, grows, read, steps, leaves, texts = _tables(_point(k, SumParams(h, r), p, largest))
