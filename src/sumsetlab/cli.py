@@ -17,7 +17,6 @@ failed, 3 a scan refused by the resource cap, 130 interrupted.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import warnings
@@ -35,7 +34,7 @@ from .core import (
 )
 from .decompose import MultiplicityVector, check_sumset_factorization, greedy_decompose
 from .errors import DomainError, InvariantViolationError, ResourceCapError
-from .scan import DEFAULT_CAP, _SCANS, parse_manifest, scan_grid
+from .scan import DEFAULT_CAP, _SCANS, _json_line, parse_manifest, scan_grid
 from .verify import (
     check_complement_identity,
     check_direct_bound,
@@ -56,12 +55,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise DomainError(message)
-
-
-# One encoder for every record line (json.dumps with options builds a new
-# one per call).  Scan candidate lines come from scan.py's template, which
-# writes the same bytes.
-_json_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _fmt_set(values, modulus=None) -> str:

@@ -43,16 +43,17 @@ the widest, so a packed row holds up to twice the bits of the per-t
 masks over Z, more when the sums are sparse, and twice the p-bit masks
 mod p; in exchange its interpreter cost does not grow with r * h.
 
-One cost rule, ``_packs``, picks the layout for a call or a scan from
-numbers known before any DP: counted in per-t shifts, a per-t mask costs
-one more, and a packed doubling costs two plus one per 2**12 bits of row
-it passes over; a row must also be within the mask guard.  Small rows,
-the exhaustive grids' traffic, run packed; wide rows, from a large span,
-a far element or a large p, run per t.  ``_read`` lists a mask's values
-in one pass over its binary string, and ``_add_part`` adds a set, given
-by its shifts, to a mask.  ``_walker`` gives either layout's steps to
-the scans (``scan.py``), which walk their candidates depth-first, and to
-the engine's calls at h alone.
+``_walker`` lays out every walk, the engine's calls at h alone and the
+scans (``scan.py``), which walk their candidates depth-first: from the
+span and the steps its caller prices, it applies the one cost rule,
+``_packs``, to numbers known before any DP, and gives that layout's
+steps.  Counted in per-t shifts, a per-t mask costs one more, and a
+packed doubling costs two plus one per 2**12 bits of row it passes over;
+a row must also be within the mask guard.  Small rows, the exhaustive
+grids' traffic, run packed; wide rows, from a large span, a far element
+or a large p, run per t.  ``_read`` lists a mask's values in one pass
+over its binary string, and ``_add_part`` adds a set, given by its
+shifts, to a mask.
 
 One packed DP at height H holds h^(r)A at every h <= H, one slot each:
 :func:`profile` runs it, and a slot is read by a popcount or ``_read``.
@@ -63,7 +64,7 @@ slots (r * k * span + 1 bits over Z, 2p mod p) fits 2**18 bits and the
 64-bit guard holds at r * k, and a call reads its slot h; every guard is
 monotone in h, so the read needs no validation.  Any other call
 validates at h and runs at h alone through ``_walker``, packed or per t
-as ``_packs`` picks: it steps every element but the last, then ORs the
+as the rule picks: it steps every element but the last, then ORs the
 last element's shifts into the masks at t = h - min(r, h)..h.  The
 memo holds at most 16 rows of 2**18 bits, 512 KiB; its profiles are
 never mutated, so threads may share the engine, and no result depends
@@ -452,16 +453,19 @@ def _slots(low: int, m: int, stride: int, row: int) -> list:
     return [row >> j * stride & cut for j in range(m + 1)]
 
 
-def _walker(k: int, h: int, r: int, p: Optional[int], stride: int, packed: bool) -> tuple:
-    """The DP of a k-set read at t = h alone, packed in slots of ``stride``
-    bits or per t: (start, grows, read, arg), where grows[i](state, arg(a))
-    scans the element a as the i-th, and read(state) lists the masks at
-    t = h - m..h, m = min(r, h), the only ones that a last element's step
-    carries to t = h.  Packed, arg(a) is a's :func:`_shifts` at cap m;
-    per t, it is a itself, and the masks after the i-th element are
-    computed only in its :func:`_window`."""
+def _walker(k: int, h: int, r: int, p: Optional[int], span: int, steps: int, leaves: int) -> tuple:
+    """The DP of a k-set of span at most ``span`` read at t = h alone, in
+    the layout that :func:`_packs` picks for a walk of ``steps`` steps and
+    ``leaves`` last steps: (start, grows, read, arg), where
+    grows[i](state, arg(a)) scans the element a as the i-th, and
+    read(state) lists the masks at t = h - m..h, m = min(r, h), the only
+    ones that a last element's step carries to t = h.  Packed, in slots of
+    h * span + 1 bits over Z and 2p mod p, arg(a) is a's :func:`_shifts`
+    at cap m; per t, it is a itself, and the masks after the i-th element
+    are computed only in its :func:`_window`."""
     m = min(r, h)
-    if packed:
+    stride = h * span + 1 if p is None else 2 * p
+    if _packs(steps, leaves, h, r, stride):
         grow = partial(_step, p, _keep(h, stride, p))
         return 1, [grow] * k, partial(_slots, h - m, m, stride), partial(_shifts, m, stride, p)
     grows = [partial(_extend, r, p, _window(k, h, r, i)) for i in range(k)]
@@ -531,15 +535,15 @@ def _kept(elements: tuple, p: Optional[int], r: int) -> Optional[Profile]:
 def _sumset_mask(ground: GroundSet, h: int, r: int) -> int:
     """The mask of h^(r)A, for any 0 <= h <= r*k, as ``_read`` takes it:
     slot h of the set's :func:`_kept` profile, or a DP at h alone through
-    ``_walker`` whose last element is read at t = h alone."""
+    ``_walker``, priced as k - 1 steps and one last step read at t = h
+    alone."""
     A, p = tuple(ground.elements), ground.modulus
     kept = _kept(A, p, r)
     if kept is not None and h <= kept.height:
         return kept.row >> h * kept.stride & ((1 << kept.stride) - 1)
     _validate_params(ground, h, r)
     k, base = len(A), A[0] if p is None else 0
-    stride = h * (A[-1] - base) + 1 if p is None else 2 * p
-    state, grows, read, arg = _walker(k, h, r, p, stride, _packs(k - 1, 1, h, r, stride))
+    state, grows, read, arg = _walker(k, h, r, p, A[-1] - base, k - 1, 1)
     for grow, a in zip(grows, A[:-1]):
         state = grow(state, arg(a - base))
     return _mask_at(min(r, h), r, p, read(state), A[-1] - base)
@@ -550,8 +554,9 @@ def generalized_sumset(ground: GroundSet, params: SumParams) -> SumsetResult:
 
     Slot h of the set's :func:`profile` at r*k, which the engine keeps
     for later calls of the same (A, r) when it fits, or, for a set too
-    wide to keep, a DP at h alone in the layout that :func:`_packs` picks
-    (see the module docstring).  No result depends on earlier calls.
+    wide to keep, a DP at h alone in the layout that :func:`_walker` picks
+    by the cost rule (see the module docstring).  No result depends on
+    earlier calls.
     """
     return _read(_sumset_mask(ground, params.h, params.r), ground, params.h)
 

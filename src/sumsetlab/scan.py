@@ -31,7 +31,7 @@ a parallel one at most 2 * jobs chunks submitted and not yet folded.
 A chunk is handed its point as a serial and the point's arguments.  At
 k <= 2 a chunk's prefix is already its one candidate, a progression and
 so at its bound, and it goes straight to the engine's recheck below: such
-a point builds no tables and steps no DP.  At k >= 3 each process that
+a point builds no tables, steps no DP and runs its chunks serially.  At k >= 3 each process that
 runs chunks builds a point's tables at most once, on its first chunk of
 the point, and drops them for the next point's: the step argument of
 each element 0..largest (its doubling shifts, packed), the shifts c * a
@@ -43,11 +43,11 @@ k - 1 elements is stepped, has its masks at t = h - min(r, h)..h read
 once, and has its leaves evaluated in the loop of its parent node: every
 candidate that ends it costs min(r, h) shift-ORs of those masks, past
 c = 3 only of the nonzero ones, a fold mod p, and a popcount.  The
-engine's cost rule, ``core._packs``, picks the layout once per point
-from the rows it steps, since a leaf costs the same in both: packed rows
-of slots t = 0..h, laid out with the widest candidate's stride, when
-they are small, and per-t masks, cut to the t that the remaining
-elements can still complete to h, when they are wide.
+engine's ``core._walker`` picks the layout once per point by its cost
+rule, from the rows the point steps and its widest candidate's span:
+packed rows of slots t = 0..h when they are small, and per-t masks, cut
+to the t that the remaining elements can still complete to h, when they
+are wide.
 ``generalized_sumset`` recomputes every set found at or below the bound,
 and its cardinality is the one reported.  In records mode each node of
 the walk carries its prefix's text, and a candidate above the bound gets
@@ -77,7 +77,6 @@ from .core import (
     bound_direct_integers,
     bound_erdos_heilbronn,
     generalized_sumset,
-    _packs,
     _validate_params,
     _walker,
 )
@@ -87,6 +86,10 @@ from .verify import is_arithmetic_progression
 DEFAULT_CAP = 10**8
 
 RecordsCallback = Callable[[list], None]
+
+# One encoder for every record line (json.dumps with options builds a new
+# one per call).
+_json_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 @dataclass(frozen=True)
@@ -147,17 +150,17 @@ class ScanReport:
 
 class _LineParts(dict):
     """cardinality -> the (head, tail) of a record line around its set's
-    comma-joined elements, as the CLI's encoder writes the record (compact,
-    keys sorted): each cardinality's line, encoded on first use with an
-    empty set, split at that set."""
+    comma-joined elements, as ``_json_line`` writes the record: each
+    cardinality's line, encoded on first use with an empty set, split at
+    that set."""
 
     def __init__(self, kind: str, p: Optional[int], bound: int):
         self.record = {"kind": kind, "op": "scan", "p": p, "bound": bound, "set": []}
 
     def __missing__(self, card):
         bound = self.record["bound"]
-        line = json.dumps({**self.record, "cardinality": card, "equality": card == bound,
-                           "slack": card - bound}, sort_keys=True, separators=(",", ":"))
+        line = _json_line({**self.record, "cardinality": card, "equality": card == bound,
+                           "slack": card - bound})
         head, tail = line.split('"set":[]')
         parts = self[card] = (f'{head}"set":[', f"]{tail}")
         return parts
@@ -168,28 +171,22 @@ class _LineParts(dict):
 _POINTS = itertools.count()
 
 
-def _layout(k: int, h: int, r: int, p: Optional[int], largest: int) -> Tuple[int, bool]:
-    """A scan's stride, that of its widest candidate, and whether the
-    engine's cost rule packs its rows.  A scan of k >= 3 elements steps
-    about one row per k - 1 elements, and a candidate that ends a row costs
-    the same min(r, h) shift-ORs in either layout, so the rule prices the
-    rows alone; a one-element point has a single row."""
-    stride = h * largest + 1 if p is None else 2 * p
-    return stride, _packs(math.comb(largest, max(k - 2, 0)), 0, h, r, stride)
-
-
 @lru_cache(maxsize=1)
 def _tables(point: tuple) -> tuple:
     """The walk of a scan point (serial, k, params, p, largest), which a
     chunk asks for only at k >= 3, built at most once per point in each
     process, and dropped for the next point's: ``core._walker``'s (start,
-    grows, read) in the layout of :func:`_layout`; and lists, for each element a = 0..largest, of its
-    step argument, the shifts c * a (mod p) by which a leaf ORs its row's
-    masks at t = h - c, c = 1..min(r, h), padded with zeros to at least
-    three, and its text."""
+    grows, read) for the widest candidate's span, priced as C(largest,
+    k - 2) steps and no last steps, since a scan steps about one row per
+    k - 1 elements and a candidate that ends a row costs the same
+    min(r, h) shift-ORs in either layout (a one-element point has a
+    single row); and lists, for each element a = 0..largest, of its step
+    argument, the shifts c * a (mod p) by which a leaf ORs its row's masks
+    at t = h - c, c = 1..min(r, h), padded with zeros to at least three,
+    and its text."""
     _, k, params, p, largest = point
     h, r = params.h, params.r
-    start, grows, read, arg = _walker(k, h, r, p, *_layout(k, h, r, p, largest))
+    start, grows, read, arg = _walker(k, h, r, p, largest, math.comb(largest, max(k - 2, 0)), 0)
     elements = range(largest + 1)
     cs, pad = range(1, min(r, h) + 1), (0,) * (3 - min(r, h))
     leaves = [tuple(c * a if p is None else c * a % p for c in cs) + pad for a in elements]
@@ -293,8 +290,8 @@ def _scan(
 ) -> ScanReport:
     """Scan the k-sets 0 = a_1 < ... < a_k <= largest, in Z/pZ when
     ``p`` is given, against ``bound``, in chunks split by the smallest
-    nonzero element: run in ``pool()`` if jobs > 1 and there are several,
-    folded in that order as each arrives.  ``on_records``, if given, gets
+    nonzero element: run in ``pool()`` if jobs > 1, k > 2 and there are
+    several, folded in that order as each arrives.  ``on_records``, if given, gets
     the record lines of each chunk that evaluated a candidate."""
     count = math.comb(largest, k - 1)
     if count > cap:
@@ -309,7 +306,7 @@ def _scan(
     prefixes = [(0,)] if k == 1 else [(0, f) for f in range(1, largest - k + 3)]
     evaluated = 0
     equality, violations = [], []
-    if jobs > 1 and len(prefixes) > 1:
+    if jobs > 1 and k > 2 and len(prefixes) > 1:
         # Finished chunks wait for the fold, so a bounded window keeps
         # memory at O(jobs) chunks while every worker has work queued.
         results = _in_order(pool(), chunk, prefixes, 2 * jobs)

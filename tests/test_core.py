@@ -6,6 +6,7 @@ independently of the package, and frozen here.
 """
 
 import itertools
+import math
 import random
 import sys
 import threading
@@ -35,6 +36,7 @@ from sumsetlab import (
 )
 from sumsetlab import core
 from sumsetlab.core import _validate_params
+from sumsetlab.scan import _scan
 
 
 # ===================== frozen examples =====================
@@ -882,6 +884,30 @@ def test_cost_rule_bounds_the_packed_row():
     assert not core._packs(0, 1, 1, 1, 1)
     assert core._packs(1, 0, 10**4, 10**4, 5 * 10**5)
     assert not core._packs(1, 0, 10**4, 10**4, 10**6)  # 10 001 slots > 2**33 bits
+
+
+def test_each_walk_prices_what_it_steps(fresh_memo, monkeypatch):
+    """``_walker`` is the cost rule's one caller.  An uncached engine call
+    prices k - 1 steps and one last step at h in slots of h * span + 1 bits
+    over Z and 2p mod p; a scan point of k >= 3 prices one step per row,
+    C(largest, k - 2), and no last step, with its widest candidate's
+    stride, once for all its chunks."""
+    priced = _counting(monkeypatch, "_packs")
+    monkeypatch.setattr(core, "_MEMO_MAX_BITS", 0)  # every engine call walks
+    for elements, p, h, r in (((0, 2, 3, 7), None, 3, 2), ((-5, 0, 6, 40), None, 5, 2),
+                              ((1, 4, 9), 11, 4, 4), ((0, 3, 5, 6, 9), 13, 2, 1),
+                              ((-5, 0, 6, 40), None, 3, 1)):
+        del priced[:]
+        generalized_sumset(GroundSet(elements, p), SumParams(h, r))
+        stride = h * (elements[-1] - elements[0]) + 1 if p is None else 2 * p
+        assert priced == [(len(elements) - 1, 1, h, r, stride)]
+    for k, h, r, p, largest in ((3, 4, 2, None, 9), (4, 6, 6, None, 7), (5, 2, 1, 13, 12),
+                                (3, 3, 3, 7, 6)):
+        del priced[:]
+        # At bound 0 no candidate reaches the engine's recheck.
+        _scan("extremal", k, SumParams(h, r), p, largest, 0, False, "", 10**8, 1, None, None)
+        stride = h * largest + 1 if p is None else 2 * p
+        assert priced == [(math.comb(largest, k - 2), 0, h, r, stride)]
 
 
 def test_memo_across_threads(fresh_memo):

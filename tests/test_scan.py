@@ -239,9 +239,9 @@ def test_k_le_2_candidates_attain_their_bound():
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_k_le_2_scan_never_walks(monkeypatch, capsys, tmp_path, jobs):
-    """A k <= 2 scan builds no tables and steps no DP: with ``_tables`` and
-    ``_walker`` raising, both scans still exit 0 with every candidate at its
-    bound, also when their chunks run in the pool."""
+    """A k <= 2 scan builds no tables, steps no DP and starts no pool: with
+    ``_tables`` and ``_walker`` raising, both scans still exit 0 with every
+    candidate at its bound, and at --jobs 2 their chunks run serially."""
 
     def no_walk(*args):
         raise AssertionError("a k <= 2 point walked")
@@ -264,7 +264,7 @@ def test_k_le_2_scan_never_walks(monkeypatch, capsys, tmp_path, jobs):
         summaries = [rec for rec in records if rec["op"] == "scan-summary"]
         assert summaries and all(rec["evaluated"] == len(rec["equality_sets"]) > 0
                                  for rec in summaries)
-    assert len(started) == (2 if jobs == "2" else 0)
+    assert started == []
 
 
 def _oracle_cardinality(cache, s, p, h, r):
@@ -324,7 +324,7 @@ def test_both_layouts_match_the_oracle(monkeypatch, packed):
     a few points at r = 5, where min(r, h) exceeds 3.  At k <= 2 each
     chunk hands its prefix to the engine's recheck, and the scan's records
     carry the oracle's cardinality."""
-    monkeypatch.setattr(sumsetlab.scan, "_packs", lambda *args: packed)
+    monkeypatch.setattr(sumsetlab.core, "_packs", lambda *args: packed)
     cache = {}
     checked = 0
     points = [(k, h, r, None, 6) for k in range(1, 5) for r in range(1, 4)
@@ -438,7 +438,7 @@ def test_chunk_line_table(p, k):
 def test_chunk_leaves_no_garbage(monkeypatch, packed, records):
     """A chunk's walk holds no reference cycle, so what it leaves is freed
     without the cyclic collector."""
-    monkeypatch.setattr(sumsetlab.scan, "_packs", lambda *args: packed)
+    monkeypatch.setattr(sumsetlab.core, "_packs", lambda *args: packed)
     parts = _LineParts("extremal", None, 7) if records else None
     gc.collect()
     gc.disable()
@@ -460,7 +460,7 @@ def test_point_tables_are_each_elements_shifts(monkeypatch, packed, p, largest, 
     shifts c * a (mod p) for c = 1..min(r, h), padded with zeros to three,
     and a's text.  The tables are the same at k <= 2, where no chunk asks
     for them."""
-    monkeypatch.setattr(sumsetlab.scan, "_packs", lambda *args: packed)
+    monkeypatch.setattr(sumsetlab.core, "_packs", lambda *args: packed)
     stride = h * largest + 1 if p is None else 2 * p
     start, grows, read, steps, leaves, texts = _tables(_point(k, SumParams(h, r), p, largest))
     m = min(r, h)
@@ -477,12 +477,12 @@ def test_tables_are_built_once_per_point(monkeypatch, capsys, tmp_path):
     """At --jobs 1 a scan builds its tables once per grid point, every chunk
     of the point uses that point's tables, and no later point or CLI run
     reuses them."""
-    built, used = [], []  # (k, h, stride) per build; (point, tables) per chunk
+    built, used = [], []  # (k, h, span) per build; (point, tables) per chunk
     walker, chunk = sumsetlab.scan._walker, sumsetlab.scan._chunk
 
-    def walking(k, h, r, p, stride, packed):
-        built.append((k, h, stride))
-        return walker(k, h, r, p, stride, packed)
+    def walking(k, h, r, p, span, steps, leaves):
+        built.append((k, h, span))
+        return walker(k, h, r, p, span, steps, leaves)
 
     def chunking(point, *args):
         got = chunk(point, *args)
@@ -498,7 +498,7 @@ def test_tables_are_built_once_per_point(monkeypatch, capsys, tmp_path):
         assert run(argv) == 0
     capsys.readouterr()
     points = [(k, h, 2, d) for k in (3, 4) for h in (2, 3) for d in (6, 7)]
-    assert built == [(k, h, h * d + 1) for k, h, _, d in points] * 2
+    assert built == [(k, h, d) for k, h, _, d in points] * 2
     chunks = [d - k + 2 for k, _, _, d in points] * 2  # prefixes (0, a_2)
     assert [point[1:] for point, _ in used] == [
         (k, SumParams(h, r), None, d) for (k, h, r, d), n in zip(points * 2, chunks)
@@ -538,12 +538,9 @@ def test_parallel_chunks_carry_no_tables(monkeypatch):
 
     monkeypatch.setattr(sumsetlab.scan, "_in_order", measuring)
     for d in (20, 600):
-        seen = []
-        report = scan_extremal_integers(k=2, h=2, r=2, max_diameter=d, jobs=2,
-                                        on_records=_decoding(seen))
-        # over Z only (0, 1) has gcd 1; every other chunk evaluates nothing
-        assert (report.candidates, report.evaluated, len(seen)) == (d, 1, 1)
-    assert sizes[600] <= sizes[20] + 16 and sizes[600] < 1_000
+        report = scan_extremal_integers(k=3, h=2, r=2, max_diameter=d, jobs=2)
+        assert report.candidates == math.comb(d, 2) and report.equality_sets == ((0, 1, 2),)
+    assert sizes[599] <= sizes[19] + 16 and sizes[599] < 1_000
 
 
 def test_scan_claims_are_the_engines(monkeypatch):
@@ -689,12 +686,14 @@ def test_parallel_scan_window(monkeypatch, capsys, jobs):
         ("k = 1\nh = 1\nr = 1..3\nmax_diameter = 0..2", [], 0, 0),  # 1 chunk each
         ("k = 4\nh = 3\nr = 2\nmax_diameter = 12, 8", ["--cap", "100"], 3, 0),
         (f"k = 3\nh = {2**30}, 3\nr = {2**30}\nmax_diameter = 10", [], 1, 0),
+        ("k = 2\nh = 1..3\nr = 2\nmax_diameter = 9", [], 0, 0),  # 9 hand-offs each
     ],
 )
 def test_one_pool_per_invocation(monkeypatch, capsys, tmp_path, grid, extra, code, pools):
     """A --jobs 2 scan starts at most one pool, shared by every grid
-    point, and only once a point with more than one chunk has passed its
-    cap and size checks; it prints the --jobs 1 bytes and exit code."""
+    point, and only once a point of k >= 3 with more than one chunk has
+    passed its cap and size checks; it prints the --jobs 1 bytes and exit
+    code."""
     manifest = tmp_path / "grid.txt"
     manifest.write_text(grid + "\n", encoding="utf-8")
     argv = ["scan", "extremal", "--manifest", str(manifest), "--format", "records"]

@@ -17,15 +17,14 @@ def _rowwidth():
 def test_rowwidth_runs_an_engine_shape():
     """One engine shape of ``compare``, in the tool's own subprocess, as is
     and with the layout forced each way as ``calibrate`` does: all read the
-    same values, the memo packs this narrow shape and ``_packs`` does too,
+    same values, each child reports that the rule packs this narrow shape,
     no timed run reads a profile that the engine kept from the run before
     it, and a forced run builds no profile, so it times the layout it
-    forces."""
+    forces.  A wide shape that the memo declines runs free: its child
+    reports the rule's per-t pick and builds no profile."""
     rowwidth = _rowwidth()
     shape = next(s for s in rowwidth._compare_shapes() if s["name"] == "Z {0,1,2,3,7} h=r=6")
     src = str(ROOT / "src")
-    assert rowwidth._rule(shape, src) is True
-    assert rowwidth._rule(shape, src, memo=False) is True
     shape = {**shape, "repeats": 1}
     free = rowwidth._run(shape, src)
     packed = rowwidth._run(shape, src, True)
@@ -34,5 +33,8 @@ def test_rowwidth_runs_an_engine_shape():
     for run in (free, packed, per_t):
         assert run["s"] > 0 and run["peak_mb"] > 0
         assert run["memo_hits"] == 0
+        assert run["rule"] is True
     assert free["profiles"] > 0
     assert packed["profiles"] == per_t["profiles"] == 0
+    wide = rowwidth._run(rowwidth._engine("Z {0,1,30000} h=2 r=1", [0, 1, 30_000], None, 2, 1, 1), src)
+    assert wide["rule"] is False and wide["profiles"] == 0

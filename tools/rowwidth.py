@@ -16,14 +16,17 @@ runs at least its repeats and 0.5 s, and until 200 runs or 5 s, each
 run with the engine's profile memo emptied first; its time is the fastest
 run, ``peak_mb`` is the interpreter's peak RSS, ``memo_hits`` is the
 memo's hit count, 0 for an engine shape whose runs all start cold, and
-``profiles`` is the number of profiles built over all runs.  Each shape's
-``packed`` is the layout that the last ``--src`` tree's rule picks.
+``profiles`` is the number of profiles built over all runs.  ``rule`` is
+the layout the child saw the cost rule pick: the first walk's, or packed
+when a run built a kept profile.  Each shape's ``packed`` is the ``rule``
+of the last ``--src`` tree.
 
     python3 tools/rowwidth.py calibrate --src A [--out F]
 
 times every shape of a grid with the layout forced each way, with the
 memo keeping nothing, and reports for each shape the layout ``_packs``
-picks and how much slower it is than the faster layout.
+picks, the forced child's ``rule``, and how much slower it is than the
+faster layout.
 
 Results go to stdout as JSON, and to ``--out`` if given.  Standard
 library only.
@@ -50,10 +53,14 @@ spec = json.loads(sys.argv[1])
 sys.path.insert(0, spec["src"])
 from sumsetlab import core, scan
 from sumsetlab.core import GroundSet, SumParams
+# Each walk's layout is the cost rule's pick, recorded before a forced
+# layout overrides it.
+picks, rule = [], core._packs
+core._packs = lambda *args: picks.append(rule(*args)) or (
+    picks[-1] if spec["force"] is None else spec["force"])
 if spec["force"] is not None:
     # A profile that the memo keeps runs packed whatever _packs says, so a
     # forced layout keeps none: no row fits a cap of 0 bits.
-    core._packs = scan._packs = lambda *args: spec["force"]
     core._MEMO_MAX_BITS = 0
 built, build = [], core._profile
 core._profile = lambda *args: built.append(1) or build(*args)
@@ -79,7 +86,8 @@ while more():
     runs += 1
 print(json.dumps({"s": best, "digest": hash(json.dumps(value)),
                   "peak_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-                  "memo_hits": core._kept.cache_info().hits, "profiles": len(built)}))
+                  "memo_hits": core._kept.cache_info().hits, "profiles": len(built),
+                  "rule": picks[0] if picks else bool(built)}))
 """
 
 
@@ -152,22 +160,6 @@ def _run(spec, src, force=None):
     return json.loads(out.stdout)
 
 
-def _rule(spec, src, memo=True):
-    """The layout the cost rule of ``src`` picks for ``spec``; with ``memo``
-    false, an engine call's layout at h, as a forced run times it."""
-    sys.path.insert(0, os.path.abspath(src))
-    from sumsetlab import core, scan  # noqa: E402
-
-    h, r, p = spec["h"], spec["r"], spec["p"]
-    if spec["kind"] == "scan":
-        return scan._layout(spec["k"], h, r, p, spec["d"] if p is None else p - 1)[1]
-    # A cold call whose profile at r * k the memo keeps runs packed.
-    if memo and core._kept(tuple(spec["set"]), p, r) is not None:
-        return True
-    k, span = len(spec["set"]), spec["set"][-1] - spec["set"][0]
-    return core._packs(k - 1, 1, h, r, h * span + 1 if p is None else 2 * p)
-
-
 def compare(srcs, rounds):
     shapes = _compare_shapes()
     runs = {spec["name"]: {src: [] for src in srcs} for spec in shapes}
@@ -178,7 +170,7 @@ def compare(srcs, rounds):
                 runs[spec["name"]][src].append(_run(spec, src))
     rows = []
     for spec in shapes:
-        row = {"name": spec["name"], "packed": _rule(spec, srcs[-1])}
+        row = {"name": spec["name"], "packed": runs[spec["name"]][srcs[-1]][0]["rule"]}
         for src in srcs:
             got = runs[spec["name"]][src]
             row[src] = {"s_median": statistics.median(g["s"] for g in got),
@@ -196,7 +188,7 @@ def calibrate(src):
         packed = _run(spec, src, True)
         per_t = _run(spec, src, False)
         assert packed["digest"] == per_t["digest"], spec["name"]
-        chosen = packed if _rule(spec, src, memo=False) else per_t
+        chosen = packed if packed["rule"] else per_t
         rows.append({"name": spec["name"], "packed_s": packed["s"], "per_t_s": per_t["s"],
                      "rule": "packed" if chosen is packed else "per-t",
                      "vs_best": chosen["s"] / min(packed["s"], per_t["s"])})
