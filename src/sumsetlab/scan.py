@@ -31,11 +31,12 @@ a parallel one at most 2 * jobs chunks submitted and not yet folded.
 A chunk is handed its point as a serial and the point's arguments.  At
 k <= 2 a chunk's prefix is already its one candidate, a progression and
 so at its bound, and it goes straight to the engine's recheck below: such
-a point builds no tables, steps no DP and runs its chunks serially.  At k >= 3 each process that
-runs chunks builds a point's tables at most once, on its first chunk of
-the point, and drops them for the next point's: the step argument of
-each element 0..largest (its doubling shifts, packed), the shifts c * a
-(mod p) by which a leaf ORs its row's masks, and each element's text.
+a point builds no tables, steps no DP and runs its chunks serially.  At
+k >= 3 each process that runs chunks builds a point's tables at most
+once, on its first chunk of the point, and drops them for the next
+point's: the step argument of each element 0..largest (its doubling
+shifts, packed), the shifts c * a (mod p) by which a leaf ORs its row's
+masks, and each element's text.
 A chunk walks depth-first, on an explicit stack, with the engine's DP
 steps from ``core._walker``, one step per prefix element, so each
 prefix's DP is shared by every candidate that extends it.  A row of
@@ -291,8 +292,8 @@ def _scan(
     """Scan the k-sets 0 = a_1 < ... < a_k <= largest, in Z/pZ when
     ``p`` is given, against ``bound``, in chunks split by the smallest
     nonzero element: run in ``pool()`` if jobs > 1, k > 2 and there are
-    several, folded in that order as each arrives.  ``on_records``, if given, gets
-    the record lines of each chunk that evaluated a candidate."""
+    several, folded in that order as each arrives.  ``on_records``, if
+    given, gets the record lines of each chunk that evaluated a candidate."""
     count = math.comb(largest, k - 1)
     if count > cap:
         raise ResourceCapError(count, cap)

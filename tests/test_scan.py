@@ -28,8 +28,8 @@ from sumsetlab import (
     scan_extremal_integers,
     scan_inverse_eh_mod_p,
 )
-from sumsetlab.cli import _json_line, run
-from sumsetlab.scan import _POINTS, _SCANS, _LineParts, _chunk, _scan, _tables, scan_grid
+from sumsetlab.cli import run
+from sumsetlab.scan import _POINTS, _SCANS, _LineParts, _chunk, _json_line, _scan, _tables, scan_grid
 
 
 def _decoding(seen):

@@ -36,5 +36,6 @@ def test_rowwidth_runs_an_engine_shape():
         assert run["rule"] is True
     assert free["profiles"] > 0
     assert packed["profiles"] == per_t["profiles"] == 0
-    wide = rowwidth._run(rowwidth._engine("Z {0,1,30000} h=2 r=1", [0, 1, 30_000], None, 2, 1, 1), src)
+    wide = rowwidth._engine("Z {0,1,30000} h=2 r=1", [0, 1, 30_000], None, 2, 1, repeats=1)
+    wide = rowwidth._run(wide, src)
     assert wide["rule"] is False and wide["profiles"] == 0
