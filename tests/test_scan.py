@@ -525,9 +525,10 @@ def test_k1_scan_allocates_no_table_of_the_diameter():
 
 
 def test_parallel_chunks_carry_no_tables(monkeypatch):
-    """At --jobs 2 each chunk a scan submits pickles to a few hundred bytes,
-    whatever the max_diameter: the point goes as its serial and arguments,
-    and each worker builds its own tables."""
+    """At --jobs 2 each chunk a records-mode scan submits pickles to a few
+    hundred bytes, whatever the max_diameter: the point goes as its serial
+    and arguments with the record parts, and each worker builds its own
+    tables."""
     sizes = {}
     in_order = sumsetlab.scan._in_order
 
@@ -537,10 +538,13 @@ def test_parallel_chunks_carry_no_tables(monkeypatch):
         return in_order(pool, fn, items, window)
 
     monkeypatch.setattr(sumsetlab.scan, "_in_order", measuring)
-    for d in (20, 600):
-        report = scan_extremal_integers(k=3, h=2, r=2, max_diameter=d, jobs=2)
+    for d in (20, 200):
+        lines = []
+        report = scan_extremal_integers(k=3, h=2, r=2, max_diameter=d, jobs=2,
+                                        on_records=lines.extend)
         assert report.candidates == math.comb(d, 2) and report.equality_sets == ((0, 1, 2),)
-    assert sizes[599] <= sizes[19] + 16 and sizes[599] < 1_000
+        assert len(lines) == report.evaluated
+    assert sizes[199] <= sizes[19] + 16 and sizes[199] < 1_000
 
 
 def test_scan_claims_are_the_engines(monkeypatch):

@@ -19,7 +19,9 @@ memo's hit count, 0 for an engine shape whose runs all start cold, and
 ``profiles`` is the number of profiles built over all runs.  ``rule`` is
 the layout the child saw the cost rule pick: the first walk's, or packed
 when a run built a kept profile.  Each shape's ``packed`` is the ``rule``
-of the last ``--src`` tree.
+of the last ``--src`` tree.  Every ``--src`` tree must lay out its scans
+through ``core._walker``; the child stops on one whose ``scan`` has its
+own ``_packs``.
 
     python3 tools/rowwidth.py calibrate --src A [--out F]
 
@@ -53,6 +55,9 @@ spec = json.loads(sys.argv[1])
 sys.path.insert(0, spec["src"])
 from sumsetlab import core, scan
 from sumsetlab.core import GroundSet, SumParams
+# A scan that binds its own _packs would skip the wrapper below and time
+# the rule's layout on both sides.
+assert not hasattr(scan, "_packs"), "--src is older than core._walker's one cost rule"
 # Each walk's layout is the cost rule's pick, recorded before a forced
 # layout overrides it.
 picks, rule = [], core._packs
@@ -155,7 +160,7 @@ def _calibration_shapes():
 def _run(spec, src, force=None):
     child = {**spec, "src": os.path.abspath(src), "force": force}
     out = subprocess.run([sys.executable, "-c", CHILD, json.dumps(child)],
-                         capture_output=True, text=True, check=True,
+                         stdout=subprocess.PIPE, text=True, check=True,
                          env={**os.environ, "PYTHONHASHSEED": "0"})
     return json.loads(out.stdout)
 
