@@ -51,9 +51,14 @@ steps.  Counted in per-t shifts, a per-t mask costs one more, and a
 packed doubling costs two plus one per 2**12 bits of row it passes over;
 a row must also be within the mask guard.  Small rows, the exhaustive
 grids' traffic, run packed; wide rows, from a large span, a far element
-or a large p, run per t.  ``_read`` lists a mask's values in one pass
-over its binary string, and ``_add_part`` adds a set, given by its
-shifts, to a mask.
+or a large p, run per t.  After all but the last element, both layouts
+give one window, an int that holds the masks at t = h - min(r, h)..h at
+offsets known before the walk: packed, the row itself; per t, those
+masks joined into slots of one width by the row's last step, ``_top``.
+A last element a ORs each mask at t = h - c, shifted by c * a, into the
+mask at t = h, which the engine and the scans read from the window
+alike.  ``_read`` lists a mask's values in one pass over its binary
+string, and ``_add_part`` adds a set, given by its shifts, to a mask.
 
 One packed DP at height H holds h^(r)A at every h <= H, one slot each:
 :func:`profile` runs it, and a slot is read by a popcount or ``_read``.
@@ -65,7 +70,7 @@ slots (r * k * span + 1 bits over Z, 2p mod p) fits 2**18 bits and the
 monotone in h, so the read needs no validation.  Any other call
 validates at h and runs at h alone through ``_walker``, packed or per t
 as the rule picks: it steps every element but the last, then ORs the
-last element's shifts into the masks at t = h - min(r, h)..h.  The
+window's masks, shifted by c * a (mod p) for the last element a.  The
 memo holds at most 16 rows of 2**18 bits, 512 KiB; its profiles are
 never mutated, so threads may share the engine, and no result depends
 on which calls came before.
@@ -82,7 +87,7 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import compress
-from operator import index, itemgetter
+from operator import index
 from typing import Iterable, NamedTuple, Optional, Tuple
 
 from .errors import DomainError
@@ -446,30 +451,47 @@ def _window(k: int, h: int, r: int, i: int) -> range:
     return range(max(0, h - (k - i - 1) * r), min(h, (i + 1) * r) + 1)
 
 
-def _slots(low: int, m: int, stride: int, row: int) -> list:
-    """The masks in slots low..low + m of a packed row."""
-    row >>= low * stride
-    cut = (1 << stride) - 1
-    return [row >> j * stride & cut for j in range(m + 1)]
+def _top(r: int, p: Optional[int], low: int, size: int, dp: list, a: int) -> int:
+    """The per-t step of a row's last element, as a window: the masks at
+    t = low..len(dp) - 1 after the element a, as :func:`_mask_at` gives
+    them, the mask at t in the ``size`` bytes from byte (t - low) * size
+    on.  They are joined as bytes, in time linear in the window's size,
+    where shifting each into place would take time quadratic in it."""
+    masks = (_mask_at(t, r, p, dp, a).to_bytes(size, "little") for t in range(low, len(dp)))
+    return int.from_bytes(b"".join(masks), "little")
 
 
 def _walker(k: int, h: int, r: int, p: Optional[int], span: int, steps: int, leaves: int) -> tuple:
     """The DP of a k-set of span at most ``span`` read at t = h alone, in
     the layout that :func:`_packs` picks for a walk of ``steps`` steps and
-    ``leaves`` last steps: (start, grows, read, arg), where
-    grows[i](state, arg(a)) scans the element a as the i-th, and
-    read(state) lists the masks at t = h - m..h, m = min(r, h), the only
-    ones that a last element's step carries to t = h.  Packed, in slots of
-    h * span + 1 bits over Z and 2p mod p, arg(a) is a's :func:`_shifts`
-    at cap m; per t, it is a itself, and the masks after the i-th element
-    are computed only in its :func:`_window`."""
+    ``leaves`` last steps: (start, grows, arg, offsets, cut), where
+    grows[i](state, arg(a)), i < k - 1, scans the element a as the i-th.
+    The state after k - 1 elements is their window, an int that holds
+    the masks at t = h - m..h, m = min(r, h), the only ones that a last
+    element's step carries to t = h: the mask at t = h - c is
+    window >> offsets[c] & cut, for c = 0..max(m, 3), and past c = m the
+    offset is above the top slot, so it reads 0.  Packed, in slots of
+    h * span + 1 bits over Z and 2p mod p, arg(a) is a's :func:`_shifts` at
+    cap m, and the window is the row itself, slot t at bit t * stride.
+    Per t, arg(a) is a itself, the masks after the i-th element are
+    computed only in its :func:`_window`, and the last step, :func:`_top`,
+    puts the mask at t in slot t - (h - m) of the window, each slot as wide
+    as the widest mask, h * span + 1 bits and at most p mod p, in whole
+    bytes.  A one-element set's window, of no element, is 1 in both
+    layouts, since h <= r there."""
     m = min(r, h)
     stride = h * span + 1 if p is None else 2 * p
     if _packs(steps, leaves, h, r, stride):
-        grow = partial(_step, p, _keep(h, stride, p))
-        return 1, [grow] * k, partial(_slots, h - m, m, stride), partial(_shifts, m, stride, p)
-    grows = [partial(_extend, r, p, _window(k, h, r, i)) for i in range(k)]
-    return [1] + [0] * h, grows, itemgetter(slice(h - m, h + 1)), index
+        start, top, arg = 1, h, partial(_shifts, m, stride, p)
+        grows = [partial(_step, p, _keep(h, stride, p))] * (k - 1)
+    else:
+        stride = -(-(h * span + 1 if p is None else min(p, h * span + 1)) // 8) * 8
+        start, top, arg = [1] + [0] * h if k > 1 else 1, m, index
+        last = partial(_top, r, p, h - m, stride // 8)
+        grows = [partial(_extend, r, p, _window(k, h, r, i)) if i < k - 2 else last
+                 for i in range(k - 1)]
+    offsets = tuple((top - c if c <= m else top + 1) * stride for c in range(max(m, 3) + 1))
+    return start, grows, arg, offsets, (1 << stride) - 1
 
 
 def _add_part(mask: int, shifts: Iterable[int], p: Optional[int]) -> int:
@@ -543,10 +565,13 @@ def _sumset_mask(ground: GroundSet, h: int, r: int) -> int:
         return kept.row >> h * kept.stride & ((1 << kept.stride) - 1)
     _validate_params(ground, h, r)
     k, base = len(A), A[0] if p is None else 0
-    state, grows, read, arg = _walker(k, h, r, p, A[-1] - base, k - 1, 1)
-    for grow, a in zip(grows, A[:-1]):
-        state = grow(state, arg(a - base))
-    return _mask_at(min(r, h), r, p, read(state), A[-1] - base)
+    window, grows, arg, offsets, cut = _walker(k, h, r, p, A[-1] - base, k - 1, 1)
+    for grow, a in zip(grows, A):
+        window = grow(window, arg(a - base))
+    a, acc = A[-1] - base, 0
+    for c, offset in enumerate(offsets):
+        acc |= (window >> offset & cut) << (c * a if p is None else c * a % p)
+    return acc if p is None else acc & ((1 << p) - 1) | acc >> p
 
 
 def generalized_sumset(ground: GroundSet, params: SumParams) -> SumsetResult:

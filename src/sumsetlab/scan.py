@@ -35,20 +35,20 @@ a point builds no tables, steps no DP and runs its chunks serially.  At
 k >= 3 each process that runs chunks builds a point's tables at most
 once, on its first chunk of the point, and drops them for the next
 point's: the step argument of each element 0..largest (its doubling
-shifts, packed), the shifts c * a (mod p) by which a leaf ORs its row's
-masks, and each element's text.
+shifts, packed) and each element's text.
 A chunk walks depth-first, on an explicit stack, with the engine's DP
 steps from ``core._walker``, one step per prefix element, so each
 prefix's DP is shared by every candidate that extends it.  A row of
-k - 1 elements is stepped, has its masks at t = h - min(r, h)..h read
-once, and has its leaves evaluated in the loop of its parent node: every
-candidate that ends it costs min(r, h) shift-ORs of those masks, past
-c = 3 only of the nonzero ones, a fold mod p, and a popcount.  The
-engine's ``core._walker`` picks the layout once per point by its cost
-rule, from the rows the point steps and its widest candidate's span:
-packed rows of slots t = 0..h when they are small, and per-t masks, cut
-to the t that the remaining elements can still complete to h, when they
-are wide.
+k - 1 elements is stepped into its window, has its masks at
+t = h - min(r, h)..h read from it once by shifts to offsets known for
+the point, and has its leaves evaluated in the loop of its parent node:
+every candidate a that ends it costs min(r, h) shift-ORs of those
+masks, by Horner's rule in a up to c = 3 and past it only of the nonzero
+ones, min(r, h) folds mod p, and a popcount.  The engine's
+``core._walker`` picks the layout once per point by its cost rule, from
+the rows the point steps and its widest candidate's span: packed rows of
+slots t = 0..h when they are small, and per-t masks, cut to the t that
+the remaining elements can still complete to h, when they are wide.
 ``generalized_sumset`` recomputes every set found at or below the bound,
 and its cardinality is the one reported.  In records mode each node of
 the walk carries its prefix's text, and a candidate above the bound gets
@@ -177,21 +177,17 @@ def _tables(point: tuple) -> tuple:
     """The walk of a scan point (serial, k, params, p, largest), which a
     chunk asks for only at k >= 3, built at most once per point in each
     process, and dropped for the next point's: ``core._walker``'s (start,
-    grows, read) for the widest candidate's span, priced as C(largest,
-    k - 2) steps and no last steps, since a scan steps about one row per
-    k - 1 elements and a candidate that ends a row costs the same
-    min(r, h) shift-ORs in either layout (a one-element point has a
-    single row); and lists, for each element a = 0..largest, of its step
-    argument, the shifts c * a (mod p) by which a leaf ORs its row's masks
-    at t = h - c, c = 1..min(r, h), padded with zeros to at least three,
-    and its text."""
+    grows) and its window's (offsets, cut) for the widest candidate's span,
+    priced as C(largest, k - 2) steps and no last steps, since a scan steps
+    about one row per k - 1 elements and a candidate that ends a row costs
+    the same shift-ORs of its window in either layout (a one-element point
+    has a single row); and lists, for each element a = 0..largest, of its
+    step argument and its text."""
     _, k, params, p, largest = point
-    h, r = params.h, params.r
-    start, grows, read, arg = _walker(k, h, r, p, largest, math.comb(largest, max(k - 2, 0)), 0)
+    start, grows, arg, offsets, cut = _walker(k, params.h, params.r, p, largest,
+                                              math.comb(largest, max(k - 2, 0)), 0)
     elements = range(largest + 1)
-    cs, pad = range(1, min(r, h) + 1), (0,) * (3 - min(r, h))
-    leaves = [tuple(c * a if p is None else c * a % p for c in cs) + pad for a in elements]
-    return start, grows, read, list(map(arg, elements)), leaves, list(map(str, elements))
+    return start, grows, offsets, cut, list(map(arg, elements)), list(map(str, elements))
 
 
 def _chunk(point, bound, parts, prefix) -> Tuple[int, list, list]:
@@ -204,16 +200,20 @@ def _chunk(point, bound, parts, prefix) -> Tuple[int, list, list]:
     bound, and is handed to the engine's recheck as one at or below it.
     Otherwise the chunk walks with the point's :func:`_tables`, extending
     each prefix's DP state by one element, and reads the candidates that
-    end a row of k - 1 elements from the masks at t = h - min(r, h)..h
-    that the row's state holds."""
+    end a row of k - 1 elements from the row's window, its masks at
+    t = h - min(r, h)..h."""
     _, k, params, p, largest = point
     if len(prefix) == k:
         if p is None and math.gcd(*prefix) > 1:
             return 0, [], []  # a dilate of {0, 1}
         return 1, [None] if parts is not None else [], [prefix]
-    start, grows, read, steps, leaves, texts = _tables(point)
-    m = min(params.r, params.h)
-    cut = (1 << p) - 1 if p is not None else 0
+    start, grows, offsets, cut, steps, texts = _tables(point)
+    o0, o1, o2, o3 = offsets[:4]
+    deep = tuple(enumerate(offsets[4:], 4))
+    # Mod p a leaf's shifts are not reduced, so it spans up to m + 1 times
+    # p bits and is folded m times.
+    folds = range(min(params.r, params.h)) if p is not None else ()
+    residues = (1 << (p or 0)) - 1
     evaluated = 0
     lines, low = [], []
     # Depth-first over the prefixes of fewer than k - 1 elements, each node
@@ -238,20 +238,22 @@ def _chunk(point, bound, parts, prefix) -> Tuple[int, list, list]:
                 # Over Z a set with gcd > 1 is a dilate of a smaller candidate.
                 ends = [a for a in ends if math.gcd(row_g, a) < 2]
             # Each leaf's mask at t = h is the OR of dp[h - c] << c*a over
-            # c = 0..m, folded mod p, from the row's masks read once: the
-            # terms of c = 1..3 written out, zero past m, and past 3 those
-            # of the nonzero masks.
-            masks = read(grow(state, steps[b]))
-            top, (b1, b2, b3) = masks[m], (masks[m - 1::-1] + [0, 0])[:3]
-            rest = [(x, j) for j, x in enumerate(masks[m - 4::-1], 3) if x] if m > 3 else ()
+            # c = 0..m, from the row's window read once: the masks of
+            # c = 0..3 (0 past m) by Horner's rule in a, and past 3 the
+            # nonzero ones, then the folds mod p.
+            window = grow(state, steps[b])
+            top, b1 = window >> o0 & cut, window >> o1 & cut
+            b2, b3 = window >> o2 & cut, window >> o3 & cut
+            rest = [(x, c) for c, o in deep if (x := window >> o & cut)] if deep else ()
+            more = rest or folds
             evaluated += len(ends)
             for a in ends:
-                shifts = leaves[a]
-                acc = top | b1 << shifts[0] | b2 << shifts[1] | b3 << shifts[2]
-                for x, j in rest:
-                    acc |= x << shifts[j]
-                if p is not None:
-                    acc = acc & cut | acc >> p
+                acc = top | (b1 | (b2 | b3 << a) << a) << a
+                if more:
+                    for x, c in rest:
+                        acc |= x << c * a
+                    for _ in folds:
+                        acc = acc & residues | acc >> p
                 card = acc.bit_count()
                 if card <= bound:
                     low.append(cand + (b, a))

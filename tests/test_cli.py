@@ -238,6 +238,23 @@ SCAN_GOLDEN = {
         "03b49205c053b8d67a29068d644db01172413d4e17890dcdd39d651775e24414",
         "58161e867373058ad06b74e86694353cf1e06a54ed19dff81b30ffc2624e7628",
     ),
+    # min(r, h) > 3, where a leaf ORs terms past c = 3; taken before leaves
+    # were computed by Horner's rule from a window of the row's masks.
+    "scan extremal --k 4 --h 5 --r 5 --max-diameter 12": (
+        0,
+        "15a1bb785a2d86804f6c1894e0c956a1ef3fd4f3f525bc6de9933c308b669795",
+        "0160d4f1902b2cafff86fde6877980a1b9c10537a701ea1c094830d98e9f63c7",
+    ),
+    "scan extremal --k 5 --h 9 --r 4 --max-diameter 10": (
+        0,
+        "3c410f486fde0630470c82363ec4b236d7f577ff7e1dbfcdb1e6402288b692d0",
+        "24b753bb42de6a1d5ec3a2b2817fcf1313ccc863d66c47f2a0de39dd772bede8",
+    ),
+    "scan extremal --k 3 --h 7 --r 7 --max-diameter 20": (
+        0,
+        "8c07e31eb03b3aa29d9dd1dc0e9eb30a141fd3a5e472f4cd0c04caeddabaf6b5",
+        "b3ed62db3779a03a2aa42be07f2ef29d07884d688483cd807289475e67f38f29",
+    ),
 }
 
 

@@ -910,6 +910,36 @@ def test_each_walk_prices_what_it_steps(fresh_memo, monkeypatch):
         assert priced == [(math.comb(largest, k - 2), 0, h, r, stride)]
 
 
+@pytest.mark.parametrize("packed", [True, False])
+@pytest.mark.parametrize("elements, p, h, r", [
+    pytest.param(elements, p, h, r,
+                 id=f"{'Z' if p is None else f'mod{p}'}-k{len(elements)}-h{h}-r{r}")
+    for elements, p, h, r in (
+        ((3,), None, 2, 2), ((-4, 1, 2, 9), None, 3, 2), ((0, 2, 3, 7, 8), None, 7, 5),
+        ((1, 5, 6), None, 2, 1), ((2,), 7, 4, 6), ((0, 2, 3, 6), 7, 3, 3),
+        ((1, 4, 5, 6), 7, 9, 4), ((0, 1, 4, 9, 11), 13, 2, 1), ((3, 5, 12), 13, 6, 6),
+        ((0, 7, 8, 10), 13, 10, 5),
+    )
+])
+def test_walk_reads_the_profiles_masks(monkeypatch, packed, elements, p, h, r):
+    """After all but the last element, ``_walker``'s window, packed or per
+    t, holds at offsets[c] the masks of the first k - 1 elements' profile at
+    t = h - c, c = 0..m, m = min(r, h), and 0 at every further offset."""
+    monkeypatch.setattr(core, "_packs", lambda *args: packed)
+    k, base = len(elements), elements[0] if p is None else 0
+    window, grows, arg, offsets, cut = core._walker(k, h, r, p, elements[-1] - base, k - 1, 1)
+    for grow, a in zip(grows, elements):
+        window = grow(window, arg(a - base))
+    m = min(r, h)
+    if k > 1:
+        prefix = core.profile(GroundSet(elements[:-1], p), r, min(h, r * (k - 1)))
+        want = [prefix.mask(h - c) if h - c <= prefix.height else 0 for c in range(m + 1)]
+    else:
+        want = [int(h == c) for c in range(m + 1)]  # the empty set's sums
+    assert len(offsets) == max(m, 3) + 1 and max(want) > 0
+    assert [window >> offset & cut for offset in offsets] == want + [0] * (3 - m)
+
+
 def test_memo_across_threads(fresh_memo):
     rng = random.Random(3)
     sets = list(_MEMO_SETS[9:])

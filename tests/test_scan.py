@@ -454,22 +454,28 @@ def test_chunk_leaves_no_garbage(monkeypatch, packed, records):
 @pytest.mark.parametrize("h, r", [(1, 1), (2, 1), (3, 2), (5, 5), (7, 3)])
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 6])
 def test_point_tables_are_each_elements_shifts(monkeypatch, packed, p, largest, h, r, k):
-    """A point's tables are lists that give, for every element
+    """A point's tables give the walk's k - 1 steps; the window offsets at
+    which a row of k - 1 elements holds its mask at t = h - c, c = 0..m,
+    m = min(r, h) (packed, slot h - c of the row; per t, slot m - c of the
+    masks that the last step packs), and, for c = m + 1..3, an offset past
+    the top slot; the slot cut; and lists that give, for every element
     a = 0..largest, the step argument of its layout (packed, ``_shifts`` at
-    cap min(r, h) with the point's stride; per t, a itself), a leaf's
-    shifts c * a (mod p) for c = 1..min(r, h), padded with zeros to three,
-    and a's text.  The tables are the same at k <= 2, where no chunk asks
-    for them."""
+    cap m with the point's stride; per t, a itself) and a's text.  The
+    tables are the same at k <= 2, where no chunk asks for them.  A packed
+    slot has the point's stride; a per-t slot holds one mask, the sums of
+    h elements within p bits mod p, in whole bytes."""
     monkeypatch.setattr(sumsetlab.core, "_packs", lambda *args: packed)
     stride = h * largest + 1 if p is None else 2 * p
-    start, grows, read, steps, leaves, texts = _tables(_point(k, SumParams(h, r), p, largest))
+    start, grows, offsets, cut, steps, texts = _tables(_point(k, SumParams(h, r), p, largest))
     m = min(r, h)
-    for table in (steps, leaves, texts):
+    top, slot = (h, stride) if packed else (m, -(-min(h * largest + 1, p or stride) // 8) * 8)
+    assert len(grows) == k - 1 and cut == (1 << slot) - 1
+    assert offsets == tuple((top - c) * slot for c in range(m + 1)) + (
+        ((top + 1) * slot,) * (3 - m))
+    for table in (steps, texts):
         assert isinstance(table, list) and len(table) == largest + 1
     for a in range(largest + 1):
         assert steps[a] == (sumsetlab.core._shifts(m, stride, p, a) if packed else a)
-        want = tuple(c * a if p is None else c * a % p for c in range(1, m + 1))
-        assert leaves[a] == want + (0,) * (3 - m)
         assert texts[a] == str(a)
 
 
@@ -685,13 +691,16 @@ def test_parallel_scan_window(monkeypatch, capsys, jobs):
 
 @pytest.mark.parametrize(
     "grid, extra, code, pools",
-    [
-        ("k = 4\nh = 2..5\nr = 2\nmax_diameter = 8", [], 0, 1),  # 4 points, 7 chunks each
-        ("k = 1\nh = 1\nr = 1..3\nmax_diameter = 0..2", [], 0, 0),  # 1 chunk each
-        ("k = 4\nh = 3\nr = 2\nmax_diameter = 12, 8", ["--cap", "100"], 3, 0),
-        (f"k = 3\nh = {2**30}, 3\nr = {2**30}\nmax_diameter = 10", [], 1, 0),
-        ("k = 2\nh = 1..3\nr = 2\nmax_diameter = 9", [], 0, 0),  # 9 hand-offs each
-    ],
+    # Each id is written out, so that a row added anywhere renames no case;
+    # the names extra0..extra4 are the ones the rows first had by position.
+    [pytest.param(grid, extra, code, pools, id=f"{grid}-{name}-{code}-{pools}")
+     for name, grid, extra, code, pools in (
+        ("extra0", "k = 4\nh = 2..5\nr = 2\nmax_diameter = 8", [], 0, 1),  # 4 points, 7 chunks each
+        ("extra1", "k = 1\nh = 1\nr = 1..3\nmax_diameter = 0..2", [], 0, 0),  # 1 chunk each
+        ("extra2", "k = 4\nh = 3\nr = 2\nmax_diameter = 12, 8", ["--cap", "100"], 3, 0),
+        ("extra3", f"k = 3\nh = {2**30}, 3\nr = {2**30}\nmax_diameter = 10", [], 1, 0),
+        ("extra4", "k = 2\nh = 1..3\nr = 2\nmax_diameter = 9", [], 0, 0),  # 9 hand-offs each
+    )],
 )
 def test_one_pool_per_invocation(monkeypatch, capsys, tmp_path, grid, extra, code, pools):
     """A --jobs 2 scan starts at most one pool, shared by every grid
