@@ -451,14 +451,31 @@ def _window(k: int, h: int, r: int, i: int) -> range:
     return range(max(0, h - (k - i - 1) * r), min(h, (i + 1) * r) + 1)
 
 
-def _top(r: int, p: Optional[int], low: int, size: int, dp: list, a: int) -> int:
+def _join(masks: list, stride: int) -> int:
+    """The masks in one int, masks[j] in the slot of ``stride`` bits from
+    bit j * stride on, joined by halves: n masks cost log n passes over
+    the window, where joining one at a time would cost n."""
+    if len(masks) == 1:
+        return masks[0]
+    half = len(masks) // 2
+    return _join(masks[:half], stride) | _join(masks[half:], stride) << half * stride
+
+
+def _split(window: int, n: int, stride: int) -> list:
+    """The n masks in slots of ``stride`` bits of a window whose top slot
+    is its highest, split by halves, the inverse of :func:`_join`."""
+    if n == 1:
+        return [window]
+    low, high = window & ((1 << n // 2 * stride) - 1), window >> n // 2 * stride
+    return _split(low, n // 2, stride) + _split(high, n - n // 2, stride)
+
+
+def _top(r: int, p: Optional[int], low: int, stride: int, dp: list, a: int) -> int:
     """The per-t step of a row's last element, as a window: the masks at
     t = low..len(dp) - 1 after the element a, as :func:`_mask_at` gives
-    them, the mask at t in the ``size`` bytes from byte (t - low) * size
-    on.  They are joined as bytes, in time linear in the window's size,
-    where shifting each into place would take time quadratic in it."""
-    masks = (_mask_at(t, r, p, dp, a).to_bytes(size, "little") for t in range(low, len(dp)))
-    return int.from_bytes(b"".join(masks), "little")
+    them, the mask at t in the slot of ``stride`` bits from bit
+    (t - low) * stride on."""
+    return _join([_mask_at(t, r, p, dp, a) for t in range(low, len(dp))], stride)
 
 
 def _walker(k: int, h: int, r: int, p: Optional[int], span: int, steps: int, leaves: int) -> tuple:
@@ -476,18 +493,18 @@ def _walker(k: int, h: int, r: int, p: Optional[int], span: int, steps: int, lea
     Per t, arg(a) is a itself, the masks after the i-th element are
     computed only in its :func:`_window`, and the last step, :func:`_top`,
     puts the mask at t in slot t - (h - m) of the window, each slot as wide
-    as the widest mask, h * span + 1 bits and at most p mod p, in whole
-    bytes.  A one-element set's window, of no element, is 1 in both
-    layouts, since h <= r there."""
+    as the widest mask, h * span + 1 bits and at most p mod p.  A
+    one-element set's window, of no element, is 1 in both layouts, since
+    h <= r there."""
     m = min(r, h)
     stride = h * span + 1 if p is None else 2 * p
     if _packs(steps, leaves, h, r, stride):
         start, top, arg = 1, h, partial(_shifts, m, stride, p)
         grows = [partial(_step, p, _keep(h, stride, p))] * (k - 1)
     else:
-        stride = -(-(h * span + 1 if p is None else min(p, h * span + 1)) // 8) * 8
+        stride = h * span + 1 if p is None else min(p, h * span + 1)
         start, top, arg = [1] + [0] * h if k > 1 else 1, m, index
-        last = partial(_top, r, p, h - m, stride // 8)
+        last = partial(_top, r, p, h - m, stride)
         grows = [partial(_extend, r, p, _window(k, h, r, i)) if i < k - 2 else last
                  for i in range(k - 1)]
     offsets = tuple((top - c if c <= m else top + 1) * stride for c in range(max(m, 3) + 1))
@@ -568,10 +585,9 @@ def _sumset_mask(ground: GroundSet, h: int, r: int) -> int:
     window, grows, arg, offsets, cut = _walker(k, h, r, p, A[-1] - base, k - 1, 1)
     for grow, a in zip(grows, A):
         window = grow(window, arg(a - base))
-    a, acc = A[-1] - base, 0
-    for c, offset in enumerate(offsets):
-        acc |= (window >> offset & cut) << (c * a if p is None else c * a % p)
-    return acc if p is None else acc & ((1 << p) - 1) | acc >> p
+    m = min(r, h)
+    masks = _split(window >> offsets[m], m + 1, cut.bit_length())
+    return _mask_at(m, r, p, masks, A[-1] - base)
 
 
 def generalized_sumset(ground: GroundSet, params: SumParams) -> SumsetResult:

@@ -43,12 +43,12 @@ k - 1 elements is stepped into its window, has its masks at
 t = h - min(r, h)..h read from it once by shifts to offsets known for
 the point, and has its leaves evaluated in the loop of its parent node:
 every candidate a that ends it costs min(r, h) shift-ORs of those
-masks, by Horner's rule in a up to c = 3 and past it only of the nonzero
-ones, min(r, h) folds mod p, and a popcount.  The engine's
-``core._walker`` picks the layout once per point by its cost rule, from
-the rows the point steps and its widest candidate's span: packed rows of
-slots t = 0..h when they are small, and per-t masks, cut to the t that
-the remaining elements can still complete to h, when they are wide.
+masks by Horner's rule in a, min(r, h) folds mod p, and a popcount.
+The engine's ``core._walker`` picks the layout once per point by its
+cost rule, from the rows the point steps and its widest candidate's
+span: packed rows of slots t = 0..h when they are small, and per-t
+masks, cut to the t that the remaining elements can still complete to
+h, when they are wide.
 ``generalized_sumset`` recomputes every set found at or below the bound,
 and its cardinality is the one reported.  In records mode each node of
 the walk carries its prefix's text, and a candidate above the bound gets
@@ -209,11 +209,10 @@ def _chunk(point, bound, parts, prefix) -> Tuple[int, list, list]:
         return 1, [None] if parts is not None else [], [prefix]
     start, grows, offsets, cut, steps, texts = _tables(point)
     o0, o1, o2, o3 = offsets[:4]
-    deep = tuple(enumerate(offsets[4:], 4))
+    deep = offsets[:3:-1]  # c = m..4
     # Mod p a leaf's shifts are not reduced, so it spans up to m + 1 times
     # p bits and is folded m times.
-    folds = range(min(params.r, params.h)) if p is not None else ()
-    residues = (1 << (p or 0)) - 1
+    folds, residues = range(min(params.r, params.h)), (1 << (p or 0)) - 1
     evaluated = 0
     lines, low = [], []
     # Depth-first over the prefixes of fewer than k - 1 elements, each node
@@ -238,20 +237,22 @@ def _chunk(point, bound, parts, prefix) -> Tuple[int, list, list]:
                 # Over Z a set with gcd > 1 is a dilate of a smaller candidate.
                 ends = [a for a in ends if math.gcd(row_g, a) < 2]
             # Each leaf's mask at t = h is the OR of dp[h - c] << c*a over
-            # c = 0..m, from the row's window read once: the masks of
-            # c = 0..3 (0 past m) by Horner's rule in a, and past 3 the
-            # nonzero ones, then the folds mod p.
+            # c = 0..m, by Horner's rule in a from the row's window read
+            # once: the masks of c = 0..3 (0 past m) in one expression, and
+            # those of c = 4..m, if any, ORed in from a second Horner sum.
             window = grow(state, steps[b])
             top, b1 = window >> o0 & cut, window >> o1 & cut
             b2, b3 = window >> o2 & cut, window >> o3 & cut
-            rest = [(x, c) for c, o in deep if (x := window >> o & cut)] if deep else ()
-            more = rest or folds
+            rest = [window >> o & cut for o in deep] if deep else ()
             evaluated += len(ends)
             for a in ends:
                 acc = top | (b1 | (b2 | b3 << a) << a) << a
-                if more:
-                    for x, c in rest:
-                        acc |= x << c * a
+                if rest:
+                    more = 0
+                    for x in rest:
+                        more = more << a | x
+                    acc |= more << 4 * a
+                if p is not None:
                     for _ in folds:
                         acc = acc & residues | acc >> p
                 card = acc.bit_count()

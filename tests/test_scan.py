@@ -463,12 +463,12 @@ def test_point_tables_are_each_elements_shifts(monkeypatch, packed, p, largest, 
     cap m with the point's stride; per t, a itself) and a's text.  The
     tables are the same at k <= 2, where no chunk asks for them.  A packed
     slot has the point's stride; a per-t slot holds one mask, the sums of
-    h elements within p bits mod p, in whole bytes."""
+    h elements within p bits mod p."""
     monkeypatch.setattr(sumsetlab.core, "_packs", lambda *args: packed)
     stride = h * largest + 1 if p is None else 2 * p
     start, grows, offsets, cut, steps, texts = _tables(_point(k, SumParams(h, r), p, largest))
     m = min(r, h)
-    top, slot = (h, stride) if packed else (m, -(-min(h * largest + 1, p or stride) // 8) * 8)
+    top, slot = (h, stride) if packed else (m, min(h * largest + 1, p or stride))
     assert len(grows) == k - 1 and cut == (1 << slot) - 1
     assert offsets == tuple((top - c) * slot for c in range(m + 1)) + (
         ((top + 1) * slot,) * (3 - m))
