@@ -461,15 +461,6 @@ def _join(masks: list, stride: int) -> int:
     return _join(masks[:half], stride) | _join(masks[half:], stride) << half * stride
 
 
-def _split(window: int, n: int, stride: int) -> list:
-    """The n masks in slots of ``stride`` bits of a window whose top slot
-    is its highest, split by halves, the inverse of :func:`_join`."""
-    if n == 1:
-        return [window]
-    low, high = window & ((1 << n // 2 * stride) - 1), window >> n // 2 * stride
-    return _split(low, n // 2, stride) + _split(high, n - n // 2, stride)
-
-
 def _top(r: int, p: Optional[int], low: int, stride: int, dp: list, a: int) -> int:
     """The per-t step of a row's last element, as a window: the masks at
     t = low..len(dp) - 1 after the element a, as :func:`_mask_at` gives
@@ -585,9 +576,10 @@ def _sumset_mask(ground: GroundSet, h: int, r: int) -> int:
     window, grows, arg, offsets, cut = _walker(k, h, r, p, A[-1] - base, k - 1, 1)
     for grow, a in zip(grows, A):
         window = grow(window, arg(a - base))
-    m = min(r, h)
-    masks = _split(window >> offsets[m], m + 1, cut.bit_length())
-    return _mask_at(m, r, p, masks, A[-1] - base)
+    a, acc = A[-1] - base, 0
+    for c, offset in enumerate(offsets):
+        acc |= (window >> offset & cut) << (c * a if p is None else c * a % p)
+    return acc if p is None else acc & ((1 << p) - 1) | acc >> p
 
 
 def generalized_sumset(ground: GroundSet, params: SumParams) -> SumsetResult:
