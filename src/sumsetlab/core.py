@@ -43,22 +43,21 @@ the widest, so a packed row holds up to twice the bits of the per-t
 masks over Z, more when the sums are sparse, and twice the p-bit masks
 mod p; in exchange its interpreter cost does not grow with r * h.
 
-``_walker`` lays out every walk, the engine's calls at h alone and the
-scans (``scan.py``), which walk their candidates depth-first: from the
-span and the steps its caller prices, it applies the one cost rule,
-``_packs``, to numbers known before any DP, and gives that layout's
-steps.  Counted in per-t shifts, a per-t mask costs one more, and a
-packed doubling costs two plus one per 2**12 bits of row it passes over;
-a row must also be within the mask guard.  Small rows, the exhaustive
-grids' traffic, run packed; wide rows, from a large span, a far element
-or a large p, run per t.  After all but the last element, both layouts
-give one window, an int that holds the masks at t = h - min(r, h)..h at
-offsets known before the walk: packed, the row itself; per t, those
-masks joined into slots of one width by the row's last step, ``_top``.
-A last element a ORs each mask at t = h - c, shifted by c * a, into the
-mask at t = h, which the engine and the scans read from the window
-alike.  ``_read`` lists a mask's values in one pass over its binary
-string, and ``_add_part`` adds a set, given by its shifts, to a mask.
+One function, ``_packed``, decides the packed row format: from the slot
+width, ``_stride``, it gives the step, each element's shifts, and the
+offsets at which a row holds its masks at t = h - min(r, h)..h, the only
+ones that a last element a carries to t = h, each shifted by c * a.
+:func:`_profile` steps its rows, and the scans (``scan.py``) walk their
+candidates depth-first on them: they run packed at every point, price
+nothing, and refuse a row above the mask guard.  The one cost rule,
+``_packs``, picks the layout of an engine call at h alone from numbers
+known before any DP.  Counted in per-t shifts, a per-t mask costs one
+more, and a packed doubling costs two plus one per 2**12 bits of row it
+passes over; a row must also be within the mask guard.  Small rows, the
+exhaustive grids' traffic, run packed; wide rows, from a large span, a
+far element or a large p, run per t.  ``_read`` lists a mask's values in
+one pass over its binary string, and ``_add_part`` adds a set, given by
+its shifts, to a mask.
 
 One packed DP at height H holds h^(r)A at every h <= H, one slot each:
 :func:`profile` runs it, and a slot is read by a popcount or ``_read``.
@@ -68,12 +67,13 @@ for, holds each set's profile at H = r * k when that row of r * k + 1
 slots (r * k * span + 1 bits over Z, 2p mod p) fits 2**18 bits and the
 64-bit guard holds at r * k, and a call reads its slot h; every guard is
 monotone in h, so the read needs no validation.  Any other call
-validates at h and runs at h alone through ``_walker``, packed or per t
-as the rule picks: it steps every element but the last, then ORs the
-window's masks, shifted by c * a (mod p) for the last element a.  The
-memo holds at most 16 rows of 2**18 bits, 512 KiB; its profiles are
-never mutated, so threads may share the engine, and no result depends
-on which calls came before.
+validates at h and runs at h alone, in the layout that the rule picks:
+packed, it reads slot h of the profile at h; per t, it computes each
+element's masks only at the t of its ``_window``, the t that the
+elements after it can still complete to h, which for the last element
+is h alone.  The memo holds at most 16 rows of 2**18 bits, 512 KiB; its
+profiles are never mutated, so threads may share the engine, and no
+result depends on which calls came before.
 
 Conventions: modular elements are residues in [0, p) and p must be
 prime; integer ground sets are kept sorted ascending; h = m*r + eps
@@ -87,7 +87,6 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import compress
-from operator import index
 from typing import Iterable, NamedTuple, Optional, Tuple
 
 from .errors import DomainError
@@ -96,8 +95,9 @@ from .errors import DomainError
 # ground set whose span overflows 64 bits signals an unreasonable input,
 # and h + 1 masks of more than 2**33 bits in all (1 GiB) are refused
 # before the DP allocates them.  A packed row holds those masks one per
-# slot, and mod p a slot has 2p bits, so the cost rule also keeps every
-# packed row within 2**33 bits; wider DPs run per t.
+# slot, and mod p a slot has 2p bits, so every packed row is also kept
+# within 2**33 bits: the cost rule runs a wider engine call per t, and a
+# scan, which walks packed rows only, is refused.
 _MAX_MAGNITUDE = 2**63 - 1
 _MAX_MASK_BITS = 2**33
 # The cost rule (:func:`_packs`): a doubling of the packed step costs about
@@ -364,20 +364,35 @@ def _validate_params(ground: GroundSet, h: int, r: int) -> None:
         )
 
 
-def _packs(steps: int, leaves: int, h: int, r: int, stride: int) -> bool:
-    """The cost rule: True when ``steps`` DP steps and ``leaves`` last steps
-    read at t = h cost less packed in slots of ``stride`` bits than per t,
-    and a row is within the mask guard.  In units of one per-t shift: per
-    t, a step computes h + 1 masks, each for one unit plus min(r, t) + 1
-    shifts, and a last step one mask; packed, a step makes
-    min(r, h).bit_length() doublings and a last step one more, each for
-    two units plus one per ``_DOUBLING_BITS`` bits of row it passes over."""
+def _validate_row(ground: GroundSet, height: int, r: int) -> None:
+    """The checks of a packed DP at ``height``: ``_validate_params``, and
+    mod p also its row of height + 1 slots of 2p bits within the mask guard
+    (over Z a row is the (h + 1) * W bits that ``_validate_params`` bounds)."""
+    _validate_params(ground, height, r)
+    p = ground.modulus
+    if p is not None and (height + 1) * 2 * p > _MAX_MASK_BITS:
+        raise DomainError("a packed row of 2p-bit slots exceeds the 2**33-bit guard")
+
+
+def _packs(h: int, r: int, stride: int) -> bool:
+    """The cost rule: True when a DP read at t = h costs less packed in
+    slots of ``stride`` bits than per t, and its row is within the mask
+    guard.  Both layouts step every element, so the rule prices one step.
+    In units of one per-t shift: per t, a step computes h + 1 masks, each
+    for one unit plus min(r, t) + 1 shifts; packed, it makes
+    min(r, h).bit_length() doublings, each for two units plus one per
+    ``_DOUBLING_BITS`` bits of the row it passes over."""
     m = min(r, h)
-    doublings = m.bit_length()
-    per_t = steps * (2 * (h + 1) + m * (m + 1) // 2 + (h - m) * m) + leaves * (m + 2)
-    bits = doublings * stride * (steps * (h + 1) + leaves * (m + 1))
-    packed = 2 * (steps * doublings + leaves * (doublings + 1)) * _DOUBLING_BITS + bits
+    per_t = 2 * (h + 1) + m * (m + 1) // 2 + (h - m) * m
+    packed = m.bit_length() * (2 * _DOUBLING_BITS + (h + 1) * stride)
     return (h + 1) * stride <= _MAX_MASK_BITS and packed <= per_t * _DOUBLING_BITS
+
+
+def _stride(height: int, p: Optional[int], span: int) -> int:
+    """The slot width of a packed row at ``height`` of a set of span at most
+    ``span``: height * span + 1 bits over Z, the widest mask it holds, and
+    2p mod p, a p-bit mask and room for its shifts below p."""
+    return height * span + 1 if p is None else 2 * p
 
 
 def _keep(height: int, stride: int, p: Optional[int]) -> int:
@@ -420,6 +435,22 @@ def _step(p: Optional[int], keep: int, row: int, shifts: list) -> int:
     return row & keep if p is None else row
 
 
+def _packed(height: int, r: int, p: Optional[int], span: int) -> tuple:
+    """The packed row format at ``height`` of a set of span at most
+    ``span`` (over Z, translated by -min A): (stride, step, shifts, offsets,
+    cut), which :func:`_profile` steps and the scans walk.  A row of no
+    element is 1, and step(row, shifts(a)) scans the element a into it
+    (:func:`_step`, with :func:`_shifts` at cap m = min(r, height)).  The
+    mask at t is row >> t * stride & cut, and offsets[c], c = 0..max(m, 3),
+    is that of the mask at t = height - c, the ones that a last element's
+    step carries to t = height; past c = m the offset is above the top
+    slot, so it reads 0."""
+    m, stride = min(r, height), _stride(height, p, span)
+    offsets = tuple((height - c if c <= m else height + 1) * stride for c in range(max(m, 3) + 1))
+    return (stride, partial(_step, p, _keep(height, stride, p)), partial(_shifts, m, stride, p),
+            offsets, (1 << stride) - 1)
+
+
 def _mask_at(t: int, r: int, p: Optional[int], dp: list, a: int) -> int:
     """The per-t step: the mask at multiplicity t after the element a (over
     Z, translated by -min A) joins the elements behind the masks ``dp``,
@@ -451,57 +482,6 @@ def _window(k: int, h: int, r: int, i: int) -> range:
     return range(max(0, h - (k - i - 1) * r), min(h, (i + 1) * r) + 1)
 
 
-def _join(masks: list, stride: int) -> int:
-    """The masks in one int, masks[j] in the slot of ``stride`` bits from
-    bit j * stride on, joined by halves: n masks cost log n passes over
-    the window, where joining one at a time would cost n."""
-    if len(masks) == 1:
-        return masks[0]
-    half = len(masks) // 2
-    return _join(masks[:half], stride) | _join(masks[half:], stride) << half * stride
-
-
-def _top(r: int, p: Optional[int], low: int, stride: int, dp: list, a: int) -> int:
-    """The per-t step of a row's last element, as a window: the masks at
-    t = low..len(dp) - 1 after the element a, as :func:`_mask_at` gives
-    them, the mask at t in the slot of ``stride`` bits from bit
-    (t - low) * stride on."""
-    return _join([_mask_at(t, r, p, dp, a) for t in range(low, len(dp))], stride)
-
-
-def _walker(k: int, h: int, r: int, p: Optional[int], span: int, steps: int, leaves: int) -> tuple:
-    """The DP of a k-set of span at most ``span`` read at t = h alone, in
-    the layout that :func:`_packs` picks for a walk of ``steps`` steps and
-    ``leaves`` last steps: (start, grows, arg, offsets, cut), where
-    grows[i](state, arg(a)), i < k - 1, scans the element a as the i-th.
-    The state after k - 1 elements is their window, an int that holds
-    the masks at t = h - m..h, m = min(r, h), the only ones that a last
-    element's step carries to t = h: the mask at t = h - c is
-    window >> offsets[c] & cut, for c = 0..max(m, 3), and past c = m the
-    offset is above the top slot, so it reads 0.  Packed, in slots of
-    h * span + 1 bits over Z and 2p mod p, arg(a) is a's :func:`_shifts` at
-    cap m, and the window is the row itself, slot t at bit t * stride.
-    Per t, arg(a) is a itself, the masks after the i-th element are
-    computed only in its :func:`_window`, and the last step, :func:`_top`,
-    puts the mask at t in slot t - (h - m) of the window, each slot as wide
-    as the widest mask, h * span + 1 bits and at most p mod p.  A
-    one-element set's window, of no element, is 1 in both layouts, since
-    h <= r there."""
-    m = min(r, h)
-    stride = h * span + 1 if p is None else 2 * p
-    if _packs(steps, leaves, h, r, stride):
-        start, top, arg = 1, h, partial(_shifts, m, stride, p)
-        grows = [partial(_step, p, _keep(h, stride, p))] * (k - 1)
-    else:
-        stride = h * span + 1 if p is None else min(p, h * span + 1)
-        start, top, arg = [1] + [0] * h if k > 1 else 1, m, index
-        last = partial(_top, r, p, h - m, stride)
-        grows = [partial(_extend, r, p, _window(k, h, r, i)) if i < k - 2 else last
-                 for i in range(k - 1)]
-    offsets = tuple((top - c if c <= m else top + 1) * stride for c in range(max(m, 3) + 1))
-    return start, grows, arg, offsets, (1 << stride) - 1
-
-
 def _add_part(mask: int, shifts: Iterable[int], p: Optional[int]) -> int:
     """The mask of X + B from the mask of X and the shifts b of B (over Z,
     translated by -min B; residues mod p): the OR of mask << b, folded
@@ -528,12 +508,9 @@ def _read(mask: int, ground: GroundSet, h: int) -> SumsetResult:
 
 def profile(ground: GroundSet, r: int, height: int) -> Profile:
     """h^(r)A at every h <= ``height``, from one packed DP (see
-    :class:`Profile`).  Refused as a call at h = ``height`` is, and mod p
-    also when its row of 2p-bit slots is above the mask guard."""
+    :class:`Profile`).  Refused as :func:`_validate_row` refuses it."""
     SumParams(height, r)  # the type and sign checks of a call's h and r
-    _validate_params(ground, height, r)
-    if ground.modulus is not None and (height + 1) * 2 * ground.modulus > _MAX_MASK_BITS:
-        raise DomainError("a packed row of 2p-bit slots exceeds the 2**33-bit guard")
+    _validate_row(ground, height, r)
     return _profile(ground, r, height)
 
 
@@ -541,11 +518,10 @@ def _profile(ground: GroundSet, r: int, height: int) -> Profile:
     """The packed DP of :func:`profile`, not validated."""
     A, p = ground.elements, ground.modulus
     base = A[0] if p is None else 0
-    stride = height * (A[-1] - base) + 1 if p is None else 2 * p
-    keep = _keep(height, stride, p)
+    stride, step, shifts, _, _ = _packed(height, r, p, A[-1] - base)
     row = 1
     for a in A:
-        row = _step(p, keep, row, _shifts(min(r, height), stride, p, a - base))
+        row = step(row, shifts(a - base))
     return Profile(ground, r, height, stride, row)
 
 
@@ -555,7 +531,7 @@ def _kept(elements: tuple, p: Optional[int], r: int) -> Optional[Profile]:
     not None), when its row fits ``_MEMO_MAX_BITS`` and the 64-bit guard
     holds at r * k; None otherwise.  Not validated."""
     top, lo, hi = r * len(elements), elements[0], elements[-1]
-    if (top + 1) * (top * (hi - lo) + 1 if p is None else 2 * p) > _MEMO_MAX_BITS or (
+    if (top + 1) * _stride(top, p, hi - lo) > _MEMO_MAX_BITS or (
         p is None and top * max(abs(lo), abs(hi)) > _MAX_MAGNITUDE
     ):
         return None
@@ -564,22 +540,22 @@ def _kept(elements: tuple, p: Optional[int], r: int) -> Optional[Profile]:
 
 def _sumset_mask(ground: GroundSet, h: int, r: int) -> int:
     """The mask of h^(r)A, for any 0 <= h <= r*k, as ``_read`` takes it:
-    slot h of the set's :func:`_kept` profile, or a DP at h alone through
-    ``_walker``, priced as k - 1 steps and one last step read at t = h
-    alone."""
+    slot h of the set's :func:`_kept` profile, or of a DP at h alone in the
+    layout that :func:`_packs` picks: packed, the :func:`_profile` at h;
+    per t, each element's :func:`_extend` over its :func:`_window`, which
+    for the last element is {h}."""
     A, p = tuple(ground.elements), ground.modulus
-    kept = _kept(A, p, r)
-    if kept is not None and h <= kept.height:
-        return kept.row >> h * kept.stride & ((1 << kept.stride) - 1)
-    _validate_params(ground, h, r)
-    k, base = len(A), A[0] if p is None else 0
-    window, grows, arg, offsets, cut = _walker(k, h, r, p, A[-1] - base, k - 1, 1)
-    for grow, a in zip(grows, A):
-        window = grow(window, arg(a - base))
-    a, acc = A[-1] - base, 0
-    for c, offset in enumerate(offsets):
-        acc |= (window >> offset & cut) << (c * a if p is None else c * a % p)
-    return acc if p is None else acc & ((1 << p) - 1) | acc >> p
+    prof = _kept(A, p, r)
+    if prof is None or h > prof.height:
+        _validate_params(ground, h, r)
+        base = A[0] if p is None else 0
+        if not _packs(h, r, _stride(h, p, A[-1] - base)):
+            dp = [1] + [0] * h
+            for i, a in enumerate(A):
+                dp = _extend(r, p, _window(len(A), h, r, i), dp, a - base)
+            return dp[h]
+        prof = _profile(ground, r, h)
+    return prof.row >> h * prof.stride & ((1 << prof.stride) - 1)
 
 
 def generalized_sumset(ground: GroundSet, params: SumParams) -> SumsetResult:
@@ -587,7 +563,7 @@ def generalized_sumset(ground: GroundSet, params: SumParams) -> SumsetResult:
 
     Slot h of the set's :func:`profile` at r*k, which the engine keeps
     for later calls of the same (A, r) when it fits, or, for a set too
-    wide to keep, a DP at h alone in the layout that :func:`_walker` picks
+    wide to keep, a DP at h alone in the layout that :func:`_packs` picks
     by the cost rule (see the module docstring).  No result depends on
     earlier calls.
     """

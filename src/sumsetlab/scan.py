@@ -34,21 +34,19 @@ so at its bound, and it goes straight to the engine's recheck below: such
 a point builds no tables, steps no DP and runs its chunks serially.  At
 k >= 3 each process that runs chunks builds a point's tables at most
 once, on its first chunk of the point, and drops them for the next
-point's: the step argument of each element 0..largest (its doubling
-shifts, packed) and each element's text.
-A chunk walks depth-first, on an explicit stack, with the engine's DP
-steps from ``core._walker``, one step per prefix element, so each
-prefix's DP is shared by every candidate that extends it.  A row of
-k - 1 elements is stepped into its window, has its masks at
-t = h - min(r, h)..h read from it once by shifts to offsets known for
-the point, and has its leaves evaluated in the loop of its parent node:
-every candidate a that ends it costs min(r, h) shift-ORs of those
-masks by Horner's rule in a, min(r, h) folds mod p, and a popcount.
-The engine's ``core._walker`` picks the layout once per point by its
-cost rule, from the rows the point steps and its widest candidate's
-span: packed rows of slots t = 0..h when they are small, and per-t
-masks, cut to the t that the remaining elements can still complete to
-h, when they are wide.
+point's: the doubling shifts of each element 0..largest and each
+element's text.
+A chunk walks depth-first, on an explicit stack, on the engine's packed
+rows, whose format, step and offsets come from ``core._packed``: one
+step per prefix element, so each prefix's DP is shared by every
+candidate that extends it.  A row of k - 1 elements is stepped, has its
+masks at t = h - min(r, h)..h read from it once by shifts to those
+offsets, and has its leaves evaluated in the loop of its parent node:
+every candidate a that ends it costs min(r, h) shift-ORs of those masks
+by Horner's rule in a, min(r, h) folds mod p, and a popcount.  A scan
+prices nothing: its rows are those of its widest candidate, which the
+engine's validation at the point bounds, and mod p a point whose row of
+2p-bit slots is above the mask guard is refused with it.
 ``generalized_sumset`` recomputes every set found at or below the bound,
 and its cardinality is the one reported.  In records mode each node of
 the walk carries its prefix's text, and a candidate above the bound gets
@@ -78,8 +76,9 @@ from .core import (
     bound_direct_integers,
     bound_erdos_heilbronn,
     generalized_sumset,
+    _packed,
     _validate_params,
-    _walker,
+    _validate_row,
 )
 from .errors import DomainError, ResourceCapError
 from .verify import is_arithmetic_progression
@@ -176,18 +175,13 @@ _POINTS = itertools.count()
 def _tables(point: tuple) -> tuple:
     """The walk of a scan point (serial, k, params, p, largest), which a
     chunk asks for only at k >= 3, built at most once per point in each
-    process, and dropped for the next point's: ``core._walker``'s (start,
-    grows) and its window's (offsets, cut) for the widest candidate's span,
-    priced as C(largest, k - 2) steps and no last steps, since a scan steps
-    about one row per k - 1 elements and a candidate that ends a row costs
-    the same shift-ORs of its window in either layout (a one-element point
-    has a single row); and lists, for each element a = 0..largest, of its
-    step argument and its text."""
-    _, k, params, p, largest = point
-    start, grows, arg, offsets, cut = _walker(k, params.h, params.r, p, largest,
-                                              math.comb(largest, max(k - 2, 0)), 0)
+    process, and dropped for the next point's: ``core._packed``'s step,
+    offsets and cut at h for the widest candidate's span, and lists, for
+    each element a = 0..largest, of its shifts and its text."""
+    _, _, params, p, largest = point
+    _, step, shifts, offsets, cut = _packed(params.h, params.r, p, largest)
     elements = range(largest + 1)
-    return start, grows, offsets, cut, list(map(arg, elements)), list(map(str, elements))
+    return step, offsets, cut, list(map(shifts, elements)), list(map(str, elements))
 
 
 def _chunk(point, bound, parts, prefix) -> Tuple[int, list, list]:
@@ -199,15 +193,14 @@ def _chunk(point, bound, parts, prefix) -> Tuple[int, list, list]:
     that is already a whole candidate (k <= 2) is a progression, at its
     bound, and is handed to the engine's recheck as one at or below it.
     Otherwise the chunk walks with the point's :func:`_tables`, extending
-    each prefix's DP state by one element, and reads the candidates that
-    end a row of k - 1 elements from the row's window, its masks at
-    t = h - min(r, h)..h."""
+    each prefix's packed row by one element, and reads the candidates that
+    end a row of k - 1 elements from its masks at t = h - min(r, h)..h."""
     _, k, params, p, largest = point
     if len(prefix) == k:
         if p is None and math.gcd(*prefix) > 1:
             return 0, [], []  # a dilate of {0, 1}
         return 1, [None] if parts is not None else [], [prefix]
-    start, grows, offsets, cut, steps, texts = _tables(point)
+    grow, offsets, cut, steps, texts = _tables(point)
     o0, o1, o2, o3 = offsets[:4]
     deep = offsets[:3:-1]  # c = m..4
     # Mod p a leaf's shifts are not reduced, so it spans up to m + 1 times
@@ -216,14 +209,13 @@ def _chunk(point, bound, parts, prefix) -> Tuple[int, list, list]:
     evaluated = 0
     lines, low = [], []
     # Depth-first over the prefixes of fewer than k - 1 elements, each node
-    # a prefix with its DP state, the gcd of its elements and their text as
-    # a record writes it ("0,3,5,").
-    stack = [((), start, 0, "")]
+    # a prefix with its row, the gcd of its elements and their text as a
+    # record writes it ("0,3,5,"); the row of no element is 1.
+    stack = [((), 1, 0, "")]
     while stack:
         cand, state, g, text = stack.pop()
         i = len(cand)
         choices = (prefix[i],) if i < len(prefix) else range(cand[-1] + 1, largest - k + i + 2)
-        grow = grows[i]
         if i < k - 2:
             stack += [(cand + (a,), grow(state, steps[a]), math.gcd(g, a), f"{text}{texts[a]},")
                       for a in reversed(choices)]
@@ -237,13 +229,13 @@ def _chunk(point, bound, parts, prefix) -> Tuple[int, list, list]:
                 # Over Z a set with gcd > 1 is a dilate of a smaller candidate.
                 ends = [a for a in ends if math.gcd(row_g, a) < 2]
             # Each leaf's mask at t = h is the OR of dp[h - c] << c*a over
-            # c = 0..m, by Horner's rule in a from the row's window read
+            # c = 0..m, by Horner's rule in a from the row's masks read
             # once: the masks of c = 0..3 (0 past m) in one expression, and
             # those of c = 4..m, if any, ORed in from a second Horner sum.
-            window = grow(state, steps[b])
-            top, b1 = window >> o0 & cut, window >> o1 & cut
-            b2, b3 = window >> o2 & cut, window >> o3 & cut
-            rest = [window >> o & cut for o in deep] if deep else ()
+            row = grow(state, steps[b])
+            top, b1 = row >> o0 & cut, row >> o1 & cut
+            b2, b3 = row >> o2 & cut, row >> o3 & cut
+            rest = [row >> o & cut for o in deep] if deep else ()
             evaluated += len(ends)
             for a in ends:
                 acc = top | (b1 | (b2 | b3 << a) << a) << a
@@ -300,9 +292,10 @@ def _scan(
     count = math.comb(largest, k - 1)
     if count > cap:
         raise ResourceCapError(count, cap)
-    # The engine's validation, once, on the widest candidate.
+    # The engine's validation, once, on the widest candidate, and at k >= 3,
+    # where the point walks, that of its packed rows.
     widest = tuple(range(k - 1)) + (largest,) if k > 1 else (0,)
-    _validate_params(GroundSet(widest, p), params.h, params.r)
+    (_validate_row if k > 2 else _validate_params)(GroundSet(widest, p), params.h, params.r)
     parts = _LineParts(kind, p, bound) if on_records is not None else None
     # The point travels to a worker as its serial and arguments, and the
     # worker builds its tables.

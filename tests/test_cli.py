@@ -255,6 +255,14 @@ SCAN_GOLDEN = {
         "8c07e31eb03b3aa29d9dd1dc0e9eb30a141fd3a5e472f4cd0c04caeddabaf6b5",
         "b3ed62db3779a03a2aa42be07f2ef29d07884d688483cd807289475e67f38f29",
     ),
+    # A wide row, h * max_diameter + 1 = 9 441 bits a slot: taken while the
+    # cost rule still ran such scan points per t, before scans walked packed
+    # rows only.
+    "scan extremal --k 3 --h 20 --r 20 --max-diameter 472": (
+        0,
+        "3abf47fb0774fac345b9f4d2f388de46aeb876bbf1b48397f8bfc368815fbe91",
+        "2516347127897cf8958d9c39cab233dfe90f5c604e534fd89aed4690c66f4e33",
+    ),
 }
 
 

@@ -6,7 +6,6 @@ independently of the package, and frozen here.
 """
 
 import itertools
-import math
 import random
 import sys
 import threading
@@ -747,8 +746,8 @@ def test_set_built_from_a_list_is_computed():
 def test_height_falls_back_to_h_for_a_wider_set(fresh_memo, monkeypatch):
     """A set whose row at r*k fits the bit cap builds, and keeps, its
     profile there; a set too wide for it, or one that the 64-bit guard
-    refuses at r*k but not at h, runs at its own h, packed or per t, and
-    keeps nothing."""
+    refuses at r*k but not at h, runs at its own h, packed, where it
+    builds a profile at h, or per t, and keeps nothing."""
     monkeypatch.setattr(core, "_MEMO_MAX_BITS", 2**15)
     core._kept.cache_clear()
     builds = _counting(monkeypatch, "_profile")
@@ -766,7 +765,7 @@ def test_height_falls_back_to_h_for_a_wider_set(fresh_memo, monkeypatch):
         del builds[:], steps[:]
         want = brute_force_sumset(ground, SumParams(2, 2))
         assert generalized_sumset(ground, SumParams(2, 2)) == want
-        assert [a[2] for a in builds] == ([6] if kept else []), elements
+        assert [a[2] for a in builds] == ([6] if kept else [2] if packed else []), elements
         assert (len(steps) > 0) == packed, elements
         assert (core._kept(elements, None, 2) is not None) == kept, elements
         keys.append((ground, 2))
@@ -852,7 +851,8 @@ def test_both_layouts_match_the_oracle(fresh_memo, monkeypatch, packed):
     """The engine with its DP packed and per t, whichever the cost rule
     would choose, against the oracle: every set of up to 4 elements of
     {-2, ..., 3} and mod 2, 3, 5 and 7, r <= 3, h <= min(r*k, 6).  Packed
-    runs twice: from kept profiles at r*k, and with nothing kept, at h."""
+    runs twice: from kept profiles at r*k, and with nothing kept, from one
+    profile built at each call's own h."""
     monkeypatch.setattr(core, "_packs", lambda *args: packed)
     builds = _counting(monkeypatch, "_profile")
     sets = [GroundSet(c) for k in range(1, 5) for c in itertools.combinations(range(-2, 4), k)]
@@ -866,32 +866,29 @@ def test_both_layouts_match_the_oracle(fresh_memo, monkeypatch, packed):
         for g in sets:
             for h, r in _pairs(g.size):
                 want = brute_force_sumset(g, SumParams(h, r))
+                before = len(builds)
                 assert generalized_sumset(g, SumParams(h, r)) == want, (g, h, r, cap)
+                if cap < 0:
+                    assert builds[before:] == ([(g, r, h)] if packed else []), (g, h, r)
                 keys.append((g, r))
-        if cap < 0:
-            assert builds == []
-        else:
+        if cap >= 0:
             _check_memo(keys)
 
 
 def test_cost_rule_bounds_the_packed_row():
     """The rule prices a doubling at two per-t shifts plus one per 2**12
     bits, and never packs a row above the mask guard."""
-    # One step at h = r = 1: one doubling over 2 slots against 2 masks of
-    # 1 and 2 shifts.
-    assert core._packs(1, 0, 1, 1, 6144) and not core._packs(1, 0, 1, 1, 6145)
-    # A last step costs a doubling more than a step.
-    assert not core._packs(0, 1, 1, 1, 1)
-    assert core._packs(1, 0, 10**4, 10**4, 5 * 10**5)
-    assert not core._packs(1, 0, 10**4, 10**4, 10**6)  # 10 001 slots > 2**33 bits
+    # A step at h = r = 1: one doubling over 2 slots against 2 masks of 1
+    # and 2 shifts.
+    assert core._packs(1, 1, 6144) and not core._packs(1, 1, 6145)
+    assert core._packs(10**4, 10**4, 5 * 10**5)
+    assert not core._packs(10**4, 10**4, 10**6)  # 10 001 slots > 2**33 bits
 
 
 def test_each_walk_prices_what_it_steps(fresh_memo, monkeypatch):
-    """``_walker`` is the cost rule's one caller.  An uncached engine call
-    prices k - 1 steps and one last step at h in slots of h * span + 1 bits
-    over Z and 2p mod p; a scan point of k >= 3 prices one step per row,
-    C(largest, k - 2), and no last step, with its widest candidate's
-    stride, once for all its chunks."""
+    """An uncached engine call prices one step at h in slots of
+    h * span + 1 bits over Z and 2p mod p, once; a scan point prices
+    nothing, since it walks packed rows only."""
     priced = _counting(monkeypatch, "_packs")
     monkeypatch.setattr(core, "_MEMO_MAX_BITS", 0)  # every engine call walks
     for elements, p, h, r in (((0, 2, 3, 7), None, 3, 2), ((-5, 0, 6, 40), None, 5, 2),
@@ -900,14 +897,13 @@ def test_each_walk_prices_what_it_steps(fresh_memo, monkeypatch):
         del priced[:]
         generalized_sumset(GroundSet(elements, p), SumParams(h, r))
         stride = h * (elements[-1] - elements[0]) + 1 if p is None else 2 * p
-        assert priced == [(len(elements) - 1, 1, h, r, stride)]
+        assert priced == [(h, r, stride)]
     for k, h, r, p, largest in ((3, 4, 2, None, 9), (4, 6, 6, None, 7), (5, 2, 1, 13, 12),
                                 (3, 3, 3, 7, 6)):
         del priced[:]
         # At bound 0 no candidate reaches the engine's recheck.
         _scan("extremal", k, SumParams(h, r), p, largest, 0, False, "", 10**8, 1, None, None)
-        stride = h * largest + 1 if p is None else 2 * p
-        assert priced == [(math.comb(largest, k - 2), 0, h, r, stride)]
+        assert priced == []
 
 
 @pytest.mark.parametrize("packed", [True, False])
@@ -922,14 +918,17 @@ def test_each_walk_prices_what_it_steps(fresh_memo, monkeypatch):
     )
 ])
 def test_walk_reads_the_profiles_masks(monkeypatch, packed, elements, p, h, r):
-    """After all but the last element, ``_walker``'s window, packed or per
-    t, holds at offsets[c] the masks of the first k - 1 elements' profile at
-    t = h - c, c = 0..m, m = min(r, h), and 0 at every further offset."""
+    """A row of the packed format at h (``_packed``, which the scans walk),
+    stepped from 1 by all but the last element, holds at offsets[c] the
+    masks of the first k - 1 elements' profile at t = h - c, c = 0..m,
+    m = min(r, h), and 0 at every further offset, whatever the cost rule
+    answers: the format does not ask it."""
     monkeypatch.setattr(core, "_packs", lambda *args: packed)
     k, base = len(elements), elements[0] if p is None else 0
-    window, grows, arg, offsets, cut = core._walker(k, h, r, p, elements[-1] - base, k - 1, 1)
-    for grow, a in zip(grows, elements):
-        window = grow(window, arg(a - base))
+    stride, step, shifts, offsets, cut = core._packed(h, r, p, elements[-1] - base)
+    row = 1
+    for a in elements[:-1]:
+        row = step(row, shifts(a - base))
     m = min(r, h)
     if k > 1:
         prefix = core.profile(GroundSet(elements[:-1], p), r, min(h, r * (k - 1)))
@@ -937,7 +936,8 @@ def test_walk_reads_the_profiles_masks(monkeypatch, packed, elements, p, h, r):
     else:
         want = [int(h == c) for c in range(m + 1)]  # the empty set's sums
     assert len(offsets) == max(m, 3) + 1 and max(want) > 0
-    assert [window >> offset & cut for offset in offsets] == want + [0] * (3 - m)
+    assert cut == (1 << stride) - 1
+    assert [row >> offset & cut for offset in offsets] == want + [0] * (3 - m)
 
 
 def test_memo_across_threads(fresh_memo):

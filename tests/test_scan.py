@@ -124,7 +124,7 @@ def test_extremal_64_bit_guard_refuses_before_any_dp(monkeypatch, capsys):
         raise AssertionError("DP started")
 
     monkeypatch.setattr(sumsetlab.scan, "_chunk", no_dp)
-    monkeypatch.setattr(sumsetlab.scan, "_walker", no_dp)
+    monkeypatch.setattr(sumsetlab.scan, "_packed", no_dp)
     monkeypatch.setattr(sumsetlab.scan, "ProcessPoolExecutor", no_dp)
     h, r = 2**62, 2**61
     for jobs in ("1", "2"):
@@ -138,13 +138,15 @@ def test_extremal_64_bit_guard_refuses_before_any_dp(monkeypatch, capsys):
 
 def test_mask_width_guard_refuses_before_any_dp(monkeypatch, capsys):
     """A scan whose DP would hold more than 2**33 mask bits exits 1 before
-    a chunk starts: over Z for k > 1, and mod p also at k = 1."""
+    a chunk starts: over Z for k > 1, and mod p also at k = 1.  Mod p a
+    point that walks (k >= 3) is also refused when its packed row of h + 1
+    slots of 2p bits would, though its h + 1 masks of p bits would not."""
 
     def no_dp(*args):
         raise AssertionError("DP started")
 
     monkeypatch.setattr(sumsetlab.scan, "_chunk", no_dp)
-    monkeypatch.setattr(sumsetlab.scan, "_walker", no_dp)
+    monkeypatch.setattr(sumsetlab.scan, "_packed", no_dp)
     monkeypatch.setattr(sumsetlab.scan, "ProcessPoolExecutor", no_dp)
     h, p = 2**30, 2**61 - 1
     for jobs in ("1", "2"):
@@ -158,6 +160,13 @@ def test_mask_width_guard_refuses_before_any_dp(monkeypatch, capsys):
                 f"error: (h + 1) * mask width = {bits} bits exceeds the "
                 f"2**33-bit guard\n"
             )
+        # (h + 1) * p = 6 442 450 941 <= 2**33 < (h + 1) * 2p
+        argv = ["inverse-eh", "--p", "2147483647", "--k", "3", "--h", "2",
+                "--cap", "10000000000000000000"]
+        assert run(["scan"] + argv + ["--jobs", jobs]) == 1
+        assert capsys.readouterr().err == (
+            "error: a packed row of 2p-bit slots exceeds the 2**33-bit guard\n"
+        )
 
 
 # ===================== depth-first walk =====================
@@ -240,7 +249,7 @@ def test_k_le_2_candidates_attain_their_bound():
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_k_le_2_scan_never_walks(monkeypatch, capsys, tmp_path, jobs):
     """A k <= 2 scan builds no tables, steps no DP and starts no pool: with
-    ``_tables`` and ``_walker`` raising, both scans still exit 0 with every
+    ``_tables`` and ``_packed`` raising, both scans still exit 0 with every
     candidate at its bound, and at --jobs 2 their chunks run serially."""
 
     def no_walk(*args):
@@ -254,7 +263,7 @@ def test_k_le_2_scan_never_walks(monkeypatch, capsys, tmp_path, jobs):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(sumsetlab.scan, "_tables", no_walk)
-    monkeypatch.setattr(sumsetlab.scan, "_walker", no_walk)
+    monkeypatch.setattr(sumsetlab.scan, "_packed", no_walk)
     monkeypatch.setattr(sumsetlab.scan, "ProcessPoolExecutor", Counting)
     manifest = tmp_path / "grid.txt"
     manifest.write_text("k = 1, 2\nh = 1, 2\nr = 2\nmax_diameter = 1, 6\n", encoding="utf-8")
@@ -318,12 +327,13 @@ def test_scan_cardinalities_match_oracle():
 
 @pytest.mark.parametrize("packed", [True, False])
 def test_both_layouts_match_the_oracle(monkeypatch, packed):
-    """The walk gives the oracle's cardinality for every candidate with its
-    DP packed and per t, whichever the cost rule would choose: over Z every
-    k <= 4, max_diameter 6, r <= 3, h <= r*k; mod 5 and 7 every k <= 4; and
-    a few points at r = 5, where min(r, h) exceeds 3.  At k <= 2 each
-    chunk hands its prefix to the engine's recheck, and the scan's records
-    carry the oracle's cardinality."""
+    """The walk gives the oracle's cardinality for every candidate, whatever
+    the engine's cost rule answers (the walk is packed and does not ask it;
+    the engine's recheck does): over Z every k <= 4, max_diameter 6,
+    r <= 3, h <= r*k; mod 5 and 7 every k <= 4; and a few points at r = 5,
+    where min(r, h) exceeds 3.  At k <= 2 each chunk hands its prefix to
+    the engine's recheck, and the scan's records carry the oracle's
+    cardinality."""
     monkeypatch.setattr(sumsetlab.core, "_packs", lambda *args: packed)
     cache = {}
     checked = 0
@@ -437,7 +447,7 @@ def test_chunk_line_table(p, k):
 @pytest.mark.parametrize("records", [True, False])
 def test_chunk_leaves_no_garbage(monkeypatch, packed, records):
     """A chunk's walk holds no reference cycle, so what it leaves is freed
-    without the cyclic collector."""
+    without the cyclic collector, whatever the engine's cost rule answers."""
     monkeypatch.setattr(sumsetlab.core, "_packs", lambda *args: packed)
     parts = _LineParts("extremal", None, 7) if records else None
     gc.collect()
@@ -454,28 +464,27 @@ def test_chunk_leaves_no_garbage(monkeypatch, packed, records):
 @pytest.mark.parametrize("h, r", [(1, 1), (2, 1), (3, 2), (5, 5), (7, 3)])
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 6])
 def test_point_tables_are_each_elements_shifts(monkeypatch, packed, p, largest, h, r, k):
-    """A point's tables give the walk's k - 1 steps; the window offsets at
-    which a row of k - 1 elements holds its mask at t = h - c, c = 0..m,
-    m = min(r, h) (packed, slot h - c of the row; per t, slot m - c of the
-    masks that the last step packs), and, for c = m + 1..3, an offset past
-    the top slot; the slot cut; and lists that give, for every element
-    a = 0..largest, the step argument of its layout (packed, ``_shifts`` at
-    cap m with the point's stride; per t, a itself) and a's text.  The
-    tables are the same at k <= 2, where no chunk asks for them.  A packed
-    slot has the point's stride; a per-t slot holds one mask, the sums of
-    h elements within p bits mod p."""
+    """A point's tables are ``core._packed``'s at h for the widest
+    candidate's span, whatever the engine's cost rule answers: the packed
+    step with the point's stride, h * largest + 1 bits over Z and 2p mod p;
+    the offsets at which a row of k - 1 elements holds its mask at
+    t = h - c, c = 0..m, m = min(r, h), slot h - c of the row, and, for
+    c = m + 1..3, an offset past the top slot; the slot cut; and lists that
+    give, for every element a = 0..largest, its ``_shifts`` at cap m and its
+    text.  The tables are the same at k <= 2, where no chunk asks for them."""
     monkeypatch.setattr(sumsetlab.core, "_packs", lambda *args: packed)
     stride = h * largest + 1 if p is None else 2 * p
-    start, grows, offsets, cut, steps, texts = _tables(_point(k, SumParams(h, r), p, largest))
+    step, offsets, cut, steps, texts = _tables(_point(k, SumParams(h, r), p, largest))
     m = min(r, h)
-    top, slot = (h, stride) if packed else (m, min(h * largest + 1, p or stride))
-    assert len(grows) == k - 1 and cut == (1 << slot) - 1
-    assert offsets == tuple((top - c) * slot for c in range(m + 1)) + (
-        ((top + 1) * slot,) * (3 - m))
+    assert step.func is sumsetlab.core._step
+    assert step.args == (p, sumsetlab.core._keep(h, stride, p))
+    assert cut == (1 << stride) - 1
+    assert offsets == tuple((h - c) * stride for c in range(m + 1)) + (
+        ((h + 1) * stride,) * (3 - m))
     for table in (steps, texts):
         assert isinstance(table, list) and len(table) == largest + 1
     for a in range(largest + 1):
-        assert steps[a] == (sumsetlab.core._shifts(m, stride, p, a) if packed else a)
+        assert steps[a] == sumsetlab.core._shifts(m, stride, p, a)
         assert texts[a] == str(a)
 
 
@@ -483,19 +492,19 @@ def test_tables_are_built_once_per_point(monkeypatch, capsys, tmp_path):
     """At --jobs 1 a scan builds its tables once per grid point, every chunk
     of the point uses that point's tables, and no later point or CLI run
     reuses them."""
-    built, used = [], []  # (k, h, span) per build; (point, tables) per chunk
-    walker, chunk = sumsetlab.scan._walker, sumsetlab.scan._chunk
+    built, used = [], []  # (h, span) per build; (point, tables) per chunk
+    packed, chunk = sumsetlab.scan._packed, sumsetlab.scan._chunk
 
-    def walking(k, h, r, p, span, steps, leaves):
-        built.append((k, h, span))
-        return walker(k, h, r, p, span, steps, leaves)
+    def packing(h, r, p, span):
+        built.append((h, span))
+        return packed(h, r, p, span)
 
     def chunking(point, *args):
         got = chunk(point, *args)
         used.append((point, _tables(point)))
         return got
 
-    monkeypatch.setattr(sumsetlab.scan, "_walker", walking)
+    monkeypatch.setattr(sumsetlab.scan, "_packed", packing)
     monkeypatch.setattr(sumsetlab.scan, "_chunk", chunking)
     manifest = tmp_path / "grid.txt"
     manifest.write_text("k = 3, 4\nh = 2, 3\nr = 2\nmax_diameter = 6, 7\n", encoding="utf-8")
@@ -504,7 +513,7 @@ def test_tables_are_built_once_per_point(monkeypatch, capsys, tmp_path):
         assert run(argv) == 0
     capsys.readouterr()
     points = [(k, h, 2, d) for k in (3, 4) for h in (2, 3) for d in (6, 7)]
-    assert built == [(k, h, d) for k, h, _, d in points] * 2
+    assert built == [(h, d) for _, h, _, d in points] * 2
     chunks = [d - k + 2 for k, _, _, d in points] * 2  # prefixes (0, a_2)
     assert [point[1:] for point, _ in used] == [
         (k, SumParams(h, r), None, d) for (k, h, r, d), n in zip(points * 2, chunks)

@@ -1,34 +1,33 @@
 """Cold engine and scan timings on both sides of the packed-row cost rule.
 
-The engine steps its DP either on packed rows (one integer per row, a
-slot of ``stride`` bits per multiplicity t) or on per-t masks, and
-``core._packs`` chooses between them.  This harness times both sides of
-that rule, in two modes:
+An uncached engine call steps its DP either on packed rows (one integer
+per row, a slot of ``stride`` bits per multiplicity t) or on per-t masks,
+and ``core._packs`` chooses between them; scans walk packed rows only.
+This harness times both sides of that rule, in two modes:
 
     python3 tools/rowwidth.py compare --src A --src B [--rounds 3] [--out F]
 
-runs a fixed list of shapes, wide ones that the rule sends to the per-t
-step and narrow ones that it packs, once per source tree and round,
-alternating the trees, each shape in a fresh interpreter that imports
-``sumsetlab`` from ``SRC`` (a checkout's ``src`` directory; to time a
-tree against itself, pass a copy as the second).  A shape
-runs at least its repeats and 0.5 s, and until 200 runs or 5 s, each
-run with the engine's profile memo emptied first; its time is the fastest
-run, ``peak_mb`` is the interpreter's peak RSS, ``memo_hits`` is the
-memo's hit count, 0 for an engine shape whose runs all start cold, and
-``profiles`` is the number of profiles built over all runs.  ``rule`` is
-the layout the child saw the cost rule pick: the first walk's, or packed
-when a run built a kept profile.  Each shape's ``packed`` is the ``rule``
-of the last ``--src`` tree.  Every ``--src`` tree must lay out its scans
-through ``core._walker``; the child stops on one whose ``scan`` has its
-own ``_packs``.
+runs a fixed list of shapes, wide engine calls that the rule sends to the
+per-t step, narrow ones that it packs, and scans of wide and narrow rows,
+once per source tree and round, alternating the trees, each shape in a
+fresh interpreter that imports ``sumsetlab`` from ``SRC`` (a checkout's
+``src`` directory; to time a tree against itself, pass a copy as the
+second).  A shape runs at least its repeats and 0.5 s, and until 200
+runs or 5 s, each run with the engine's profile memo emptied first; its
+time is the fastest run, ``peak_mb`` is the interpreter's peak RSS,
+``memo_hits`` is the memo's hit count, 0 for an engine shape whose runs
+all start cold, ``profiles`` is the number of profiles built over all
+runs, and ``heights`` the heights they were built at.  ``rule`` is the
+layout the child saw the cost rule pick: the first call's, or packed
+when no call asked it and a run built a profile.  Each shape's
+``packed`` is the ``rule`` of the last ``--src`` tree.
 
     python3 tools/rowwidth.py calibrate --src A [--out F]
 
-times every shape of a grid with the layout forced each way, with the
-memo keeping nothing, and reports for each shape the layout ``_packs``
-picks, the forced child's ``rule``, and how much slower it is than the
-faster layout.
+times every engine shape of a grid with the layout forced each way, with
+the memo keeping nothing, so that a forced packed call builds its profile
+at h and none at r * k, and reports for each shape the layout ``_packs``
+picks and how much slower it is than the faster layout.
 
 Results go to stdout as JSON, and to ``--out`` if given.  Standard
 library only.
@@ -55,10 +54,7 @@ spec = json.loads(sys.argv[1])
 sys.path.insert(0, spec["src"])
 from sumsetlab import core, scan
 from sumsetlab.core import GroundSet, SumParams
-# A scan that binds its own _packs would skip the wrapper below and time
-# the rule's layout on both sides.
-assert not hasattr(scan, "_packs"), "--src is older than core._walker's one cost rule"
-# Each walk's layout is the cost rule's pick, recorded before a forced
+# Each call's layout is the cost rule's pick, recorded before a forced
 # layout overrides it.
 picks, rule = [], core._packs
 core._packs = lambda *args: picks.append(rule(*args)) or (
@@ -68,7 +64,7 @@ if spec["force"] is not None:
     # forced layout keeps none: no row fits a cap of 0 bits.
     core._MEMO_MAX_BITS = 0
 built, build = [], core._profile
-core._profile = lambda *args: built.append(1) or build(*args)
+core._profile = lambda *args: built.append(args[2]) or build(*args)
 def once():
     core._kept.cache_clear()
     if spec["kind"] == "engine":
@@ -92,7 +88,7 @@ while more():
 print(json.dumps({"s": best, "digest": hash(json.dumps(value)),
                   "peak_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
                   "memo_hits": core._kept.cache_info().hits, "profiles": len(built),
-                  "rule": picks[0] if picks else bool(built)}))
+                  "heights": sorted(set(built)), "rule": picks[0] if picks else bool(built)}))
 """
 
 
@@ -115,12 +111,13 @@ def _compare_shapes():
         _engine("Z k=24 span 2500 h=4 r=2", dense(24, 2_500), None, 4, 2, 5),
         _engine("k=40 mod 20011 h=3 r=1", residues(40, 20_011), 20_011, 3, 1, 5),
         _engine("{0,...,4} mod 2003 h=r=16", range(5), 2_003, 16, 16, 5),
-        # one set of each at the bound, so these time the walk
+        # wide packed scans, which the rule ran per t until scans stopped
+        # asking it; one set of each at the bound, so these time the walk
         {"name": "extremal k=3 d=700 h=r=9", "kind": "scan", "p": None, "k": 3,
          "h": 9, "r": 9, "d": 700, "repeats": 2},
         {"name": "extremal k=3 d=1000 h=r=6", "kind": "scan", "p": None, "k": 3,
          "h": 6, "r": 6, "d": 1000, "repeats": 2},
-        # narrow: the rule packs these
+        # narrow: the rule packs these, and narrow scans
         _engine("Z k=20 span 150 h=r=36", dense(20, 150), None, 36, 36, 5),
         _engine("Z k=20 span 300 h=30 r=24", dense(20, 300), None, 30, 24, 5),
         _engine("k=20 mod 2003 h=30 r=26", residues(20, 2_003), 2_003, 30, 26, 5),
@@ -148,12 +145,6 @@ def _calibration_shapes():
                 p = {20: 23, 200: 211, 2_000: 2_003, 20_000: 20_011}[width]
                 shapes.append(_engine(f"k={k} mod {p} h={h} r={r}",
                                       rng.sample(range(p), k), p, h, r))
-    for k in (3, 4, 5):
-        for d in (12, 30, 80):
-            for h, r in ((2, 1), (4, 2), (3, 3), (6, 6), (10, 10)):
-                if h <= r * k:
-                    shapes.append({"name": f"extremal k={k} d={d} h={h} r={r}", "kind": "scan",
-                                   "p": None, "k": k, "h": h, "r": r, "d": d, "repeats": 2})
     return shapes
 
 
