@@ -367,7 +367,8 @@ def _validate_params(ground: GroundSet, h: int, r: int) -> None:
 def _validate_row(ground: GroundSet, height: int, r: int) -> None:
     """The checks of a packed DP at ``height``: ``_validate_params``, and
     mod p also its row of height + 1 slots of 2p bits within the mask guard
-    (over Z a row is the (h + 1) * W bits that ``_validate_params`` bounds)."""
+    (over Z a row is the (height + 1) * W bits that ``_validate_params``
+    bounds)."""
     _validate_params(ground, height, r)
     p = ground.modulus
     if p is not None and (height + 1) * 2 * p > _MAX_MASK_BITS:
@@ -446,7 +447,8 @@ def _packed(height: int, r: int, p: Optional[int], span: int) -> tuple:
     step carries to t = height; past c = m the offset is above the top
     slot, so it reads 0."""
     m, stride = min(r, height), _stride(height, p, span)
-    offsets = tuple((height - c if c <= m else height + 1) * stride for c in range(max(m, 3) + 1))
+    offsets = (*range(height * stride, (height - m - 1) * stride, -stride),
+               *((height + 1) * stride,) * (3 - m))
     return (stride, partial(_step, p, _keep(height, stride, p)), partial(_shifts, m, stride, p),
             offsets, (1 << stride) - 1)
 
