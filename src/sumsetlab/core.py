@@ -43,21 +43,22 @@ the widest, so a packed row holds up to twice the bits of the per-t
 masks over Z, more when the sums are sparse, and twice the p-bit masks
 mod p; in exchange its interpreter cost does not grow with r * h.
 
-One function, ``_packed``, decides the packed row format: from the slot
-width, ``_stride``, it gives the step, each element's shifts, and the
-offsets at which a row holds its masks at t = h - min(r, h)..h, the only
-ones that a last element a carries to t = h, each shifted by c * a.
-:func:`_profile` steps its rows, and the scans (``scan.py``) walk their
-candidates depth-first on them: they run packed at every point, price
-nothing, and refuse a row above the mask guard.  The one cost rule,
-``_packs``, picks the layout of an engine call at h alone from numbers
-known before any DP.  Counted in per-t shifts, a per-t mask costs one
-more, and a packed doubling costs two plus one per 2**12 bits of row it
-passes over; a row must also be within the mask guard.  Small rows, the
-exhaustive grids' traffic, run packed; wide rows, from a large span, a
-far element or a large p, run per t.  ``_read`` lists a mask's values in
-one pass over its binary string, and ``_add_part`` adds a set, given by
-its shifts, to a mask.
+The packed row format is the slot width, ``_stride``, the kept bits,
+``_keep``, and each element's ``_shifts`` at cap min(r, height), which
+:func:`_profile` steps with ``_step``.  The scans (``scan.py``) walk
+their candidates depth-first on the same rows, and ``_packed`` gives
+them the format with their read side: the offsets at which a row holds
+its masks at t = h - min(r, h)..h, the only ones that a last element a
+carries to t = h, each shifted by c * a.  They run packed at every
+point, price nothing, and refuse a row above the mask guard.  The one
+cost rule, ``_packs``, picks the layout of an engine call at h alone
+from numbers known before any DP.  Counted in per-t shifts, a per-t mask
+costs one more, and a packed doubling costs two plus one per 2**12 bits
+of row it passes over; a row must also be within the mask guard.  Small
+rows, the exhaustive grids' traffic, run packed; wide rows, from a large
+span, a far element or a large p, run per t.  ``_read`` lists a mask's
+values in one pass over its binary string, and ``_add_part`` adds a set,
+given by its shifts, to a mask.
 
 One packed DP at height H holds h^(r)A at every h <= H, one slot each:
 :func:`profile` runs it, and a slot is read by a popcount or ``_read``.
@@ -438,8 +439,8 @@ def _step(p: Optional[int], keep: int, row: int, shifts: list) -> int:
 
 def _packed(height: int, r: int, p: Optional[int], span: int) -> tuple:
     """The packed row format at ``height`` of a set of span at most
-    ``span`` (over Z, translated by -min A): (stride, step, shifts, offsets,
-    cut), which :func:`_profile` steps and the scans walk.  A row of no
+    ``span`` (over Z, translated by -min A), as the scans walk it: (stride,
+    step, shifts, offsets, cut), the rows of :func:`_profile`.  A row of no
     element is 1, and step(row, shifts(a)) scans the element a into it
     (:func:`_step`, with :func:`_shifts` at cap m = min(r, height)).  The
     mask at t is row >> t * stride & cut, and offsets[c], c = 0..max(m, 3),
@@ -463,9 +464,9 @@ def _mask_at(t: int, r: int, p: Optional[int], dp: list, a: int) -> int:
         x = dp[t - c]
         if x:
             acc |= x << (c * a if p is None else c * a % p)
-    if p is not None:
+    if p is not None and acc >> p:
         # Every mask has p bits and every shift is below p, so one fold
-        # turns the shifts into rotations.
+        # turns the shifts into rotations; a mask below 2**p needs none.
         acc = (acc & ((1 << p) - 1)) | (acc >> p)
     return acc
 
@@ -487,11 +488,12 @@ def _window(k: int, h: int, r: int, i: int) -> range:
 def _add_part(mask: int, shifts: Iterable[int], p: Optional[int]) -> int:
     """The mask of X + B from the mask of X and the shifts b of B (over Z,
     translated by -min B; residues mod p): the OR of mask << b, folded
-    once onto p bits mod p, exact because every shift is below p."""
+    once onto p bits mod p when it is wider, exact because every shift is
+    below p."""
     acc = 0
     for b in shifts:
         acc |= mask << b
-    if p is not None:
+    if p is not None and acc >> p:
         acc = (acc & ((1 << p) - 1)) | (acc >> p)
     return acc
 
@@ -520,10 +522,10 @@ def _profile(ground: GroundSet, r: int, height: int) -> Profile:
     """The packed DP of :func:`profile`, not validated."""
     A, p = ground.elements, ground.modulus
     base = A[0] if p is None else 0
-    stride, step, shifts, _, _ = _packed(height, r, p, A[-1] - base)
-    row = 1
+    m, stride = min(r, height), _stride(height, p, A[-1] - base)
+    keep, row = _keep(height, stride, p), 1
     for a in A:
-        row = step(row, shifts(a - base))
+        row = _step(p, keep, row, _shifts(m, stride, p, a - base))
     return Profile(ground, r, height, stride, row)
 
 

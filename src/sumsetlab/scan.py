@@ -55,6 +55,25 @@ split on first use from its record encoded with an empty set, around
 that text and its last element's.  A candidate at or below the bound
 leaves a placeholder that the fold fills from the engine's cardinality,
 and a chunk's lines are handed over in one call.
+
+A grid walks each class of its points once.  Two identities make points
+share every candidate's cardinality: h^(r)A = hA whenever r >= h, as the
+cap never binds, and |h^(r)A| = |(r*k - h)^(r)A|, as s -> r * sum(A) - s
+maps one onto the other.  ``_class`` keys a point by (scan, k,
+largest, p, bound, canonical (h, r)), the canonical pair from
+r -> min(r, h) and h -> min(h, r*k - h) applied until neither changes;
+points with one key have the same candidates, cardinalities and bound, and
+so print the same ``"op":"scan"`` records.  The first point of a class
+that a later point shares holds its chunk results (the evaluated count,
+the lines before the fill and the candidates at or below the bound), and
+each later point folds those in place of a walk.  Every point still runs
+its own cap and size checks, and its fold rechecks each set at or below
+the bound with ``generalized_sumset`` at the point's own (h, r), so every
+equality set and violation still rests on the engine.  A class's results
+are dropped after its last point.  All that a grid holds stays within
+``_KEEP_BUDGET`` entries, one per chunk, per record line and per
+candidate at or below the bound, some 6 MB of record lines; a class that
+would pass it holds nothing, and its next point walks again.
 """
 
 from __future__ import annotations
@@ -283,12 +302,18 @@ def _scan(
     jobs: int,
     pool: Callable[[], ProcessPoolExecutor],
     on_records: Optional[RecordsCallback],
+    replay: Optional[list] = None,
+    hold: Optional[Callable] = None,
 ) -> ScanReport:
     """Scan the k-sets 0 = a_1 < ... < a_k <= largest, in Z/pZ when
     ``p`` is given, against ``bound``, in chunks split by the smallest
     nonzero element: run in ``pool()`` if jobs > 1, k > 2 and there are
     several, folded in that order as each arrives.  ``on_records``, if
-    given, gets the record lines of each chunk that evaluated a candidate."""
+    given, gets the record lines of each chunk that evaluated a candidate.
+    With ``replay``, the chunk results of a point of the same class, the
+    point folds those and walks nothing; ``hold``, if given, is passed the
+    walk's chunk results and yields them back, so that it can keep them
+    for a later point."""
     count = math.comb(largest, k - 1)
     if count > cap:
         raise ResourceCapError(count, cap)
@@ -300,17 +325,24 @@ def _scan(
     # The point travels to a worker as its serial and arguments, and the
     # worker builds its tables.
     chunk = partial(_chunk, (next(_POINTS), k, params, p, largest), bound, parts)
-    prefixes = [(0,)] if k == 1 else [(0, f) for f in range(1, largest - k + 3)]
+    seconds = range(1, largest - k + 3)  # a_2 of each chunk's prefix (0, a_2)
+    prefixes = zip(itertools.repeat(0), seconds) if k > 1 else [(0,)]
     evaluated = 0
     equality, violations = [], []
-    if jobs > 1 and k > 2 and len(prefixes) > 1:
+    if replay is not None:
+        results = replay
+    elif jobs > 1 and k > 2 and len(seconds) > 1:
         # Finished chunks wait for the fold, so a bounded window keeps
         # memory at O(jobs) chunks while every worker has work queued.
         results = _in_order(pool(), chunk, prefixes, 2 * jobs)
     else:
         results = map(chunk, prefixes)
+    if hold is not None:
+        results = hold(results)
     for chunk_evaluated, lines, low in results:
         evaluated += chunk_evaluated
+        if lines and low:
+            lines = lines.copy()  # a held chunk keeps its placeholders
         spot = -1
         for cand in low:
             # The engine is the authority for every set the report names.
@@ -376,12 +408,64 @@ _SCANS = {
 _MANIFEST_KEYS = tuple(dict.fromkeys(key for _, required, optional, _ in _SCANS.values()
                                      for key in required + optional))
 
+# The chunk results that a grid holds for later points of a class, in
+# entries: one per chunk, per record line and per candidate at or below the
+# bound, over every class held at once.  A record line of a k = 6 point
+# at max_diameter 12 takes 174 bytes on CPython 3.11 (its str and its list
+# slot), so the budget holds some 6 MB of such lines.
+_KEEP_BUDGET = 2**15
+
+
+def _class(name: str, point: tuple) -> tuple:
+    """The class of a scan point (``_scan``'s arguments from k on): the
+    points of one class have the same candidates, cardinalities and bound,
+    and so the same chunk results.  Its key is (name, k, largest, p, bound,
+    h, r) with (h, r) made canonical by r -> min(r, h), since h^(r)A = hA
+    for r >= h, and h -> min(h, r*k - h), since |h^(r)A| = |(r*k - h)^(r)A|,
+    applied until neither changes."""
+    k, params, p, largest, bound = point[:5]
+    h, r = params.h, params.r
+    while True:
+        canonical = min(h, min(r, h) * k - h), min(r, h)
+        if canonical == (h, r):
+            return name, k, largest, p, bound, h, r
+        h, r = canonical
+
+
+class _Kept(dict):
+    """Class -> the chunk results of its first point, held for its later
+    points, while every class held totals at most ``_KEEP_BUDGET`` entries;
+    a class that would pass it holds nothing, and its next point walks."""
+
+    entries = 0
+
+    def hold(self, key, results):
+        """Yield ``results``, holding each under ``key`` while it fits."""
+        held = self[key] = []
+        for result in results:
+            if held is not None:
+                size = 1 + len(result[1]) + len(result[2])
+                if self.entries + size <= _KEEP_BUDGET:
+                    held.append(result)
+                    self.entries += size
+                else:
+                    self.drop(key)
+                    held = None
+            yield result
+
+    def drop(self, key) -> None:
+        for _, lines, low in self.pop(key, ()):
+            self.entries -= 1 + len(lines) + len(low)
+
 
 def scan_grid(name, grid, cap, jobs, on_records, on_report) -> None:
     """Run scan ``name`` at each point of ``grid`` (key -> values), the
     product of the keys it takes in grid order, the last varying fastest,
     and pass each report to ``on_report``.  All points share one pool of
-    ``jobs`` workers, started by the first scan with several chunks."""
+    ``jobs`` workers, started by the first scan with several chunks.  A
+    point whose :func:`_class` a later point shares keeps its chunk results
+    (:class:`_Kept`), and the later points fold those, each with its own
+    checks and rechecks, until the class's last point."""
     _, required, optional, arguments = _SCANS[name]
     for key in required:
         if key not in grid:
@@ -404,9 +488,24 @@ def scan_grid(name, grid, cap, jobs, on_records, on_report) -> None:
                 executor.shutdown(cancel_futures=True)
             return executor
 
+        points = []
         for values in itertools.product(*(grid[key] for key in names)):
-            point = arguments(**dict(zip(names, values)))
-            on_report(_scan(name, *point, cap, jobs, pool, on_records))
+            try:
+                points.append(arguments(**dict(zip(names, values))))
+            except DomainError as error:  # raised when the grid reaches it
+                points.append(error)
+        keys = [None if isinstance(point, DomainError) else _class(name, point)
+                for point in points]
+        last = {key: i for i, key in enumerate(keys)}
+        kept = _Kept()
+        for i, (point, key) in enumerate(zip(points, keys)):
+            if key is None:
+                raise point
+            replay = kept.get(key)
+            hold = partial(kept.hold, key) if replay is None and last[key] > i else None
+            on_report(_scan(name, *point, cap, jobs, pool, on_records, replay, hold))
+            if last[key] == i:
+                kept.drop(key)
 
 
 def scan_extremal_integers(

@@ -846,6 +846,17 @@ def test_cost_rule_picks_the_step(fresh_memo, monkeypatch, elements, modulus, h,
     assert (core._kept(ground.elements, modulus, r) is not None) == packed
 
 
+def test_narrow_masks_mod_a_large_p_match_the_oracle(fresh_memo, monkeypatch):
+    """A per-t call whose masks stay far below p bits, {0, 1, 2, 3} mod
+    20 000 003 at h = r = 8, gives the oracle's values: a mask with no bit
+    at or above p is left unfolded, and that is exact."""
+    ground = GroundSet((0, 1, 2, 3), 20_000_003)
+    per_t = _counting(monkeypatch, "_mask_at")
+    got = generalized_sumset(ground, SumParams(8, 8))
+    assert per_t and got == brute_force_sumset(ground, SumParams(8, 8))
+    assert got.values == tuple(range(25))
+
+
 @pytest.mark.parametrize("packed", [True, False])
 def test_both_layouts_match_the_oracle(fresh_memo, monkeypatch, packed):
     """The engine with its DP packed and per t, whichever the cost rule

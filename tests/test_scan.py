@@ -734,6 +734,183 @@ def test_one_pool_per_invocation(monkeypatch, capsys, tmp_path, grid, extra, cod
     assert len(started) == pools
 
 
+# ===================== classes of grid points =====================
+
+# A grid with mirrored twins (h and r*k - h at one r) and cap-free twins
+# (r >= h at two r): over Z k = 4, h = 2..6, r = 2, 3 has 7 classes among
+# its 10 points, and mod p h and k - h are twins.
+_TWINS = (
+    ("extremal", "k = 4\nh = 2..6\nr = 2, 3\nmax_diameter = 7\n",
+     [(4, h, r, 7) for h in range(2, 7) for r in (2, 3)]),
+    ("inverse-eh", "p = 11\nk = 5\nh = 1..4\n", [(11, 5, h) for h in range(1, 5)]),
+)
+# The points of _TWINS's extremal grid that walk: the first of each class.
+_FIRSTS = [(2, 2), (3, 2), (3, 3), (4, 2), (4, 3), (5, 3), (6, 3)]
+
+
+def _flags(name, point):
+    keys = _SCANS[name][1] + _SCANS[name][2]
+    return [arg for key, value in zip(keys, point)
+            for arg in (f"--{key.replace('_', '-')}", str(value))]
+
+
+def test_class_key_is_an_identity_of_cardinalities():
+    """Points of one class have the same bound and the oracle's |h^(r)A| of
+    every set agrees across them: every (h, r) with r <= 4, h <= r*k for
+    k <= 4 over sets in {0..5}, and mod 7 for k <= 4 at r = 1."""
+    cache, classes = {}, {}
+    for k in range(1, 5):
+        for r in range(1, 5):
+            for h in range(1, r * k + 1):
+                point = _SCANS["extremal"][3](k, h, r, 5)
+                classes.setdefault(sumsetlab.scan._class("extremal", point), []).append((h, r))
+        for h in range(1, k + 1):
+            point = _SCANS["inverse-eh"][3](7, k, h)
+            classes.setdefault(sumsetlab.scan._class("inverse-eh", point), []).append((h, 1))
+    assert sum(len(members) > 1 for members in classes.values()) > 20
+    for (_, k, largest, p, *_), members in classes.items():
+        for s in _normalized(k, largest, p):
+            cards = {_oracle_cardinality(cache, s, p, *pair) for pair in members}
+            assert len(cards) == 1, (s, p, members)
+
+
+@pytest.mark.parametrize("fmt", ["plain", "records"])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("name, grid, points", _TWINS, ids=["extremal", "inverse-eh"])
+def test_twins_print_the_per_point_bytes(capsys, tmp_path, fmt, jobs, name, grid, points):
+    """A manifest whose points share classes prints the bytes of one
+    invocation per point: the same records and summaries, and in records
+    mode one closing summary that counts them all."""
+    manifest = tmp_path / "grid.txt"
+    manifest.write_text(grid, encoding="utf-8")
+    tail = ["--format", fmt, "--jobs", jobs]
+    assert run(["scan", name, "--manifest", str(manifest)] + tail) == 0
+    out = capsys.readouterr().out
+    parts, instances = [], 0
+    for point in points:
+        assert run(["scan", name] + _flags(name, point) + tail) == 0
+        got = capsys.readouterr().out
+        if fmt == "records":
+            got, closing = got[:-1].rsplit("\n", 1)
+            instances += json.loads(closing)["instances"]
+            got += "\n"
+        parts.append(got)
+    if fmt == "records":
+        out, closing = out[:-1].rsplit("\n", 1)
+        assert json.loads(closing) == {"op": "summary", "instances": instances,
+                                       "failures": 0, "verdict": "pass"}
+        out += "\n"
+    assert out == "".join(parts)
+
+
+def test_each_class_walks_only_its_first_point(monkeypatch, capsys, tmp_path):
+    """Only the first point of each class calls ``_chunk``, once per chunk;
+    its later points report the same counts without a walk."""
+    walked = []
+    chunk = sumsetlab.scan._chunk
+
+    def counting(point, *args):
+        walked.append((point[2].h, point[2].r))
+        return chunk(point, *args)
+
+    monkeypatch.setattr(sumsetlab.scan, "_chunk", counting)
+    name, grid, points = _TWINS[0]
+    manifest = tmp_path / "grid.txt"
+    manifest.write_text(grid, encoding="utf-8")
+    assert run(["scan", name, "--manifest", str(manifest), "--format", "records",
+                "--jobs", "1"]) == 0
+    summaries = [json.loads(line) for line in capsys.readouterr().out.splitlines()
+                 if '"op":"scan-summary"' in line]
+    assert walked == [pair for pair in _FIRSTS for _ in range(7 - 4 + 2)]
+    assert [(rec["h"], rec["r"]) for rec in summaries] == [point[1:3] for point in points]
+    assert {rec["evaluated"] for rec in summaries} == {len(_normalized(4, 7, None))}
+
+
+def test_a_replayed_point_still_rechecks_with_the_engine(monkeypatch, capsys, tmp_path):
+    """A later point of a class rechecks its sets at or below the bound with
+    the engine at its own (h, r): an engine that drops a value at h = 6,
+    r = 2 alone, the mirror of h = 2, fails that point's verdict only."""
+    engine = sumsetlab.scan.generalized_sumset
+
+    def wrong(ground, params):
+        result = engine(ground, params)
+        if (params.h, params.r) == (6, 2):
+            return type(result)(result.values[:-1], result.modulus)
+        return result
+
+    monkeypatch.setattr(sumsetlab.scan, "generalized_sumset", wrong)
+    name, grid, points = _TWINS[0]
+    manifest = tmp_path / "grid.txt"
+    manifest.write_text(grid, encoding="utf-8")
+    assert run(["scan", name, "--manifest", str(manifest), "--format", "records",
+                "--jobs", "1"]) == 2
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    verdicts = {(rec["h"], rec["r"]): rec["verdict"] for rec in records
+                if rec["op"] == "scan-summary"}
+    assert {pair for pair, verdict in verdicts.items() if verdict == "fail"} == {(6, 2)}
+    assert verdicts[2, 2] == verdicts[2, 3] == "pass"
+    assert records[-1]["failures"] == 1
+    assert sum(rec["op"] == "scan" and rec["slack"] < 0 for rec in records) == 1
+
+
+@pytest.mark.parametrize("budget", [0, 30, 60, 2**15])
+def test_keep_budget_bounds_what_a_grid_holds(monkeypatch, capsys, tmp_path, budget):
+    """A grid never holds more than the keep budget of chunk results; a point
+    whose class's results did not fit walks again and prints the same
+    bytes; and nothing is held once the grid ends."""
+    name, grid, points = _TWINS[0]
+    manifest = tmp_path / "grid.txt"
+    manifest.write_text(grid, encoding="utf-8")
+    argv = ["scan", name, "--manifest", str(manifest), "--format", "records", "--jobs", "1"]
+    assert run(argv) == 0
+    want = capsys.readouterr().out
+    stores, walked = [], []
+    chunk = sumsetlab.scan._chunk
+
+    class Watched(sumsetlab.scan._Kept):
+        peak = 0
+
+        def __init__(self):
+            super().__init__()
+            stores.append(self)
+
+        def __setattr__(self, key, value):
+            if key == "entries":
+                type(self).peak = max(type(self).peak, value)
+            super().__setattr__(key, value)
+
+    def counting(point, *args):
+        walked.append((point[2].h, point[2].r))
+        return chunk(point, *args)
+
+    monkeypatch.setattr(sumsetlab.scan, "_KEEP_BUDGET", budget)
+    monkeypatch.setattr(sumsetlab.scan, "_Kept", Watched)
+    monkeypatch.setattr(sumsetlab.scan, "_chunk", counting)
+    assert run(argv) == 0
+    assert capsys.readouterr().out == want
+    (store,) = stores
+    assert Watched.peak <= budget and store.entries == 0 and store == {}
+    # A class holds 40 entries: 5 chunks, 34 lines and {0, 1, 2, 3}.  At 60
+    # only the first class fits, so the mirror of (3, 2) walks again.
+    pairs = [point[1:3] for point in points]
+    walkers = {0: pairs, 30: pairs, 60: _FIRSTS + [(5, 2)]}.get(budget, _FIRSTS)
+    assert list(dict.fromkeys(walked)) == [pair for pair in pairs if pair in walkers]
+
+
+def test_k2_scan_lists_no_chunk_prefixes():
+    """A k = 2 point at max_diameter 2 * 10**5 has that many chunks, of
+    which over Z only a_2 = 1 survives the gcd skip, and its prefixes are
+    walked from a range: no list of them is built."""
+    tracemalloc.start()
+    try:
+        report = scan_extremal_integers(k=2, h=2, r=2, max_diameter=200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.candidates, report.evaluated, report.equality_sets) == (200_000, 1, ((0, 1),))
+    assert peak < 200_000
+
+
 # ===================== mod-p scans =====================
 
 
