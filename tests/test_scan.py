@@ -755,9 +755,9 @@ def _flags(name, point):
 
 
 def test_class_key_is_an_identity_of_cardinalities():
-    """Points of one class have the same bound and the oracle's |h^(r)A| of
-    every set agrees across them: every (h, r) with r <= 4, h <= r*k for
-    k <= 4 over sets in {0..5}, and mod 7 for k <= 4 at r = 1."""
+    """The oracle gives every candidate the same |h^(r)A| at all points of
+    one class: every (h, r) with r <= 4, h <= r*k for k <= 4 over sets in
+    {0..5}, and mod 7 for k <= 4 at r = 1."""
     cache, classes = {}, {}
     for k in range(1, 5):
         for r in range(1, 5):
@@ -898,16 +898,17 @@ def test_keep_budget_bounds_what_a_grid_holds(monkeypatch, capsys, tmp_path, bud
 
 
 def test_k2_scan_lists_no_chunk_prefixes():
-    """A k = 2 point at max_diameter 2 * 10**5 has that many chunks, of
+    """A k = 2 point at max_diameter 5 * 10**4 has that many chunks, of
     which over Z only a_2 = 1 survives the gcd skip, and its prefixes are
-    walked from a range: no list of them is built."""
+    walked from a range: no list of them is built, which alone would trace
+    some 5 MB."""
     tracemalloc.start()
     try:
-        report = scan_extremal_integers(k=2, h=2, r=2, max_diameter=200_000)
+        report = scan_extremal_integers(k=2, h=2, r=2, max_diameter=50_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (report.candidates, report.evaluated, report.equality_sets) == (200_000, 1, ((0, 1),))
+    assert (report.candidates, report.evaluated, report.equality_sets) == (50_000, 1, ((0, 1),))
     assert peak < 200_000
 
 
