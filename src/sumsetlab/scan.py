@@ -325,7 +325,9 @@ def _scan(
     # The point travels to a worker as its serial and arguments, and the
     # worker builds its tables.
     chunk = partial(_chunk, (next(_POINTS), k, params, p, largest), bound, parts)
-    seconds = range(1, largest - k + 3)  # a_2 of each chunk's prefix (0, a_2)
+    # a_2 of each chunk's prefix (0, a_2); over Z at k = 2 every other a_2
+    # makes a dilate of {0, 1}, skipped for its gcd
+    seconds = range(1, 2 if p is None and k == 2 else largest - k + 3)
     prefixes = zip(itertools.repeat(0), seconds) if k > 1 else [(0,)]
     evaluated = 0
     equality, violations = [], []

@@ -34,6 +34,15 @@ The two regimes share one verdict: each supplies only its bundle, the
 closed-form min B, the condition under which its witness family is
 empty, its witness function, the (x, y) grid that function is checked
 on, the chain and the expected number of gap members.
+
+The checker works on bit masks in the coordinates v - h*min A.  It reads
+h^(r)A and the tail (h-m-1)^(r-1)A as the engine's masks
+(``core._sumset_mask``), and builds the split side and each bundle from
+the mask 1 of {0} by shift-OR (``core._add_part``) with the sums that
+``_restricted_values`` gives on A - min A.  Membership, inclusion,
+minimum, size and the smallest missing values are then bit operations.
+``_fold`` and ``_minkowski``, the same sums on Python sets, are the
+tests' reference for the bundles.
 """
 
 from __future__ import annotations
@@ -47,11 +56,12 @@ from .core import (
     GroundSet,
     SumParams,
     SumsetResult,
+    _add_part,
+    _bits,
     _check_draws,
     _sumset_mask,
     bound_direct_integers,
     bound_direct_mod_p,
-    generalized_sumset,
 )
 from .errors import DomainError
 
@@ -290,8 +300,42 @@ def _minkowski(xs: Iterable[int], ys: Iterable[int]) -> Set[int]:
     return {x + y for x in xs for y in ys}
 
 
-def _missing_detail(lhs: Set[int], rhs: Set[int]) -> str:
-    missing = sorted(lhs - rhs)[:5]
+_NAMES = (
+    "split-inclusion",
+    "block-inclusion-wide",
+    "gap-witnesses-wide",
+    "block-inclusion-narrow",
+    "gap-witnesses-narrow",
+)
+
+
+def _not_applicable(names, detail: str) -> Tuple[CheckItem, ...]:
+    return tuple(CheckItem(name, "not-applicable", detail) for name in names)
+
+
+_EPS_ZERO = _not_applicable(
+    _NAMES, "eps = 0: the exact factorization h^(r)A = r-fold m^A applies instead"
+)
+_NOT_WIDE = _not_applicable(_NAMES[1:3], "wide case needs m + eps <= k")
+_NOT_NARROW = _not_applicable(_NAMES[3:], "narrow case needs r - 1 > m + eps > k")
+
+
+def _sums(mask: int, parts: Iterable[Tuple[Iterable[int], int]]) -> int:
+    """The mask plus ``times`` copies of each (shifts, times) part, by
+    ``core._add_part`` over Z."""
+    for shifts, times in parts:
+        for _ in range(times):
+            mask = _add_part(mask, shifts, None)
+    return mask
+
+
+def _lowest(mask: int, base: int) -> int:
+    """The smallest value of a nonempty mask whose bit 0 is ``base``."""
+    return base + (mask & -mask).bit_length() - 1
+
+
+def _missing_detail(lhs: int, full: int, base: int) -> str:
+    missing = list(_bits(lhs & ~full, base)[:5])
     return f"missing from target: {missing}"
 
 
@@ -310,65 +354,43 @@ def check_inclusions_and_witnesses(ground: GroundSet, params: SumParams) -> Witn
     h, r = params.h, params.r
     _check_draws(k, h, r)
     m, eps = params.m, params.epsilon
-    names = (
-        "split-inclusion",
-        "block-inclusion-wide",
-        "gap-witnesses-wide",
-        "block-inclusion-narrow",
-        "gap-witnesses-narrow",
-    )
     if eps == 0:
-        na = "eps = 0: the exact factorization h^(r)A = r-fold m^A applies instead"
-        checks = [CheckItem(name, "not-applicable", na) for name in names]
-        return WitnessReport(ground=ground, params=params, checks=checks)
+        return WitnessReport(ground=ground, params=params, checks=_EPS_ZERO)
 
-    full = set(generalized_sumset(ground, params).values)
-    min_full = min(full)
-    checks = []
+    # Every mask has bit v - h * min A for the value v, and a part of t
+    # distinct elements has the shifts v - t * min A: the sums of t
+    # distinct elements of A - min A.
+    full = _sumset_mask(ground, h, r)
+    base = h * A[0]
+    shifted = tuple(a - A[0] for a in A)
 
     # Split inclusion: (m+1)^A + (h-m-1)^(r-1)A inside h^(r)A.  With
     # eps >= 1 we have m + 1 <= k and h - m - 1 <= (r-1)k, so both
     # factors are nonempty (the zero-summand sumset is {0}).
-    head = _restricted_values(A, m + 1)
+    head = _restricted_values(shifted, m + 1)
     tail_h = h - m - 1
-    if tail_h == 0:
-        tail = {0}
+    tail = _sumset_mask(ground, tail_h, r - 1) if tail_h else 1
+    lhs = _add_part(tail, head, None)
+    if lhs & ~full:
+        split = CheckItem("split-inclusion", "fail", _missing_detail(lhs, full, base))
     else:
-        tail = set(
-            generalized_sumset(ground, SumParams(h=tail_h, r=r - 1)).values
-        )
-    lhs = _minkowski(head, tail)
-    if lhs <= full:
-        checks.append(
-            CheckItem(
-                "split-inclusion",
-                "pass",
-                f"{len(lhs)} sums of (m+1 distinct) + (cap r-1) all inside",
-            )
-        )
-    else:
-        checks.append(CheckItem("split-inclusion", "fail", _missing_detail(lhs, full)))
+        detail = f"{lhs.bit_count()} sums of (m+1 distinct) + (cap r-1) all inside"
+        split = CheckItem("split-inclusion", "pass", detail)
 
-    wide = m + eps <= k
-    narrow = r - 1 > m + eps > k
-
-    if wide:
-        checks.extend(_check_wide(A, r, m, eps, full, min_full))
-        na = "narrow case needs r - 1 > m + eps > k"
-    elif narrow:
-        checks.extend(_check_narrow(A, r, m, eps, full, min_full, head))
-        na = "wide case needs m + eps <= k"
+    if m + eps <= k:
+        checks = (split, *_check_wide(A, shifted, r, m, eps, full, base), *_NOT_NARROW)
+    elif r - 1 > m + eps:
+        checks = (split, *_NOT_WIDE, *_check_narrow(A, shifted, r, m, eps, full, base, head))
     else:
         na = (
             f"neither case condition holds for m+eps={m + eps}, k={k}, r={r}; "
             f"the mirrored parameters cover this instance"
         )
-    ran = {item.name: item for item in checks}
-    checks = [ran.get(name, CheckItem(name, "not-applicable", na)) for name in names]
+        checks = (split, *_not_applicable(_NAMES[1:], na))
     return WitnessReport(ground=ground, params=params, checks=checks)
 
 
-def _check_wide(A, r, m, eps, full, min_full):
+def _check_wide(A, shifted, r, m, eps, full, base):
     """Wide case (m + eps <= k): bundle and chain built below m^A blocks."""
 
     def witness(x: int, y: int) -> int:
@@ -379,12 +401,12 @@ def _check_wide(A, r, m, eps, full, min_full):
             + (eps - x - y) * A[m + x]
         )
 
-    m_block = _restricted_values(A, m)
+    m_block = _restricted_values(shifted, m)
     return _check_case(
         "wide",
         full,
-        min_full,
-        bundle=_minkowski(_fold(m_block, r - 1), _restricted_values(A, m + eps)),
+        base,
+        bundle=_sums(1, [(m_block, r - 1), (_restricted_values(shifted, m + eps), 1)]),
         closed_min=r * sum(A[:m]) + sum(A[m : m + eps]),
         empty="eps = 1",
         witness=witness,
@@ -400,50 +422,51 @@ def _check_wide(A, r, m, eps, full, min_full):
     )
 
 
-def _check_narrow(A, r, m, eps, full, min_full, head):
+def _check_narrow(A, shifted, r, m, eps, full, base, head):
     """Narrow case (r - 1 > m + eps > k): bundle built from head = (m+1)^A."""
 
     def witness(x: int, y: int) -> int:
         body = sum(A[i] for i in range(x - 1, m) if i != y - 1)
         return (r - 1) * sum(A[:m]) + eps * A[m] + body + x * A[m]
 
-    m_block = _restricted_values(A, m)
+    m_block = _restricted_values(shifted, m)
     return _check_case(
         "narrow",
         full,
-        min_full,
-        bundle=_minkowski(_fold(head, m + eps), _fold(m_block, r - 1 - m - eps)),
+        base,
+        bundle=_sums(1, [(head, m + eps), (m_block, r - 1 - m - eps)]),
         closed_min=(r - 1) * sum(A[:m]) + (m + eps) * A[m],
         empty="m = 0",
         witness=witness,
         grid=[(x, y) for x in range(1, m + 1) for y in range(x, m + 1)],
-        chain=[min_full]
+        chain=[_lowest(full, base)]
         + [witness(x, y) for x in range(1, m + 1) for y in range(m, x - 1, -1)],
         gaps=m * (m + 1) // 2,
     )
 
 
 def _check_case(
-    case, full, min_full, *, bundle, closed_min, empty, witness, grid, chain, gaps
+    case, full, base, *, bundle, closed_min, empty, witness, grid, chain, gaps
 ):
     """The block-inclusion and gap-witness verdicts of either case.
 
+    ``full`` and ``bundle`` are masks whose bit 0 is the value ``base``.
     The bundle must lie inside h^(r)A and have its closed-form minimum.
     The gap family is empty (for the condition ``empty``) when the
     (x, y) grid is; otherwise every witness on the grid must be in
     h^(r)A, and the chain must increase strictly, end at min bundle and
     put its other ``gaps`` members in [min h^(r)A, min bundle - 1].
     """
-    min_bundle = min(bundle)
+    min_bundle = _lowest(bundle, base)
     name = f"block-inclusion-{case}"
-    if not bundle <= full:
-        block = CheckItem(name, "fail", _missing_detail(bundle, full))
+    if bundle & ~full:
+        block = CheckItem(name, "fail", _missing_detail(bundle, full, base))
     elif min_bundle != closed_min:
         detail = f"min bundle {min_bundle} != closed form {closed_min}"
         block = CheckItem(name, "fail", detail)
     else:
         detail = (
-            f"bundle of {len(bundle)} sums inside; min {min_bundle} "
+            f"bundle of {bundle.bit_count()} sums inside; min {min_bundle} "
             f"matches closed form"
         )
         block = CheckItem(name, "pass", detail)
@@ -452,13 +475,17 @@ def _check_case(
     if not grid:
         detail = f"family empty for {empty}: min bundle equals min h^(r)A"
         return [block, CheckItem(name, "pass", detail)]
-    problems = [(x, y) for x, y in grid if witness(x, y) not in full]
+    problems = [
+        (x, y) for x, y in grid
+        if (v := witness(x, y)) < base or not full >> v - base & 1
+    ]
     if problems:
         detail = f"witnesses not in h^(r)A at (x, y) = {problems[:5]}"
         return [block, CheckItem(name, "fail", detail)]
     ok_strict = all(a < b for a, b in zip(chain, chain[1:]))
     ok_end = chain[-1] == min_bundle
     gap = chain[:-1]
+    min_full = _lowest(full, base)
     ok_interval = all(min_full <= v <= min_bundle - 1 for v in gap)
     ok_count = len(gap) == gaps
     if ok_strict and ok_end and ok_interval and ok_count:

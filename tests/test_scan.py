@@ -897,18 +897,26 @@ def test_keep_budget_bounds_what_a_grid_holds(monkeypatch, capsys, tmp_path, bud
     assert list(dict.fromkeys(walked)) == [pair for pair in pairs if pair in walkers]
 
 
-def test_k2_scan_lists_no_chunk_prefixes():
-    """A k = 2 point at max_diameter 5 * 10**4 has that many chunks, of
-    which over Z only a_2 = 1 survives the gcd skip, and its prefixes are
-    walked from a range: no list of them is built, which alone would trace
-    some 5 MB."""
+def test_k2_scan_lists_no_chunk_prefixes(monkeypatch):
+    """A k = 2 point over Z at max_diameter 2 * 10**5 has that many
+    candidates, of which only a_2 = 1 survives the gcd skip, so it runs one
+    chunk, and lists no prefixes: a list of one per a_2 would alone trace
+    some 20 MB."""
+    chunk, calls = sumsetlab.scan._chunk, []
+
+    def counting(*args):
+        calls.append(args[-1])
+        return chunk(*args)
+
+    monkeypatch.setattr(sumsetlab.scan, "_chunk", counting)
     tracemalloc.start()
     try:
-        report = scan_extremal_integers(k=2, h=2, r=2, max_diameter=50_000)
+        report = scan_extremal_integers(k=2, h=2, r=2, max_diameter=200_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (report.candidates, report.evaluated, report.equality_sets) == (50_000, 1, ((0, 1),))
+    assert (report.candidates, report.evaluated, report.equality_sets) == (200_000, 1, ((0, 1),))
+    assert calls == [(0, 1)]
     assert peak < 200_000
 
 

@@ -5,6 +5,8 @@ vectors done independently of the package (and for the witness chains,
 from stepping through the constructions by hand).
 """
 
+import hashlib
+import json
 import random
 from collections import defaultdict
 from itertools import combinations, product
@@ -25,6 +27,7 @@ from sumsetlab import (
     generalized_sumset,
     is_arithmetic_progression,
 )
+from sumsetlab.core import _bits
 from sumsetlab.verify import _check_case, _fold, _halves, _minkowski, _restricted_values
 
 
@@ -379,7 +382,8 @@ def test_witnesses_refuse_h_above_rk_with_the_engine_message(h):
 
 # h^(r)A with one value dropped drives each checker down its fail
 # paths; the expected items were taken before the wide and narrow
-# verdicts were merged into one helper.
+# verdicts were merged into one helper, and those of the translated sets,
+# whose masks start at h * min A != 0, from the checker on Python sets.
 WITNESS_FAILS = {
     ((0, 1, 2, 4, 9), 5, 3, 3): (
         ("split-inclusion", "missing from target: [3]"),
@@ -399,6 +403,16 @@ WITNESS_FAILS = {
         ("block-inclusion-narrow", "missing from target: [13]"),
         ("gap-witnesses-narrow", "witnesses not in h^(r)A at (x, y) = [(2, 2)]"),
     ),
+    ((2, 3, 4), 14, 6, 41): (
+        ("split-inclusion", "missing from target: [41]"),
+        ("block-inclusion-narrow", "missing from target: [41]"),
+        ("gap-witnesses-narrow", "witnesses not in h^(r)A at (x, y) = [(2, 2)]"),
+    ),
+    ((1, 2, 3, 5, 10), 5, 3, 8): (
+        ("split-inclusion", "missing from target: [8]"),
+        ("block-inclusion-wide", "missing from target: [8]"),
+        ("gap-witnesses-wide", "witnesses not in h^(r)A at (x, y) = [(1, 0)]"),
+    ),
     ((0, 1), 7, 5, 2): (
         ("split-inclusion", "missing from target: [2]"),
         (
@@ -414,18 +428,18 @@ def test_witness_fail_paths(monkeypatch, case):
     import sumsetlab.verify as verify_mod
 
     elements, h, r, drop = case
-    target = SumParams(h, r)
+    real = verify_mod._sumset_mask
 
-    def dropping_sumset(ground, params):
-        result = generalized_sumset(ground, params)
-        if params != target:
-            return result
-        assert drop in result.values
-        kept = tuple(v for v in result.values if v != drop)
-        return SumsetResult(kept, result.modulus)
+    def dropping_mask(ground, h_, r_):
+        mask = real(ground, h_, r_)
+        if (h_, r_) != (h, r):
+            return mask
+        bit = 1 << drop - h * ground.elements[0]
+        assert mask & bit
+        return mask & ~bit
 
-    monkeypatch.setattr(verify_mod, "generalized_sumset", dropping_sumset)
-    report = check_inclusions_and_witnesses(GroundSet.of(elements), target)
+    monkeypatch.setattr(verify_mod, "_sumset_mask", dropping_mask)
+    report = check_inclusions_and_witnesses(GroundSet.of(elements), SumParams(h, r))
     expected = tuple(
         CheckItem(name, "fail", detail) for name, detail in WITNESS_FAILS[case]
     )
@@ -436,9 +450,9 @@ def test_witness_verdict_wrong_minimum():
     block inclusion even though nothing is missing."""
     checks = _check_case(
         "wide",
-        set(range(11)),
+        (1 << 11) - 1,  # {0..10}, bit v at v
         0,
-        bundle={3, 4, 5},
+        bundle=0b111000,  # {3, 4, 5}
         closed_min=2,
         empty="eps = 1",
         witness=None,
@@ -462,9 +476,9 @@ def test_witness_verdict_wrong_gap_count(gaps):
     the interval, still fails when it has the wrong number of them."""
     checks = _check_case(
         "narrow",
-        set(range(11)),
+        (1 << 11) - 1,  # {0..10}, bit v at v
         0,
-        bundle={5, 6},
+        bundle=0b1100000,  # {5, 6}
         closed_min=5,
         empty="m = 0",
         witness=lambda x, y: x + y,
@@ -484,6 +498,77 @@ def test_witness_verdict_wrong_gap_count(gaps):
             "strict=True endpoint=True interval=True count=False chain=[1, 2, 5]",
         ),
     ]
+
+
+def _witness_grid():
+    """Every A of {-2..6} with k <= 4, r <= 6 and 1 <= h <= min(r*k, 12)."""
+    for k in range(1, 5):
+        for A in combinations(range(-2, 7), k):
+            for r in range(1, 7):
+                for h in range(1, min(r * k, 12) + 1):
+                    yield GroundSet(A), SumParams(h, r)
+
+
+def test_witness_records_keep_their_digest():
+    """The checker's records over the grid, pinned before it read masks:
+    13 797 instances, 7 059 of them wide and 438 narrow."""
+    digest, counts = hashlib.sha256(), defaultdict(int)
+    for g, params in _witness_grid():
+        report = check_inclusions_and_witnesses(g, params)
+        assert report.verdict == "pass"
+        for c in report.checks[1::2]:  # the two block inclusions
+            counts[c.name] += c.status != "not-applicable"
+        digest.update(json.dumps(report.to_record()).encode() + b"\n")
+    assert sum(1 for _ in _witness_grid()) == 13_797
+    assert counts == {"block-inclusion-wide": 7_059, "block-inclusion-narrow": 438}
+    assert digest.hexdigest() == (
+        "8feac7a154c5009ded490e0d19b7f72209981cb793b9472e8bc9e1ed9bb17141"
+    )
+
+
+def test_witness_bundles_equal_the_set_reference(monkeypatch):
+    """Over the same grid each case's bundle mask holds exactly the
+    Minkowski sum that ``_fold`` and ``_minkowski`` give."""
+    import sumsetlab.verify as verify_mod
+
+    real, seen = verify_mod._check_case, []
+
+    def capturing(case, full, base, *, bundle, **kwargs):
+        seen.append((case, _bits(bundle, base)))
+        return real(case, full, base, bundle=bundle, **kwargs)
+
+    monkeypatch.setattr(verify_mod, "_check_case", capturing)
+    checked = 0
+    for g, params in _witness_grid():
+        A, r, m, eps = g.elements, params.r, params.m, params.epsilon
+        check_inclusions_and_witnesses(g, params)
+        if not seen:
+            continue
+        (case, values), = seen
+        seen.clear()
+        m_block = _restricted_values(A, m)
+        if case == "wide":
+            want = _minkowski(_fold(m_block, r - 1), _restricted_values(A, m + eps))
+        else:
+            want = _minkowski(
+                _fold(_restricted_values(A, m + 1), m + eps), _fold(m_block, r - 1 - m - eps)
+            )
+        assert values == tuple(sorted(want)), (A, params)
+        checked += 1
+    assert checked == 7_059 + 438
+
+
+@pytest.mark.parametrize(
+    "elements, h, r",
+    [((0, 1, 2), 4, 2), ((0, 1, 2, 4, 9), 5, 3), ((0, 1), 7, 5), ((0, 1), 5, 3)],
+    ids=["eps-zero", "wide", "narrow", "neither"],
+)
+def test_witness_reports_hash(elements, h, r):
+    report = check_inclusions_and_witnesses(GroundSet.of(elements), SumParams(h, r))
+    assert isinstance(report.checks, tuple)
+    assert hash(report) == hash(
+        check_inclusions_and_witnesses(GroundSet.of(elements), SumParams(h, r))
+    )
 
 
 class TestWitnessProperty:
